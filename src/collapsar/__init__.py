@@ -8,92 +8,41 @@ and fermionic fields.
 """
 
 from .errors import NoSignChangeError, SqueezingOverflowError
-from .geometry import (
-    BlackHoleParams,
-    ModeChannel,
-    SqueezingParams,
-    Statistics,
-    X_MIN_DEFAULT,
-    dimensionless_x,
-    hawking_temperature,
-    horizon_formation,
-    squeezing_for,
-)
-from .fock import (
-    FERMION_BASIS,
-    BasisLabel,
-    DensityOperator,
-    PureBipartiteState,
-    mean_occupation,
-    partial_trace,
-    purity,
-    von_neumann_entropy,
-)
-from .states import (
-    EPS_TAIL_DEFAULT,
-    N_CAP,
-    SqueezedPairState,
-    boson_reduced_analytic,
-    build_boson_state,
-    build_fermion_state,
-    fermion_reduced_analytic,
-)
+from .geometry import BlackHoleParams, ModeChannel, SqueezingParams, Statistics
+from .fock import partial_trace, von_neumann_entropy
+from .states import build_boson_state, build_fermion_state
 from .entanglement import (
     CSV_HEADER,
     CrossoverResult,
     EntropyReport,
     boson_entropy,
-    boson_entropy_hyperbolic,
     crossover,
     entropy_report,
     fermion_entropy,
-    format_float,
     report_csv_row,
-    report_json_dict,
     sweep,
-    temperature_ratio_fit,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisLabel",
     "BlackHoleParams",
     "CSV_HEADER",
     "CrossoverResult",
-    "DensityOperator",
-    "EPS_TAIL_DEFAULT",
     "EntropyReport",
-    "FERMION_BASIS",
     "ModeChannel",
-    "N_CAP",
     "NoSignChangeError",
-    "PureBipartiteState",
-    "SqueezedPairState",
     "SqueezingOverflowError",
     "SqueezingParams",
     "Statistics",
-    "X_MIN_DEFAULT",
     "boson_entropy",
-    "boson_entropy_hyperbolic",
-    "boson_reduced_analytic",
     "build_boson_state",
     "build_fermion_state",
     "crossover",
-    "dimensionless_x",
     "entropy_report",
     "fermion_entropy",
-    "fermion_reduced_analytic",
-    "format_float",
-    "hawking_temperature",
-    "horizon_formation",
-    "mean_occupation",
     "partial_trace",
-    "purity",
     "report_csv_row",
-    "report_json_dict",
-    "squeezing_for",
     "sweep",
-    "temperature_ratio_fit",
     "von_neumann_entropy",
 ]

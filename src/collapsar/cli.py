@@ -1,9 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 argument or validation errors, 3 numerical
-failures (overflowing squeezing, missing sign change, stalled iteration).
-All output is byte deterministic for a fixed argument list: CSV floats are
-rendered at 17 significant digits, JSON documents with a fixed key order.
+failures (overflowing squeezing, missing sign change).  All output is byte
+deterministic for a fixed argument list: CSV floats are rendered at 17
+significant digits, JSON documents with a fixed key order.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .entanglement import (
     CSV_HEADER,
     EntropyReport,
+    _json_number,
     crossover,
     entropy_report,
     format_float,
@@ -43,43 +43,20 @@ from .geometry import (
 from .states import EPS_TAIL_DEFAULT, build_boson_state, build_fermion_state
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Options shared by every subcommand run."""
-
-    mass: float
-    v0: float = 0.0
-    eps_tail: float = EPS_TAIL_DEFAULT
-    x_min: float = X_MIN_DEFAULT
-    fmt: str = "csv"
-    output: str | None = None
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        mass=args.mass,
-        v0=getattr(args, "v0", 0.0),
-        eps_tail=getattr(args, "eps_tail", EPS_TAIL_DEFAULT),
-        x_min=getattr(args, "x_min", X_MIN_DEFAULT),
-        fmt=getattr(args, "format", "csv"),
-        output=getattr(args, "output", None),
-    )
-
-
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output:
-        with open(config.output, "w", newline="") as fh:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output:
+        with open(args.output, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _channel_omega(config: RunConfig, args: argparse.Namespace) -> float:
+def _channel_omega(args: argparse.Namespace) -> float:
     if args.x is not None:
         x = args.x
         if not (math.isfinite(x) and x > 0.0):
             raise ValueError(f"x must be a finite positive real, got {x!r}")
-        return x / (FOUR_PI * config.mass)
+        return x / (FOUR_PI * args.mass)
     return args.omega
 
 
@@ -89,8 +66,8 @@ def _stats_list(value: str) -> tuple[Statistics, ...]:
     return (Statistics(value),)
 
 
-def _reports_text(config: RunConfig, reports: list[EntropyReport]) -> str:
-    if config.fmt == "json":
+def _reports_text(args: argparse.Namespace, reports: list[EntropyReport]) -> str:
+    if args.format == "json":
         return json.dumps([report_json_dict(r) for r in reports], indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -101,26 +78,24 @@ def _reports_text(config: RunConfig, reports: list[EntropyReport]) -> str:
 
 
 def cmd_entropy(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    params = BlackHoleParams(mass=config.mass, v0=config.v0)
-    omega = _channel_omega(config, args)
+    params = BlackHoleParams(mass=args.mass)
+    omega = _channel_omega(args)
     reports = [
         entropy_report(
             params,
             ModeChannel(omega=omega, statistics=st),
-            eps_tail=config.eps_tail,
+            eps_tail=args.eps_tail,
             keep=args.keep,
-            x_min=config.x_min,
+            x_min=args.x_min,
         )
         for st in _stats_list(args.stats)
     ]
-    _emit(config, _reports_text(config, reports))
+    _emit(args, _reports_text(args, reports))
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    params = BlackHoleParams(mass=config.mass, v0=config.v0)
+    params = BlackHoleParams(mass=args.mass)
     if args.points < 2:
         raise ValueError(f"points must be at least 2, got {args.points}")
     if not (0.0 < args.omega_min < args.omega_max):
@@ -135,20 +110,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         params,
         [float(o) for o in omegas],
         statistics=_stats_list(args.stats),
-        eps_tail=config.eps_tail,
+        eps_tail=args.eps_tail,
         keep=args.keep,
-        x_min=config.x_min,
+        x_min=args.x_min,
     )
-    _emit(config, _reports_text(config, reports))
+    _emit(args, _reports_text(args, reports))
     if all(r.error is not None for r in reports):
         return 3
     return 0
 
 
 def cmd_crossover(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    params = BlackHoleParams(mass=config.mass, v0=config.v0)
-    result = crossover(lo=args.lo, hi=args.hi, tol=args.tol)
+    params = BlackHoleParams(mass=args.mass)
+    result = crossover(lo=args.lo, hi=args.hi)
     omega_star = result.x_star / (FOUR_PI * params.mass)
     lines = [
         f"x_star = {format_float(result.x_star)}",
@@ -156,52 +130,33 @@ def cmd_crossover(args: argparse.Namespace) -> int:
         f"residual = {format_float(result.residual)}",
         f"iterations = {result.iterations}",
     ]
-    _emit(config, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def _json_num(value: float):
-    v = float(value)
-    return v if math.isfinite(v) else None
-
-
-def _reduced_document(config: RunConfig, args: argparse.Namespace, spectrum: bool) -> dict:
-    params = BlackHoleParams(mass=config.mass, v0=config.v0)
-    omega = _channel_omega(config, args)
-    channel = ModeChannel(omega=omega, statistics=Statistics(args.stats))
-    sq = squeezing_for(params, channel, x_min=config.x_min)
+def cmd_reduced(args: argparse.Namespace) -> int:
+    params = BlackHoleParams(mass=args.mass)
+    channel = ModeChannel(omega=_channel_omega(args), statistics=Statistics(args.stats))
+    sq = squeezing_for(params, channel, x_min=args.x_min)
     if sq.statistics is Statistics.BOSON:
-        state = build_boson_state(sq, eps_tail=config.eps_tail, x_min=config.x_min)
+        state = build_boson_state(sq, eps_tail=args.eps_tail, x_min=args.x_min)
     else:
         state = build_fermion_state(sq)
     rho = partial_trace(state, keep=args.keep)
     doc = {"squeezing": sq.to_json_dict(), **rho.to_json_dict()}
-    if spectrum:
-        doc["mean_occ"] = _json_num(mean_occupation(rho, "particle"))
-        doc["T_ratio"] = _json_num(
+    if args.spectrum:
+        doc["mean_occ"] = _json_number(mean_occupation(rho, "particle"))
+        doc["T_ratio"] = _json_number(
             temperature_ratio_fit(rho, dimensionless_x(params, channel))
         )
-    return doc
-
-
-def cmd_state(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    doc = _reduced_document(config, args, spectrum=False)
-    _emit(config, json.dumps(doc, indent=2) + "\n")
-    return 0
-
-
-def cmd_spectrum(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    doc = _reduced_document(config, args, spectrum=True)
-    _emit(config, json.dumps(doc, indent=2) + "\n")
+    _emit(args, json.dumps(doc, indent=2) + "\n")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    geom = argparse.ArgumentParser(add_help=False)
-    geom.add_argument("--mass", type=float, required=True, help="shell mass m > 0")
-    geom.add_argument("--v0", type=float, default=0.0, help="collapse time offset")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--mass", type=float, required=True, help="shell mass m > 0")
+    common.add_argument("--output", help="write to this path instead of stdout")
 
     mode = argparse.ArgumentParser(add_help=False)
     group = mode.add_mutually_exclusive_group(required=True)
@@ -230,11 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="which side of the pair to keep (default %(default)s)",
     )
 
-    outp = argparse.ArgumentParser(add_help=False)
-    outp.add_argument(
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument(
         "--format", choices=["csv", "json"], default="csv", help="report format"
     )
-    outp.add_argument("--output", help="write to this path instead of stdout")
 
     parser = argparse.ArgumentParser(
         prog="collapsar",
@@ -244,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser(
         "entropy",
-        parents=[geom, mode, trunc, outp],
+        parents=[common, mode, trunc, fmt],
         help="closed-form and numerical entropy of one mode",
     )
     pe.add_argument("--stats", choices=["boson", "fermion", "both"], default="both")
@@ -252,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser(
         "sweep",
-        parents=[geom, trunc, outp],
+        parents=[common, trunc, fmt],
         help="entropy reports over a frequency grid",
     )
     ps.add_argument("--omega-min", type=float, required=True)
@@ -264,32 +218,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser(
         "crossover",
-        parents=[geom],
+        parents=[common],
         help="x where the fermionic entropy overtakes the bosonic one",
     )
     pc.add_argument("--lo", type=float, default=0.1)
     pc.add_argument("--hi", type=float, default=1.0)
-    pc.add_argument("--tol", type=float, default=1e-8)
-    pc.add_argument("--output", help="write to this path instead of stdout")
     pc.set_defaults(func=cmd_crossover)
 
-    pst = sub.add_parser(
-        "state",
-        parents=[geom, mode, trunc],
-        help="reduced density operator of one mode, as JSON",
-    )
-    pst.add_argument("--stats", choices=["boson", "fermion"], required=True)
-    pst.add_argument("--output", help="write to this path instead of stdout")
-    pst.set_defaults(func=cmd_state)
-
-    psp = sub.add_parser(
-        "spectrum",
-        parents=[geom, mode, trunc],
-        help="reduced state plus occupation and fitted temperature",
-    )
-    psp.add_argument("--stats", choices=["boson", "fermion"], required=True)
-    psp.add_argument("--output", help="write to this path instead of stdout")
-    psp.set_defaults(func=cmd_spectrum)
+    for name, spectrum, text in (
+        ("state", False, "reduced density operator of one mode, as JSON"),
+        ("spectrum", True, "reduced state plus occupation and fitted temperature"),
+    ):
+        pr = sub.add_parser(name, parents=[common, mode, trunc], help=text)
+        pr.add_argument("--stats", choices=["boson", "fermion"], required=True)
+        pr.set_defaults(func=cmd_reduced, spectrum=spectrum)
 
     return parser
 

@@ -113,7 +113,8 @@ def fermion_entropy(squeezing: SqueezingParams) -> float:
     denom = 1.0 + w2
     c2 = 1.0 / denom
     s2 = w2 / denom
-    return -2.0 * (_xlog2(c2) + _xlog2(s2))
+    # max() turns the -0.0 of a frozen-out mode (c2 == 1, s2 == 0) into 0.0.
+    return max(0.0, -2.0 * (_xlog2(c2) + _xlog2(s2)))
 
 
 @dataclass(frozen=True)
@@ -216,17 +217,14 @@ class CrossoverResult:
     iterations: int
 
 
-def crossover(
-    lo: float = 0.1,
-    hi: float = 1.0,
-    tol: float = 1e-8,
-) -> CrossoverResult:
+def crossover(lo: float = 0.1, hi: float = 1.0) -> CrossoverResult:
     """Locate the x where the fermionic entropy overtakes the bosonic one.
 
-    Bisects f(x) = S_fermion(x) - S_boson(x) on [lo, hi] until both the
-    bracket width and |f| fall below ``tol``.  Before bisecting, a fixed
-    200-point log grid over [1e-3, 100] must show exactly one sign change,
-    so the returned root is the only one in the surveyed range.
+    Bisects f(x) = S_fermion(x) - S_boson(x) on [lo, hi] until the bracket
+    is two adjacent floats, and returns the endpoint with the smaller |f|.
+    Before bisecting, a fixed 200-point log grid over [1e-3, 100] must show
+    exactly one sign change, so the returned root is the only one in the
+    surveyed range.
 
     Raises NoSignChangeError if f keeps one sign on the given bracket.
     """
@@ -238,8 +236,6 @@ def crossover(
         and 0.0 < lo < hi
     ):
         raise ValueError(f"bad bracket ({lo!r}, {hi!r})")
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be a finite positive real, got {tol!r}")
 
     def f(x: float) -> float:
         return _closed_form_entropy(Statistics.FERMION, x) - _closed_form_entropy(
@@ -265,26 +261,18 @@ def crossover(
             f"no sign change on bracket: f({lo!r}) = {fa!r}, f({hi!r}) = {fb!r}"
         )
     a, b = float(lo), float(hi)
-    mid = a
-    fm = fa
     iterations = 0
-    for iterations in range(1, 201):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            raise RuntimeError(
-                f"bisection stalled at {mid!r} with residual {fm!r} above tol {tol!r}"
-            )
+    # The midpoint of two adjacent floats rounds to one of them.
+    while (mid := 0.5 * (a + b)) not in (a, b):
+        iterations += 1
         fm = f(mid)
         if fa * fm <= 0.0:
             b, fb = mid, fm
         else:
             a, fa = mid, fm
-        if (b - a) <= tol and abs(fm) <= tol:
-            break
-    else:
-        raise RuntimeError(f"bisection did not converge within {iterations} steps")
+    x_star, residual = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
     return CrossoverResult(
-        x_star=mid, bracket=(a, b), residual=fm, iterations=iterations
+        x_star=x_star, bracket=(a, b), residual=residual, iterations=iterations
     )
 
 

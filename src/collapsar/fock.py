@@ -211,38 +211,6 @@ class DensityOperator:
             "offdiag_norm": float(self._offdiag_norm),
         }
 
-    @classmethod
-    def from_json_dict(cls, payload: Mapping, max_trace_deficit: float | None = None) -> "DensityOperator":
-        """Rebuild a diagonal operator from its serialised view.
-
-        Only operators with negligible off-diagonal weight round trip; the
-        schema intentionally carries no off-diagonal data.
-        """
-        try:
-            basis_json = payload["basis"]
-            diag = [float(p) for p in payload["diag"]]
-            offdiag = float(payload["offdiag_norm"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed density operator payload: {exc}") from exc
-        if offdiag > 1e-10:
-            raise ValueError(
-                f"offdiag_norm {offdiag!r} too large: schema carries no off-diagonal data"
-            )
-        basis = tuple(
-            tuple(int(k) for k in lab) if isinstance(lab, (list, tuple)) else int(lab)
-            for lab in basis_json
-        )
-        if max_trace_deficit is None:
-            deficit = 1.0 - math.fsum(diag)
-            if deficit > 1e-3:
-                raise ValueError(f"diagonal sums to {math.fsum(diag)!r}, too far from 1")
-            max_trace_deficit = max(TRACE_DEFICIT_DEFAULT, deficit + 1e-12)
-        return cls(
-            basis=basis,
-            matrix=np.diag(np.asarray(diag, dtype=np.complex128)),
-            max_trace_deficit=max_trace_deficit,
-        )
-
 
 def partial_trace(
     state: PureBipartiteState, keep: Literal["out", "hor"] = "out"
@@ -292,7 +260,6 @@ def partial_trace(
 def von_neumann_entropy(
     rho: DensityOperator,
     method: Literal["auto", "diagonal", "eigen"] = "auto",
-    lambda_floor: float = LAMBDA_FLOOR,
 ) -> float:
     """Entropy -tr(rho log2 rho) in bits.
 
@@ -304,8 +271,8 @@ def von_neumann_entropy(
         "diagonal" reads probabilities off the diagonal (valid only when the
         off-diagonal weight is negligible), "eigen" diagonalises, "auto"
         picks the diagonal path exactly when ``offdiag_norm() == 0.0``.
-    lambda_floor:
-        Eigenvalues at or below this are treated as exact zeros.
+
+    Eigenvalues at or below LAMBDA_FLOOR count as exact zeros.
     """
     if method == "auto":
         method = "diagonal" if rho.offdiag_norm() == 0.0 else "eigen"
@@ -321,7 +288,7 @@ def von_neumann_entropy(
         raise ValueError(f"unknown method {method!r}")
     if float(p.min()) < -PSD_ATOL:
         raise ValueError(f"operator not positive: min weight {float(p.min())!r}")
-    p = p[p > lambda_floor]
+    p = p[p > LAMBDA_FLOOR]
     if p.size == 0:
         return 0.0
     s = -float(np.sum(p * np.log2(p)))

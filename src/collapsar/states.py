@@ -10,7 +10,6 @@ with its outgoing partner, horizon label first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,18 +22,6 @@ N_CAP = 16384
 
 EPS_TAIL_DEFAULT = 1e-12
 EPS_TAIL_MAX = 1e-6
-
-
-@dataclass(frozen=True, eq=False)
-class SqueezedPairState(PureBipartiteState):
-    """Pure pair state tagged with the squeezing that produced it."""
-
-    squeezing: SqueezingParams = field(kw_only=True)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not isinstance(self.squeezing, SqueezingParams):
-            raise ValueError(f"squeezing must be SqueezingParams, got {self.squeezing!r}")
 
 
 def _validate_eps_tail(eps_tail: float) -> None:
@@ -74,7 +61,7 @@ def build_boson_state(
     squeezing: SqueezingParams,
     eps_tail: float = EPS_TAIL_DEFAULT,
     x_min: float = X_MIN_DEFAULT,
-) -> SqueezedPairState:
+) -> PureBipartiteState:
     """Truncated two-mode squeezed vacuum for a bosonic mode.
 
     Parameters
@@ -103,10 +90,10 @@ def build_boson_state(
     amps = inv_cosh * w**ns
     tail_bound = q ** (n_max + 1) / (1.0 - q)
     coeffs = {(int(n), int(n)): float(a) for n, a in zip(ns, amps)}
-    return SqueezedPairState(coeffs, tail_bound, squeezing=squeezing)
+    return PureBipartiteState(coeffs, tail_bound)
 
 
-def build_fermion_state(squeezing: SqueezingParams) -> SqueezedPairState:
+def build_fermion_state(squeezing: SqueezingParams) -> PureBipartiteState:
     """Four-term pair state for a fermionic mode; exact, no truncation.
 
     Pair labels are (n_particle, n_antiparticle).  A horizon antiparticle
@@ -125,7 +112,7 @@ def build_fermion_state(squeezing: SqueezingParams) -> SqueezedPairState:
         ((1, 0), (0, 1)): s * c,
         ((1, 1), (1, 1)): -(s * s),
     }
-    return SqueezedPairState(coeffs, 0.0, squeezing=squeezing)
+    return PureBipartiteState(coeffs, 0.0)
 
 
 def _clamp_unit_trace(diag: np.ndarray) -> np.ndarray:

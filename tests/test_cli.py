@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from collapsar import CSV_HEADER, format_float
+from collapsar import CSV_HEADER
 from collapsar.cli import main
+from collapsar.entanglement import format_float
 
 HEADER_LINE = ",".join(CSV_HEADER)
+# Root of S_fermion - S_boson, frozen from mpmath.findroot at 30 digits.
+X_STAR = 0.40671361302244355
 
 
 def run(capsys, argv):
@@ -215,8 +218,8 @@ class TestCrossoverCommand:
         fields = self.parse(out)
         assert list(fields) == ["x_star", "omega_star", "residual", "iterations"]
         x_star = float(fields["x_star"])
-        assert x_star == pytest.approx(0.40671361302244355, abs=2e-8)
-        assert abs(float(fields["residual"])) <= 1e-8
+        assert abs(x_star - X_STAR) <= 4.0 * math.ulp(X_STAR)
+        assert abs(float(fields["residual"])) <= 1e-14
         assert int(fields["iterations"]) > 0
         assert float(fields["omega_star"]) == pytest.approx(
             x_star / (4.0 * math.pi), rel=1e-15
@@ -237,9 +240,8 @@ class TestCrossoverCommand:
             capsys, ["crossover", "--mass", "1", "--lo", "0.3", "--hi", "0.5"]
         )
         assert code == 0
-        assert float(self.parse(out)["x_star"]) == pytest.approx(
-            0.40671361302244355, abs=2e-8
-        )
+        x_star = float(self.parse(out)["x_star"])
+        assert abs(x_star - X_STAR) <= 4.0 * math.ulp(X_STAR)
 
 
 class TestStateAndSpectrum:

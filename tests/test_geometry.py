@@ -18,6 +18,8 @@ from collapsar import (
     SqueezingOverflowError,
     SqueezingParams,
     Statistics,
+)
+from collapsar.geometry import (
     dimensionless_x,
     hawking_temperature,
     horizon_formation,

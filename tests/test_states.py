@@ -8,17 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collapsar import (
-    EPS_TAIL_DEFAULT,
-    N_CAP,
     SqueezingOverflowError,
     SqueezingParams,
-    boson_reduced_analytic,
     build_boson_state,
     build_fermion_state,
-    fermion_reduced_analytic,
     partial_trace,
 )
-from collapsar.states import SqueezedPairState, _truncation_level
+from collapsar.states import (
+    EPS_TAIL_DEFAULT,
+    N_CAP,
+    _truncation_level,
+    boson_reduced_analytic,
+    fermion_reduced_analytic,
+)
 
 
 def boson_sq(x):
@@ -84,14 +86,6 @@ class TestBosonBuilder:
     def test_statistics_mismatch(self):
         with pytest.raises(ValueError, match="boson"):
             build_boson_state(fermion_sq(1.0))
-
-    def test_tagged_with_squeezing(self):
-        sq = boson_sq(2.0)
-        assert build_boson_state(sq).squeezing == sq
-
-    def test_rejects_non_squeezing_tag(self):
-        with pytest.raises(ValueError, match="squeezing"):
-            SqueezedPairState({(0, 0): 1.0}, squeezing="boson")
 
     @given(x=st.floats(min_value=0.05, max_value=20.0, allow_nan=False))
     @settings(derandomize=True, max_examples=60, deadline=None)

@@ -3,12 +3,13 @@
 Every quantity here comes in two independent routes that the tests hold
 against each other: a closed-form expression in the squeezing parameters,
 and a numerical route that builds the truncated pair state, traces out one
-side, and diagonalises the remainder.
+side, and sums over the spectrum of the diagonal that remains.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,7 +140,7 @@ def temperature_ratio_fit(rho: DensityOperator, x: float) -> float:
     Bosonic ladders get a least-squares fit of log p(n) against n;
     fermionic operators use the two-level ratio p(0,1)/p(0,0).  Returns 1
     for an exactly thermal spectrum and nan when the spectrum retains too
-    little weight to fit.
+    little weight to fit, as when a fermionic p(0,0) or p(0,1) is subnormal.
     """
     if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0.0):
         raise ValueError(f"x must be a finite positive real, got {x!r}")
@@ -155,7 +156,7 @@ def temperature_ratio_fit(rho: DensityOperator, x: float) -> float:
         return -2.0 * x / slope
     p00 = float(diag[rho.basis.index((0, 0))])
     p01 = float(diag[rho.basis.index((0, 1))])
-    if p00 <= 0.0 or p01 <= 0.0 or p00 == p01:
+    if p00 < sys.float_info.min or p01 < sys.float_info.min or p00 == p01:
         return math.nan
     return -2.0 * x / math.log(p01 / p00)
 
@@ -170,9 +171,9 @@ def entropy_report(
     """Closed-form and numerical entropies for one mode, with thermality checks.
 
     The numerical column always goes the long way: build the truncated pair
-    state, trace out the complementary side, diagonalise.  ``mean_occ`` is
-    the particle-sector occupation of the kept side and ``T_ratio`` the
-    fitted-to-Hawking temperature ratio.
+    state, trace out the complementary side, and sum over the spectrum of
+    the diagonal reduction.  ``mean_occ`` is the particle-sector occupation
+    of the kept side and ``T_ratio`` the fitted-to-Hawking temperature ratio.
 
     Raises SqueezingOverflowError when the mode cannot be represented;
     sweep() converts that into an in-band error row instead.
@@ -287,8 +288,8 @@ def sweep(
     """Entropy reports over a frequency grid, statistics interleaved per point.
 
     Per-point representation failures do not abort the sweep: the report for
-    that point carries the closed-form entropy, nan numerics, and the error
-    message in band.
+    that point carries the closed-form entropy (nan when x is not a finite
+    positive float), nan numerics, and the error message in band.
     """
     oms = [float(o) for o in omegas]
     if not oms:
@@ -324,7 +325,7 @@ def sweep(
                         omega=om,
                         mass=float(params.mass),
                         statistics=st,
-                        S_closed=_closed_form_entropy(st, x),
+                        S_closed=_closed_form_entropy(st, x) if 0.0 < x < math.inf else math.nan,
                         S_numeric=math.nan,
                         gap=math.nan,
                         mean_occ=math.nan,

@@ -2,11 +2,12 @@
 
 
 class SqueezingOverflowError(OverflowError):
-    """Squeezing too close to maximal for a faithful truncated representation.
+    """Mode whose squeezing has no faithful truncated representation.
 
     Raised when the requested mode sits so deep in the infrared (x below the
     configured floor) that the bosonic occupation distribution cannot be
-    truncated within the dense-matrix budget.
+    truncated within the dimension cap ``N_CAP``, or when x = 4 pi m omega
+    is not a finite positive float.
     """
 
 

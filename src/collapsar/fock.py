@@ -1,4 +1,4 @@
-"""Truncated two-mode Fock space: pure bipartite states and reduced density operators.
+"""Truncated two-mode Fock space: Schmidt-form pair states and their reductions.
 
 Basis labels come in two kinds and are never mixed within one state:
 
@@ -7,9 +7,12 @@ Basis labels come in two kinds and are never mixed within one state:
   fermionic mode carrying both a particle and an antiparticle slot.
 
 A pure bipartite state stores amplitudes keyed by ``(hor_label, out_label)``,
-the horizon-side label first.  Truncation is explicit: ``tail_bound`` is an
-upper bound on the squared norm discarded by the cut, and completeness is
-checked against it rather than silently renormalised away.
+the horizon-side label first, in Schmidt form: each horizon label and each
+outgoing label occurs in exactly one key.  Tracing out either side then
+leaves an exactly diagonal operator, stored as its diagonal.  Truncation is
+explicit: ``tail_bound`` is an upper bound on the squared norm discarded by
+the cut, and completeness is checked against it rather than silently
+renormalised away.
 """
 
 from __future__ import annotations
@@ -27,9 +30,7 @@ FERMION_BASIS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 # Completeness window half-width for pure states.
 EPS_NORM = 1e-12
-# Hermiticity violation ceiling (max elementwise asymmetry).
-HERMITIAN_ATOL = 1e-12
-# How negative an eigenvalue may be before the operator is rejected.
+# How negative a probability may be before the operator is rejected.
 PSD_ATOL = 1e-10
 # Default allowance on 1 - trace for a reduced operator.
 TRACE_DEFICIT_DEFAULT = 1e-9
@@ -37,11 +38,6 @@ TRACE_DEFICIT_DEFAULT = 1e-9
 TRACE_EXCESS = 1e-12
 # Eigenvalues at or below this floor are treated as exact zeros in entropies.
 LAMBDA_FLOOR = 1e-30
-
-# Full eigenvalue positivity check at construction is limited to this
-# dimension; larger operators are exactly diagonal on every path that can
-# produce them, where the diagonal check is already complete.
-_PSD_EIG_DIM_MAX = 512
 
 
 def _label_kind(label: object) -> str:
@@ -67,8 +63,9 @@ class PureBipartiteState:
     Parameters
     ----------
     coefficients:
-        Mapping ``(hor_label, out_label) -> amplitude``.  Labels must be
-        homogeneous in kind across the whole state.
+        Mapping ``(hor_label, out_label) -> amplitude``, in Schmidt form: no
+        horizon label and no outgoing label occurs in two keys.  Labels must
+        be homogeneous in kind across the whole state.
     tail_bound:
         Upper bound on the squared norm removed by truncation; 0.0 for an
         exactly representable state.
@@ -94,6 +91,8 @@ class PureBipartiteState:
             kinds.add(_label_kind(key[1]))
         if len(kinds) != 1:
             raise ValueError("mixed number and pair labels in one state")
+        if not len(coeffs) == len({k[0] for k in coeffs}) == len({k[1] for k in coeffs}):
+            raise ValueError("state not in Schmidt form: a label occurs in two amplitude keys")
         for key, amp in coeffs.items():
             if isinstance(amp, bool) or not isinstance(amp, (int, float, complex)):
                 raise ValueError(f"amplitude at {key!r} is not a number: {amp!r}")
@@ -122,14 +121,16 @@ class PureBipartiteState:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Hermitian positive trace-near-one operator on a labelled basis.
+    """Positive trace-near-one operator, diagonal in its labelled basis.
 
-    ``max_trace_deficit`` widens the lower trace window for operators that
-    descend from truncated states; it is a validation allowance, not data.
+    ``diag`` holds the probabilities in basis order, as a read-only float64
+    array.  ``max_trace_deficit`` widens the lower trace window for
+    operators that descend from truncated states; it is a validation
+    allowance, not data.
     """
 
     basis: tuple[BasisLabel, ...]
-    matrix: np.ndarray
+    diag: np.ndarray
     max_trace_deficit: float = field(default=TRACE_DEFICIT_DEFAULT, repr=False)
 
     def __post_init__(self) -> None:
@@ -141,74 +142,47 @@ class DensityOperator:
             raise ValueError("mixed number and pair labels in one basis")
         if len(set(basis)) != len(basis):
             raise ValueError("duplicate basis labels")
-        mat = np.array(self.matrix, dtype=np.complex128, copy=True)
-        d = len(basis)
-        if mat.shape != (d, d):
-            raise ValueError(f"matrix shape {mat.shape} does not match basis size {d}")
-        if not np.all(np.isfinite(mat.view(np.float64))):
-            raise ValueError("non-finite matrix entries")
+        diag = np.array(self.diag, dtype=np.float64, copy=True)
+        if diag.shape != (len(basis),):
+            raise ValueError(f"diag shape {diag.shape} does not match basis size {len(basis)}")
+        if not np.all(np.isfinite(diag)):
+            raise ValueError("non-finite diagonal entries")
         if not (0.0 <= self.max_trace_deficit < 1.0):
             raise ValueError(f"bad max_trace_deficit {self.max_trace_deficit!r}")
-
-        # Row-wise checks avoid materialising d x d temporaries at large d.
-        herm = 0.0
-        offdiag_sq = []
-        for i in range(d):
-            row = mat[i, :]
-            herm = max(herm, float(np.max(np.abs(row - mat[:, i].conj()))))
-            row_sq = float(np.vdot(row, row).real)
-            offdiag_sq.append(max(0.0, row_sq - abs(mat[i, i]) ** 2))
-        if herm > HERMITIAN_ATOL:
-            raise ValueError(f"matrix not Hermitian: max asymmetry {herm!r}")
-        offdiag_norm = math.sqrt(math.fsum(offdiag_sq))
-
-        diag = mat.diagonal().real.copy()
         if float(diag.min()) < -PSD_ATOL:
             raise ValueError(f"negative diagonal entry {float(diag.min())!r}")
-        if offdiag_norm > 0.0 and d <= _PSD_EIG_DIM_MAX:
-            lo = float(np.linalg.eigvalsh(mat).min())
-            if lo < -PSD_ATOL:
-                raise ValueError(f"operator not positive: min eigenvalue {lo!r}")
-
         tr = float(np.sum(diag))
         if not (1.0 - self.max_trace_deficit - 1e-15 <= tr <= 1.0 + TRACE_EXCESS):
             raise ValueError(f"trace {tr!r} outside allowed window")
 
-        mat.setflags(write=False)
         diag.setflags(write=False)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "_diag", diag)
-        object.__setattr__(self, "_offdiag_norm", offdiag_norm)
+        object.__setattr__(self, "diag", diag)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def diagonal(self) -> np.ndarray:
-        """Real diagonal of the matrix, as a read-only array."""
-        return self._diag
+        """Probabilities in basis order, as a read-only array."""
+        return self.diag
 
     def trace(self) -> float:
-        return float(np.sum(self._diag))
-
-    def offdiag_norm(self) -> float:
-        """Frobenius norm of the off-diagonal part; exactly 0.0 for diagonal operators."""
-        return self._offdiag_norm
+        return float(np.sum(self.diag))
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending real spectrum (via eigvalsh)."""
-        return np.linalg.eigvalsh(self.matrix)
+        """Ascending real spectrum: the sorted diagonal."""
+        return np.sort(self.diag)
 
     def to_json_dict(self) -> dict:
-        """Serialisable view: basis labels, diagonal, and off-diagonal weight."""
+        """Serialisable view: basis labels, diagonal, and off-diagonal weight (always 0)."""
         basis_json: list = [
             list(lab) if isinstance(lab, tuple) else int(lab) for lab in self.basis
         ]
         return {
             "basis": basis_json,
-            "diag": [float(p) for p in self._diag],
-            "offdiag_norm": float(self._offdiag_norm),
+            "diag": [float(p) for p in self.diag],
+            "offdiag_norm": 0.0,
         }
 
 
@@ -228,33 +202,20 @@ def partial_trace(
     Returns
     -------
     DensityOperator on the kept side, with a trace window widened by the
-    state's tail bound.
+    state's tail bound.  The state is in Schmidt form, so each kept label
+    carries the weight |amplitude|^2 of its single key.
     """
     if keep not in ("out", "hor"):
         raise ValueError(f"keep must be 'out' or 'hor', got {keep!r}")
     kept_pos = 1 if keep == "out" else 0
-    labels = tuple(sorted({key[kept_pos] for key in state.coefficients}))
-    index = {lab: i for i, lab in enumerate(labels)}
-
-    groups: dict[BasisLabel, list[tuple[int, complex]]] = {}
+    weights = {}
     for key, amp in state.coefficients.items():
-        kept = key[kept_pos]
-        traced = key[1 - kept_pos]
-        groups.setdefault(traced, []).append((index[kept], complex(amp)))
-
-    d = len(labels)
-    mat = np.zeros((d, d), dtype=np.complex128)
-    for entries in groups.values():
-        if len(entries) == 1:
-            i, a = entries[0]
-            mat[i, i] += (a.conjugate() * a).real
-        else:
-            for i, a in entries:
-                for j, b in entries:
-                    mat[i, j] += a * b.conjugate()
-
+        a = complex(amp)
+        weights[key[kept_pos]] = (a.conjugate() * a).real
+    labels = tuple(sorted(weights))
+    diag = np.array([weights[lab] for lab in labels], dtype=np.float64)
     deficit = min(1.0 - 1e-12, TRACE_DEFICIT_DEFAULT + state.tail_bound)
-    return DensityOperator(basis=labels, matrix=mat, max_trace_deficit=deficit)
+    return DensityOperator(basis=labels, diag=diag, max_trace_deficit=deficit)
 
 
 def von_neumann_entropy(
@@ -268,26 +229,18 @@ def von_neumann_entropy(
     rho:
         Operator to measure.
     method:
-        "diagonal" reads probabilities off the diagonal (valid only when the
-        off-diagonal weight is negligible), "eigen" diagonalises, "auto"
-        picks the diagonal path exactly when ``offdiag_norm() == 0.0``.
+        "diagonal" and "auto" sum over the probabilities in basis order,
+        "eigen" over the ascending spectrum; the two differ only in
+        summation order.
 
     Eigenvalues at or below LAMBDA_FLOOR count as exact zeros.
     """
-    if method == "auto":
-        method = "diagonal" if rho.offdiag_norm() == 0.0 else "eigen"
-    if method == "diagonal":
-        if rho.offdiag_norm() > 1e-10:
-            raise ValueError(
-                f"off-diagonal weight {rho.offdiag_norm()!r} too large for the diagonal path"
-            )
-        p = np.asarray(rho.diagonal(), dtype=np.float64)
+    if method in ("auto", "diagonal"):
+        p = rho.diag
     elif method == "eigen":
         p = rho.eigenvalues()
     else:
         raise ValueError(f"unknown method {method!r}")
-    if float(p.min()) < -PSD_ATOL:
-        raise ValueError(f"operator not positive: min weight {float(p.min())!r}")
     p = p[p > LAMBDA_FLOOR]
     if p.size == 0:
         return 0.0
@@ -296,8 +249,8 @@ def von_neumann_entropy(
 
 
 def purity(rho: DensityOperator) -> float:
-    """tr(rho^2), equal to the squared Frobenius norm of the matrix."""
-    return float(np.vdot(rho.matrix, rho.matrix).real)
+    """tr(rho^2), the sum of the squared probabilities."""
+    return float(np.dot(rho.diag, rho.diag))
 
 
 def mean_occupation(

@@ -177,6 +177,9 @@ def squeezing_for(
         Infrared floor on x.  Modes below it raise SqueezingOverflowError
         rather than silently produce a squeezing too large to truncate.
         Pass 0.0 to disable the floor on closed-form-only paths.
+
+    An x that overflows to inf or underflows to 0 also raises
+    SqueezingOverflowError.
     """
     x = dimensionless_x(params, channel)
     if x < x_min:
@@ -184,4 +187,6 @@ def squeezing_for(
             f"x = {x!r} below floor {x_min!r}: mode too soft for a faithful "
             f"truncated representation"
         )
+    if not 0.0 < x < math.inf:
+        raise SqueezingOverflowError(f"x = {x!r} is not a finite positive float")
     return SqueezingParams.from_x(channel.statistics, x)

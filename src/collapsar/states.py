@@ -17,7 +17,7 @@ from .errors import SqueezingOverflowError
 from .fock import FERMION_BASIS, DensityOperator, PureBipartiteState
 from .geometry import Statistics, SqueezingParams, X_MIN_DEFAULT
 
-# Hard cap on the truncated dimension n_max + 1 of any dense representation.
+# Hard cap on the truncated dimension n_max + 1 of a bosonic pair state.
 N_CAP = 16384
 
 EPS_TAIL_DEFAULT = 1e-12
@@ -152,9 +152,7 @@ def boson_reduced_analytic(
     diag = _clamp_unit_trace((1.0 - q) * q ** np.arange(n_max + 1, dtype=np.float64))
     deficit = min(1.0 - 1e-12, q ** (n_max + 1) + 1e-12)
     return DensityOperator(
-        basis=tuple(range(n_max + 1)),
-        matrix=np.diag(diag.astype(np.complex128)),
-        max_trace_deficit=deficit,
+        basis=tuple(range(n_max + 1)), diag=diag, max_trace_deficit=deficit
     )
 
 
@@ -173,7 +171,4 @@ def fermion_reduced_analytic(squeezing: SqueezingParams) -> DensityOperator:
     diag = _clamp_unit_trace(
         np.array([c2 * c2, c2 * s2, s2 * c2, s2 * s2], dtype=np.float64)
     )
-    return DensityOperator(
-        basis=FERMION_BASIS,
-        matrix=np.diag(diag.astype(np.complex128)),
-    )
+    return DensityOperator(basis=FERMION_BASIS, diag=diag)

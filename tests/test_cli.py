@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from collapsar.cli import main
 from collapsar.entanglement import format_float
 
 HEADER_LINE = ",".join(CSV_HEADER)
+DATA = Path(__file__).parent / "data"
 # Root of S_fermion - S_boson, frozen from mpmath.findroot at 30 digits.
 X_STAR = 0.40671361302244355
 
@@ -90,6 +92,42 @@ class TestNumericalFailures:
         assert lines[0] == HEADER_LINE
         assert len(lines) == 5
         assert all("below floor" in li for li in lines[1:])
+
+    def test_entropy_with_overflowing_x_exits_3(self, capsys):
+        code, out, err = run(capsys, ["entropy", "--mass", "1e300", "--omega", "1e10"])
+        assert code == 3
+        assert out == ""
+        assert "x = inf is not a finite positive float" in err
+
+    def test_sweep_keeps_rows_past_overflowing_x(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["sweep", "--mass", "1e300", "--omega-min", "1", "--omega-max", "1e10",
+             "--points", "3"],
+        )
+        assert code == 0 and err == ""
+        rows = [li.split(",") for li in out.strip().split("\n")[1:]]
+        assert len(rows) == 6
+        # x = 1.26e301 and 1.26e306 are frozen-out modes; the last x is inf.
+        assert all(r[-1] == "" and r[4] == "0" for r in rows[:4])
+        for r in rows[4:]:
+            assert r[0] == "inf"
+            assert r[4:9] == ["nan"] * 5
+            assert r[-1] == "x = inf is not a finite positive float"
+
+    def test_sweep_with_underflowing_x_keeps_rows_and_exits_3(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["sweep", "--mass", "1e-300", "--omega-min", "1e-300",
+             "--omega-max", "1e-10", "--points", "3"],
+        )
+        assert code == 3 and err == ""
+        rows = [li.split(",") for li in out.strip().split("\n")[1:]]
+        assert len(rows) == 6
+        assert all("below floor" in r[-1] for r in rows)
+        # x underflows to 0 at the first two points: no closed form either.
+        assert all(r[0] == "0" and r[4] == "nan" for r in rows[:4])
+        assert [r[4] for r in rows[4:]] == ["inf", "2"]
 
 
 class TestEntropyCommand:
@@ -304,6 +342,24 @@ class TestStateAndSpectrum:
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("sweep_criterion9.csv",
+         ["sweep", "--mass", "1", "--omega-min", "0.005", "--omega-max", "0.5",
+          "--points", "25", "--stats", "both"]),
+        ("spectrum_boson_x0.5.json", ["spectrum", "--mass", "1", "--x", "0.5", "--stats", "boson"]),
+        ("spectrum_fermion_x2.json", ["spectrum", "--mass", "1", "--x", "2", "--stats", "fermion"]),
+    ],
+)
+def test_output_matches_golden_bytes(capsys, name, argv):
+    # The files were captured before reductions were stored as diagonals.
+    # They pin the printed bytes: never regenerate them to make this pass.
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert out == (DATA / name).read_text()
 
 
 def test_format_float_examples():

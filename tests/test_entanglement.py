@@ -8,12 +8,14 @@ high precision on every run.
 """
 
 import math
+import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collapsar import (
@@ -40,7 +42,8 @@ from collapsar.entanglement import (
     report_json_dict,
     temperature_ratio_fit,
 )
-from collapsar.states import boson_reduced_analytic
+from collapsar.geometry import FOUR_PI
+from collapsar.states import N_CAP, boson_reduced_analytic
 
 B = Statistics.BOSON
 F = Statistics.FERMION
@@ -204,6 +207,25 @@ class TestTemperatureRatio:
         rho = partial_trace(build_fermion(800.0))
         assert math.isnan(temperature_ratio_fit(rho, 800.0))
 
+    # Wherever a report's fit is defined, it recovers the horizon temperature.
+    # At x = 371 the fermionic p(0,1) is subnormal and used to fit 0.99994.
+    # Below x ~ 3e-4 the two-level fit -2x / log(p01/p00) is the limit: a few
+    # ulp of rounding in p01/p00 move it by about eps / x (2.1 eps / x at
+    # worst on a 20000-point grid), so the bound there is 4 eps / x.
+    @given(x=st.floats(min_value=1e-6, max_value=745.0, allow_nan=False))
+    @example(x=371.0)
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_fermion_report_fit_exact_wherever_finite(self, x):
+        r = entropy_report(BlackHoleParams(mass=1.0), ModeChannel(x / FOUR_PI, F))
+        tol = max(1e-12, 4.0 * sys.float_info.epsilon / r.x)
+        assert math.isnan(r.T_ratio) or abs(r.T_ratio - 1.0) <= tol
+
+    @given(x=st.floats(min_value=0.01, max_value=745.0, allow_nan=False))
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_boson_report_fit_thermal_wherever_finite(self, x):
+        r = entropy_report(BlackHoleParams(mass=1.0), ModeChannel(x / FOUR_PI, B))
+        assert math.isnan(r.T_ratio) or abs(r.T_ratio - 1.0) <= 1e-6
+
     def test_x_validation(self):
         rho = boson_reduced_analytic(SqueezingParams.from_x(B, 1.0))
         with pytest.raises(ValueError):
@@ -241,6 +263,20 @@ class TestEntropyReport:
         r_out = entropy_report(p, c, keep="out")
         r_hor = entropy_report(p, c, keep="hor")
         assert r_out.S_numeric == pytest.approx(r_hor.S_numeric, abs=1e-9)
+
+    def test_largest_admitted_dimension_in_bounded_memory(self):
+        # x = 1.032e-3 truncates at exactly N_CAP levels, where a dense
+        # complex d x d operator would take 4.3 GB.
+        x = 1.032e-3
+        assert partial_trace(build_boson_state(SqueezingParams.from_x(B, x))).dim == N_CAP
+        tracemalloc.start()
+        try:
+            r = entropy_report(BlackHoleParams(mass=1.0), ModeChannel(x / FOUR_PI, B))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+        assert r.gap < 1e-9
 
     def test_overflow_propagates(self):
         from collapsar import SqueezingOverflowError

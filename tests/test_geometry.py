@@ -235,6 +235,14 @@ class TestSqueezingFor:
         with pytest.raises(SqueezingOverflowError):
             squeezing_for(p, c)
 
+    @pytest.mark.parametrize("mass, omega", [(1e300, 1e10), (1e-300, 1e-300)])
+    def test_unrepresentable_x_overflows(self, mass, omega):
+        # x = 4 pi m omega overflows to inf or underflows to 0.
+        p = BlackHoleParams(mass=mass)
+        c = ModeChannel(omega=omega, statistics="boson")
+        with pytest.raises(SqueezingOverflowError, match="not a finite positive float"):
+            squeezing_for(p, c, x_min=0.0)
+
     def test_floor_can_be_disabled(self):
         p = BlackHoleParams(mass=1.0)
         c = ModeChannel(omega=1e-9, statistics="fermion")

@@ -85,7 +85,6 @@ def cmd_entropy(args: argparse.Namespace) -> int:
             params,
             ModeChannel(omega=omega, statistics=st),
             eps_tail=args.eps_tail,
-            keep=args.keep,
             x_min=args.x_min,
         )
         for st in _stats_list(args.stats)
@@ -111,7 +110,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         [float(o) for o in omegas],
         statistics=_stats_list(args.stats),
         eps_tail=args.eps_tail,
-        keep=args.keep,
         x_min=args.x_min,
     )
     _emit(args, _reports_text(args, reports))
@@ -139,10 +137,10 @@ def cmd_reduced(args: argparse.Namespace) -> int:
     channel = ModeChannel(omega=_channel_omega(args), statistics=Statistics(args.stats))
     sq = squeezing_for(params, channel, x_min=args.x_min)
     if sq.statistics is Statistics.BOSON:
-        state = build_boson_state(sq, eps_tail=args.eps_tail, x_min=args.x_min)
+        state = build_boson_state(sq, eps_tail=args.eps_tail)
     else:
         state = build_fermion_state(sq)
-    rho = partial_trace(state, keep=args.keep)
+    rho = partial_trace(state)
     doc = {"squeezing": sq.to_json_dict(), **rho.to_json_dict()}
     if args.spectrum:
         doc["mean_occ"] = _json_number(mean_occupation(rho, "particle"))
@@ -177,12 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=X_MIN_DEFAULT,
         help="infrared floor on x (default %(default)g)",
-    )
-    trunc.add_argument(
-        "--keep",
-        choices=["out", "hor"],
-        default="out",
-        help="which side of the pair to keep (default %(default)s)",
     )
 
     fmt = argparse.ArgumentParser(add_help=False)

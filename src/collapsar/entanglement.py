@@ -165,15 +165,14 @@ def entropy_report(
     params: BlackHoleParams,
     channel: ModeChannel,
     eps_tail: float = EPS_TAIL_DEFAULT,
-    keep: str = "out",
     x_min: float = X_MIN_DEFAULT,
 ) -> EntropyReport:
     """Closed-form and numerical entropies for one mode, with thermality checks.
 
     The numerical column always goes the long way: build the truncated pair
-    state, trace out the complementary side, and sum over the spectrum of
-    the diagonal reduction.  ``mean_occ`` is the particle-sector occupation
-    of the kept side and ``T_ratio`` the fitted-to-Hawking temperature ratio.
+    state, trace out the horizon side, and sum over the spectrum of the
+    diagonal reduction.  ``mean_occ`` is the particle-sector occupation of
+    the outgoing side and ``T_ratio`` the fitted-to-Hawking temperature ratio.
 
     Raises SqueezingOverflowError when the mode cannot be represented;
     sweep() converts that into an in-band error row instead.
@@ -182,11 +181,11 @@ def entropy_report(
     sq = squeezing_for(params, channel, x_min=x_min)
     if sq.statistics is Statistics.BOSON:
         s_closed = boson_entropy(sq)
-        state = build_boson_state(sq, eps_tail=eps_tail, x_min=x_min)
+        state = build_boson_state(sq, eps_tail=eps_tail)
     else:
         s_closed = fermion_entropy(sq)
         state = build_fermion_state(sq)
-    rho = partial_trace(state, keep=keep)
+    rho = partial_trace(state)
     s_numeric = von_neumann_entropy(rho, method="eigen")
     return EntropyReport(
         x=x,
@@ -202,7 +201,7 @@ def entropy_report(
 
 
 def _closed_form_entropy(statistics: Statistics, x: float) -> float:
-    sq = SqueezingParams.from_x(statistics, x)
+    sq = SqueezingParams(statistics, x)
     if statistics is Statistics.BOSON:
         return boson_entropy(sq)
     return fermion_entropy(sq)
@@ -282,7 +281,6 @@ def sweep(
     omegas,
     statistics=(Statistics.BOSON, Statistics.FERMION),
     eps_tail: float = EPS_TAIL_DEFAULT,
-    keep: str = "out",
     x_min: float = X_MIN_DEFAULT,
 ) -> list[EntropyReport]:
     """Entropy reports over a frequency grid, statistics interleaved per point.
@@ -313,9 +311,7 @@ def sweep(
             channel = ModeChannel(omega=om, statistics=st)
             try:
                 reports.append(
-                    entropy_report(
-                        params, channel, eps_tail=eps_tail, keep=keep, x_min=x_min
-                    )
+                    entropy_report(params, channel, eps_tail=eps_tail, x_min=x_min)
                 )
             except SqueezingOverflowError as exc:
                 x = dimensionless_x(params, channel)

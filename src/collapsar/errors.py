@@ -4,10 +4,10 @@
 class SqueezingOverflowError(OverflowError):
     """Mode whose squeezing has no faithful truncated representation.
 
-    Raised when the requested mode sits so deep in the infrared (x below the
-    configured floor) that the bosonic occupation distribution cannot be
-    truncated within the dimension cap ``N_CAP``, or when x = 4 pi m omega
-    is not a finite positive float.
+    Raised when a bosonic occupation distribution cannot be truncated within
+    the dimension cap ``N_CAP`` (every x below about 1e-3), when x falls
+    below the configured infrared floor (which, for bosons, only changes the
+    message), or when x = 4 pi m omega is not a finite positive float.
     """
 
 

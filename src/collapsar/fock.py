@@ -83,15 +83,17 @@ class PureBipartiteState:
         coeffs = dict(self.coefficients)
         if not coeffs:
             raise ValueError("state has no amplitudes")
-        kinds = set()
         for key in coeffs:
             if not (isinstance(key, tuple) and len(key) == 2):
                 raise ValueError(f"amplitude key must be (hor, out), got {key!r}")
-            kinds.add(_label_kind(key[0]))
-            kinds.add(_label_kind(key[1]))
-        if len(kinds) != 1:
+        hor = {k[0] for k in coeffs}
+        out = {k[1] for k in coeffs}
+        # Each side is checked on its own: True == 1, so a union of the two
+        # sets could keep an int label and drop the bool label beside it.
+        # Within one side such a collapse fails the Schmidt check below.
+        if len({_label_kind(lab) for lab in hor} | {_label_kind(lab) for lab in out}) != 1:
             raise ValueError("mixed number and pair labels in one state")
-        if not len(coeffs) == len({k[0] for k in coeffs}) == len({k[1] for k in coeffs}):
+        if not len(coeffs) == len(hor) == len(out):
             raise ValueError("state not in Schmidt form: a label occurs in two amplitude keys")
         for key, amp in coeffs.items():
             if isinstance(amp, bool) or not isinstance(amp, (int, float, complex)):

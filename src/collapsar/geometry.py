@@ -11,21 +11,18 @@ equal to ``omega / (2 T_H)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import SqueezingOverflowError
 
 FOUR_PI = 4.0 * math.pi
 
-# Modes softer than this (in units of x) squeeze so strongly that the
-# truncated bosonic representation downstream becomes untrustworthy.
+# Infrared floor on x.  It does not guard the boson truncation: N_CAP in
+# states already refuses every boson x below 1.03e-3 at the default
+# eps_tail (below 6.3e-4 at EPS_TAIL_MAX).  The floor decides only which
+# error a boson mode below it gets, and whether a fermion mode is admitted.
 X_MIN_DEFAULT = 1e-6
-
-# Tolerance on the w = e^{-x} consistency check inside SqueezingParams.
-# Must absorb a log/exp round trip at x up to ~745 (relative error there
-# is about x * eps ~ 8e-14).
-_WEIGHT_RTOL = 1e-12
 
 
 class Statistics(str, Enum):
@@ -64,46 +61,34 @@ class ModeChannel:
 
 @dataclass(frozen=True)
 class SqueezingParams:
-    """Two-mode squeezing of one horizon/outgoing mode pair.
+    """Two-mode squeezing of one horizon/outgoing mode pair, fixed by x alone.
 
     ``boltzmann_weight`` is ``w = e^{-x}``.  The squeezing angle satisfies
     ``tanh r = w`` for bosons (r unbounded) and ``tan r = w`` for fermions
-    (r in (0, pi/4]).  Underflow edges are representable: ``w == 0.0``
-    denotes a mode frozen out to the vacuum, and ``w == 1.0`` (reachable
-    only for x below ~1e-16) denotes maximal squeezing, with ``r = inf``
-    in the bosonic case.
+    (r in (0, pi/4]).  Both are derived from x on construction.  Underflow
+    edges are representable: ``w == 0.0`` denotes a mode frozen out to the
+    vacuum, and ``w == 1.0`` (reachable only for x below ~1e-16) denotes
+    maximal squeezing, with ``r = inf`` in the bosonic case.
     """
 
     statistics: Statistics
-    r: float
     x: float
-    boltzmann_weight: float
+    boltzmann_weight: float = field(init=False)
+    r: float = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "statistics", Statistics(self.statistics))
-        w = self.boltzmann_weight
-        if not (isinstance(w, (int, float)) and 0.0 <= w <= 1.0):
-            raise ValueError(f"boltzmann_weight must lie in [0, 1], got {w!r}")
-        if not (isinstance(self.x, (int, float)) and self.x > 0.0):
-            raise ValueError(f"x must be positive, got {self.x!r}")
-        if not (isinstance(self.r, (int, float)) and self.r >= 0.0):
-            raise ValueError(f"r must be nonnegative, got {self.r!r}")
-        we = math.exp(-self.x)
-        if abs(w - we) > _WEIGHT_RTOL * max(w, we):
-            raise ValueError(
-                f"inconsistent parameters: boltzmann_weight {w!r} vs e^-x {we!r}"
-            )
+        x = self.x
+        if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0.0):
+            raise ValueError(f"x must be a finite positive real, got {x!r}")
+        w = math.exp(-x)
         if self.statistics is Statistics.BOSON:
-            back = math.tanh(self.r)
+            r = math.inf if w == 1.0 else math.atanh(w)
         else:
-            if self.r > math.pi / 4.0:
-                raise ValueError(f"fermionic r must not exceed pi/4, got {self.r!r}")
-            back = math.tan(self.r)
-        # 4 ulp: covers the measured worst case of the atanh/tanh round trip.
-        if abs(back - w) > 4.0 * math.ulp(max(w, 1e-300)):
-            raise ValueError(
-                f"inconsistent parameters: r {self.r!r} does not reproduce weight {w!r}"
-            )
+            r = math.atan(w)
+        object.__setattr__(self, "x", float(x))
+        object.__setattr__(self, "boltzmann_weight", w)
+        object.__setattr__(self, "r", r)
 
     def to_json_dict(self) -> dict:
         """Serialisable header identifying the squeezing: statistics, r, x."""
@@ -112,15 +97,7 @@ class SqueezingParams:
     @classmethod
     def from_x(cls, statistics: Statistics | str, x: float) -> "SqueezingParams":
         """Build squeezing parameters from the dimensionless ratio x = 4 pi m omega."""
-        statistics = Statistics(statistics)
-        if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0.0):
-            raise ValueError(f"x must be a finite positive real, got {x!r}")
-        w = math.exp(-x)
-        if statistics is Statistics.BOSON:
-            r = math.inf if w == 1.0 else math.atanh(w)
-        else:
-            r = math.atan(w)
-        return cls(statistics=statistics, r=r, x=float(x), boltzmann_weight=w)
+        return cls(statistics, x)
 
     @classmethod
     def from_r(cls, statistics: Statistics | str, r: float) -> "SqueezingParams":
@@ -138,8 +115,7 @@ class SqueezingParams:
             raise ValueError(
                 f"r {r!r} rounds to maximal squeezing; construct via from_x instead"
             )
-        x = -math.log(w)
-        return cls(statistics=statistics, r=float(r), x=x, boltzmann_weight=w)
+        return cls(statistics, -math.log(w))
 
 
 def horizon_formation(params: BlackHoleParams) -> float:
@@ -174,9 +150,10 @@ def squeezing_for(
     params, channel:
         Geometry and mode under consideration.
     x_min:
-        Infrared floor on x.  Modes below it raise SqueezingOverflowError
-        rather than silently produce a squeezing too large to truncate.
-        Pass 0.0 to disable the floor on closed-form-only paths.
+        Infrared floor on x.  Modes below it raise SqueezingOverflowError.
+        For bosons the truncation cap refuses a far wider range anyway, so
+        the floor only picks the message; for fermions, which need no
+        truncation, it decides admission.  Pass 0.0 to disable it.
 
     An x that overflows to inf or underflows to 0 also raises
     SqueezingOverflowError.
@@ -189,4 +166,4 @@ def squeezing_for(
         )
     if not 0.0 < x < math.inf:
         raise SqueezingOverflowError(f"x = {x!r} is not a finite positive float")
-    return SqueezingParams.from_x(channel.statistics, x)
+    return SqueezingParams(channel.statistics, x)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import SqueezingOverflowError
 from .fock import FERMION_BASIS, DensityOperator, PureBipartiteState
-from .geometry import Statistics, SqueezingParams, X_MIN_DEFAULT
+from .geometry import Statistics, SqueezingParams
 
 # Hard cap on the truncated dimension n_max + 1 of a bosonic pair state.
 N_CAP = 16384
@@ -60,7 +60,6 @@ def _truncation_level(q: float, eps_tail: float) -> int:
 def build_boson_state(
     squeezing: SqueezingParams,
     eps_tail: float = EPS_TAIL_DEFAULT,
-    x_min: float = X_MIN_DEFAULT,
 ) -> PureBipartiteState:
     """Truncated two-mode squeezed vacuum for a bosonic mode.
 
@@ -70,16 +69,13 @@ def build_boson_state(
         Bosonic squeezing parameters.
     eps_tail:
         Ceiling on the tail bound q^(n_max+1)/(1-q) of the discarded mass.
-    x_min:
-        Infrared floor; squeezing with x below it is refused.
+
+    Raises SqueezingOverflowError when the cut needs more than N_CAP levels,
+    which holds for every x below about 1e-3.
     """
     if squeezing.statistics is not Statistics.BOSON:
         raise ValueError(f"bosonic builder got {squeezing.statistics.value} squeezing")
     _validate_eps_tail(eps_tail)
-    if squeezing.x < x_min:
-        raise SqueezingOverflowError(
-            f"x = {squeezing.x!r} below floor {x_min!r}"
-        )
     w = squeezing.boltzmann_weight
     q = w * w
     if q >= 1.0:

@@ -1,5 +1,6 @@
 """End-to-end CLI tests driven through main(), asserting on captured bytes."""
 
+import argparse
 import json
 import math
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from collapsar import CSV_HEADER
-from collapsar.cli import main
+from collapsar.cli import build_parser, main
 from collapsar.entanglement import format_float
 
 HEADER_LINE = ",".join(CSV_HEADER)
@@ -21,6 +22,40 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+OPTIONS = {
+    "entropy": [
+        "--eps-tail", "--format", "--mass", "--omega", "--output", "--stats", "--x",
+        "--x-min",
+    ],
+    "sweep": [
+        "--eps-tail", "--format", "--grid", "--mass", "--omega-max", "--omega-min",
+        "--output", "--points", "--stats", "--x-min",
+    ],
+    "crossover": ["--hi", "--lo", "--mass", "--output"],
+    "state": ["--eps-tail", "--mass", "--omega", "--output", "--stats", "--x", "--x-min"],
+    "spectrum": [
+        "--eps-tail", "--mass", "--omega", "--output", "--stats", "--x", "--x-min",
+    ],
+}
+
+
+def test_option_set_is_pinned():
+    # Adding or removing a CLI option must show up as a diff of OPTIONS.
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    found = {
+        name: sorted(
+            opt
+            for action in parser._actions
+            for opt in action.option_strings
+            if opt not in ("-h", "--help")
+        )
+        for name, parser in sub.choices.items()
+    }
+    assert found == OPTIONS
 
 
 class TestArgumentErrors:
@@ -325,17 +360,6 @@ class TestStateAndSpectrum:
         assert code == 0
         doc = json.loads(out)
         assert doc["T_ratio"] is None
-
-    def test_keep_hor_side(self, capsys):
-        _, out_o, _ = run(
-            capsys, ["state", "--mass", "1", "--x", "1", "--stats", "boson"]
-        )
-        _, out_h, _ = run(
-            capsys,
-            ["state", "--mass", "1", "--x", "1", "--stats", "boson", "--keep", "hor"],
-        )
-        # Schmidt twins: identical spectra on either side of the cut.
-        assert json.loads(out_o)["diag"] == json.loads(out_h)["diag"]
 
     def test_state_byte_determinism(self, capsys):
         argv = ["state", "--mass", "1", "--x", "2", "--stats", "fermion"]

@@ -257,13 +257,6 @@ class TestEntropyReport:
             1.0 / (math.exp(2.0 * r.x) + 1.0), rel=1e-9
         )
 
-    def test_keep_side_is_symmetric(self):
-        p = BlackHoleParams(mass=1.0)
-        c = ModeChannel(omega=0.05, statistics=B)
-        r_out = entropy_report(p, c, keep="out")
-        r_hor = entropy_report(p, c, keep="hor")
-        assert r_out.S_numeric == pytest.approx(r_hor.S_numeric, abs=1e-9)
-
     def test_largest_admitted_dimension_in_bounded_memory(self):
         # x = 1.032e-3 truncates at exactly N_CAP levels, where a dense
         # complex d x d operator would take 4.3 GB.

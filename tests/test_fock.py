@@ -67,6 +67,9 @@ class TestPureBipartiteState:
             {(0, 0, 0): 1.0},
             {0: 1.0},
             {(0.5, 0): 1.0},
+            {(True, 0): 1.0},
+            {(0, True): 1.0},
+            {((0, True), (0, 0)): 1.0},
         ],
     )
     def test_rejects_bad_labels(self, coeffs):

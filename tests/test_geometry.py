@@ -165,23 +165,16 @@ class TestSqueezingParams:
         with pytest.raises(ValueError):
             SqueezingParams.from_x("boson", x)
 
-    def test_direct_construction_rejects_inconsistent_r(self):
-        with pytest.raises(ValueError):
-            SqueezingParams(
-                statistics=Statistics.BOSON,
-                r=0.3,
-                x=1.0,
-                boltzmann_weight=math.exp(-1.0),
-            )
-
-    def test_direct_construction_rejects_inconsistent_weight(self):
-        with pytest.raises(ValueError):
-            SqueezingParams(
-                statistics=Statistics.BOSON,
-                r=math.atanh(math.exp(-1.0)),
-                x=5.0,
-                boltzmann_weight=math.exp(-1.0),
-            )
+    @pytest.mark.parametrize("stat", [Statistics.BOSON, Statistics.FERMION])
+    def test_weight_and_angle_derive_from_x_alone(self, stat):
+        inverse = math.atanh if stat is Statistics.BOSON else math.atan
+        for x in np.geomspace(1e-6, 745.0, 2000):
+            x = float(x)
+            sq = SqueezingParams(stat, x)
+            w = math.exp(-x)
+            assert sq.x == x
+            assert sq.boltzmann_weight == w
+            assert sq.r == inverse(w)
 
     def test_to_json_dict(self):
         sq = SqueezingParams.from_x("fermion", 1.0)

@@ -7,7 +7,7 @@ form and through an independent truncated Fock-space route, for bosonic
 and fermionic fields.
 """
 
-from .errors import NoSignChangeError, SqueezingOverflowError
+from .errors import SqueezingOverflowError
 from .geometry import BlackHoleParams, ModeChannel, SqueezingParams, Statistics
 from .fock import partial_trace, von_neumann_entropy
 from .states import build_boson_state, build_fermion_state
@@ -31,7 +31,6 @@ __all__ = [
     "CrossoverResult",
     "EntropyReport",
     "ModeChannel",
-    "NoSignChangeError",
     "SqueezingOverflowError",
     "SqueezingParams",
     "Statistics",

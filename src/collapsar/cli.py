@@ -1,9 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 argument or validation errors, 3 numerical
-failures (overflowing squeezing, missing sign change).  All output is byte
-deterministic for a fixed argument list: CSV floats are rendered at 17
-significant digits, JSON documents with a fixed key order.
+failures (overflowing squeezing).  All output is byte deterministic for a
+fixed argument list: CSV floats are rendered at 17 significant digits,
+JSON documents with a fixed key order.
 """
 
 from __future__ import annotations
@@ -29,15 +29,13 @@ from .entanglement import (
     sweep,
     temperature_ratio_fit,
 )
-from .errors import NoSignChangeError, SqueezingOverflowError
+from .errors import SqueezingOverflowError
 from .fock import mean_occupation, partial_trace
 from .geometry import (
     FOUR_PI,
     BlackHoleParams,
     ModeChannel,
     Statistics,
-    X_MIN_DEFAULT,
-    dimensionless_x,
     squeezing_for,
 )
 from .states import EPS_TAIL_DEFAULT, build_boson_state, build_fermion_state
@@ -85,7 +83,6 @@ def cmd_entropy(args: argparse.Namespace) -> int:
             params,
             ModeChannel(omega=omega, statistics=st),
             eps_tail=args.eps_tail,
-            x_min=args.x_min,
         )
         for st in _stats_list(args.stats)
     ]
@@ -110,7 +107,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         [float(o) for o in omegas],
         statistics=_stats_list(args.stats),
         eps_tail=args.eps_tail,
-        x_min=args.x_min,
     )
     _emit(args, _reports_text(args, reports))
     if all(r.error is not None for r in reports):
@@ -120,7 +116,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_crossover(args: argparse.Namespace) -> int:
     params = BlackHoleParams(mass=args.mass)
-    result = crossover(lo=args.lo, hi=args.hi)
+    result = crossover()
     omega_star = result.x_star / (FOUR_PI * params.mass)
     lines = [
         f"x_star = {format_float(result.x_star)}",
@@ -135,7 +131,7 @@ def cmd_crossover(args: argparse.Namespace) -> int:
 def cmd_reduced(args: argparse.Namespace) -> int:
     params = BlackHoleParams(mass=args.mass)
     channel = ModeChannel(omega=_channel_omega(args), statistics=Statistics(args.stats))
-    sq = squeezing_for(params, channel, x_min=args.x_min)
+    sq = squeezing_for(params, channel)
     if sq.statistics is Statistics.BOSON:
         state = build_boson_state(sq, eps_tail=args.eps_tail)
     else:
@@ -144,9 +140,7 @@ def cmd_reduced(args: argparse.Namespace) -> int:
     doc = {"squeezing": sq.to_json_dict(), **rho.to_json_dict()}
     if args.spectrum:
         doc["mean_occ"] = _json_number(mean_occupation(rho, "particle"))
-        doc["T_ratio"] = _json_number(
-            temperature_ratio_fit(rho, dimensionless_x(params, channel))
-        )
+        doc["T_ratio"] = _json_number(temperature_ratio_fit(rho, sq.x))
     _emit(args, json.dumps(doc, indent=2) + "\n")
     return 0
 
@@ -169,12 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=EPS_TAIL_DEFAULT,
         help="ceiling on the truncated tail bound (default %(default)g)",
-    )
-    trunc.add_argument(
-        "--x-min",
-        type=float,
-        default=X_MIN_DEFAULT,
-        help="infrared floor on x (default %(default)g)",
     )
 
     fmt = argparse.ArgumentParser(add_help=False)
@@ -213,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="x where the fermionic entropy overtakes the bosonic one",
     )
-    pc.add_argument("--lo", type=float, default=0.1)
-    pc.add_argument("--hi", type=float, default=1.0)
     pc.set_defaults(func=cmd_crossover)
 
     for name, spectrum, text in (
@@ -233,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SqueezingOverflowError, NoSignChangeError, RuntimeError) as exc:
+    except SqueezingOverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSignChangeError, SqueezingOverflowError
+from .errors import SqueezingOverflowError
 from .fock import DensityOperator, mean_occupation, partial_trace, von_neumann_entropy
 from .geometry import (
     BlackHoleParams,
     ModeChannel,
     SqueezingParams,
     Statistics,
-    X_MIN_DEFAULT,
     dimensionless_x,
     squeezing_for,
 )
@@ -37,10 +36,10 @@ _LN2 = math.log(2.0)
 # log-linear temperature fit.
 _FIT_FLOOR = 1e-15
 
-# Log grid on which crossover() confirms the sign structure of S_f - S_b.
-_SCAN_LO = 1e-3
-_SCAN_HI = 100.0
-_SCAN_POINTS = 200
+# Bracket on which crossover() bisects S_f - S_b.  The tests check that
+# S_f - S_b changes sign exactly once on a log grid over [1e-3, 100], and
+# that the change lies inside this bracket.
+CROSSOVER_BRACKET = (0.1, 1.0)
 
 CSV_HEADER = (
     "x",
@@ -165,7 +164,6 @@ def entropy_report(
     params: BlackHoleParams,
     channel: ModeChannel,
     eps_tail: float = EPS_TAIL_DEFAULT,
-    x_min: float = X_MIN_DEFAULT,
 ) -> EntropyReport:
     """Closed-form and numerical entropies for one mode, with thermality checks.
 
@@ -177,8 +175,7 @@ def entropy_report(
     Raises SqueezingOverflowError when the mode cannot be represented;
     sweep() converts that into an in-band error row instead.
     """
-    x = dimensionless_x(params, channel)
-    sq = squeezing_for(params, channel, x_min=x_min)
+    sq = squeezing_for(params, channel)
     if sq.statistics is Statistics.BOSON:
         s_closed = boson_entropy(sq)
         state = build_boson_state(sq, eps_tail=eps_tail)
@@ -188,7 +185,7 @@ def entropy_report(
     rho = partial_trace(state)
     s_numeric = von_neumann_entropy(rho, method="eigen")
     return EntropyReport(
-        x=x,
+        x=sq.x,
         omega=float(channel.omega),
         mass=float(params.mass),
         statistics=sq.statistics,
@@ -196,7 +193,7 @@ def entropy_report(
         S_numeric=s_numeric,
         gap=abs(s_closed - s_numeric),
         mean_occ=mean_occupation(rho, "particle"),
-        T_ratio=temperature_ratio_fit(rho, x),
+        T_ratio=temperature_ratio_fit(rho, sq.x),
     )
 
 
@@ -217,50 +214,21 @@ class CrossoverResult:
     iterations: int
 
 
-def crossover(lo: float = 0.1, hi: float = 1.0) -> CrossoverResult:
+def crossover() -> CrossoverResult:
     """Locate the x where the fermionic entropy overtakes the bosonic one.
 
-    Bisects f(x) = S_fermion(x) - S_boson(x) on [lo, hi] until the bracket
-    is two adjacent floats, and returns the endpoint with the smaller |f|.
-    Before bisecting, a fixed 200-point log grid over [1e-3, 100] must show
-    exactly one sign change, so the returned root is the only one in the
-    surveyed range.
-
-    Raises NoSignChangeError if f keeps one sign on the given bracket.
+    Bisects f(x) = S_fermion(x) - S_boson(x) on ``CROSSOVER_BRACKET`` until
+    the bracket is two adjacent floats, and returns the endpoint with the
+    smaller |f|.
     """
-    if not (
-        isinstance(lo, (int, float))
-        and isinstance(hi, (int, float))
-        and math.isfinite(lo)
-        and math.isfinite(hi)
-        and 0.0 < lo < hi
-    ):
-        raise ValueError(f"bad bracket ({lo!r}, {hi!r})")
 
     def f(x: float) -> float:
         return _closed_form_entropy(Statistics.FERMION, x) - _closed_form_entropy(
             Statistics.BOSON, x
         )
 
-    grid = np.geomspace(_SCAN_LO, _SCAN_HI, _SCAN_POINTS)
-    signs = []
-    for g in grid:
-        val = f(float(g))
-        if val != 0.0:
-            signs.append(math.copysign(1.0, val))
-    changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    if changes != 1:
-        raise RuntimeError(
-            f"expected exactly one sign change on the scan grid, found {changes}"
-        )
-
-    fa = f(lo)
-    fb = f(hi)
-    if not fa * fb < 0.0:
-        raise NoSignChangeError(
-            f"no sign change on bracket: f({lo!r}) = {fa!r}, f({hi!r}) = {fb!r}"
-        )
-    a, b = float(lo), float(hi)
+    a, b = CROSSOVER_BRACKET
+    fa, fb = f(a), f(b)
     iterations = 0
     # The midpoint of two adjacent floats rounds to one of them.
     while (mid := 0.5 * (a + b)) not in (a, b):
@@ -281,7 +249,6 @@ def sweep(
     omegas,
     statistics=(Statistics.BOSON, Statistics.FERMION),
     eps_tail: float = EPS_TAIL_DEFAULT,
-    x_min: float = X_MIN_DEFAULT,
 ) -> list[EntropyReport]:
     """Entropy reports over a frequency grid, statistics interleaved per point.
 
@@ -310,9 +277,7 @@ def sweep(
         for st in stats:
             channel = ModeChannel(omega=om, statistics=st)
             try:
-                reports.append(
-                    entropy_report(params, channel, eps_tail=eps_tail, x_min=x_min)
-                )
+                reports.append(entropy_report(params, channel, eps_tail=eps_tail))
             except SqueezingOverflowError as exc:
                 x = dimensionless_x(params, channel)
                 reports.append(

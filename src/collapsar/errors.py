@@ -6,10 +6,6 @@ class SqueezingOverflowError(OverflowError):
 
     Raised when a bosonic occupation distribution cannot be truncated within
     the dimension cap ``N_CAP`` (every x below about 1e-3), when x falls
-    below the configured infrared floor (which, for bosons, only changes the
-    message), or when x = 4 pi m omega is not a finite positive float.
+    below the fixed infrared floor ``X_MIN`` (which, for bosons, only changes
+    the message), or when x = 4 pi m omega overflows to inf.
     """
-
-
-class NoSignChangeError(ValueError):
-    """The supplied bracket does not straddle a zero of the target function."""

@@ -18,11 +18,12 @@ from .errors import SqueezingOverflowError
 
 FOUR_PI = 4.0 * math.pi
 
-# Infrared floor on x.  It does not guard the boson truncation: N_CAP in
-# states already refuses every boson x below 1.03e-3 at the default
-# eps_tail (below 6.3e-4 at EPS_TAIL_MAX).  The floor decides only which
-# error a boson mode below it gets, and whether a fermion mode is admitted.
-X_MIN_DEFAULT = 1e-6
+# Infrared floor on x, fixed.  It does not guard the boson truncation:
+# N_CAP in states already refuses every boson x below 1.03e-3 at the
+# default eps_tail (below 6.3e-4 at EPS_TAIL_MAX).  The floor decides only
+# which error a boson mode below it gets, and whether a fermion mode is
+# admitted.
+X_MIN = 1e-6
 
 
 class Statistics(str, Enum):
@@ -138,32 +139,22 @@ def dimensionless_x(params: BlackHoleParams, channel: ModeChannel) -> float:
     return (FOUR_PI * params.mass) * channel.omega
 
 
-def squeezing_for(
-    params: BlackHoleParams,
-    channel: ModeChannel,
-    x_min: float = X_MIN_DEFAULT,
-) -> SqueezingParams:
+def squeezing_for(params: BlackHoleParams, channel: ModeChannel) -> SqueezingParams:
     """Squeezing parameters of the pair state produced in ``channel``.
 
-    Parameters
-    ----------
-    params, channel:
-        Geometry and mode under consideration.
-    x_min:
-        Infrared floor on x.  Modes below it raise SqueezingOverflowError.
-        For bosons the truncation cap refuses a far wider range anyway, so
-        the floor only picks the message; for fermions, which need no
-        truncation, it decides admission.  Pass 0.0 to disable it.
-
-    An x that overflows to inf or underflows to 0 also raises
-    SqueezingOverflowError.
+    Modes with x below the infrared floor ``X_MIN`` raise
+    SqueezingOverflowError.  For bosons the truncation cap refuses a far
+    wider range anyway, so the floor only picks the message; for fermions,
+    which need no truncation, it decides admission.  An x that overflows to
+    inf also raises SqueezingOverflowError (one that underflows to 0 is
+    below the floor).
     """
     x = dimensionless_x(params, channel)
-    if x < x_min:
+    if x < X_MIN:
         raise SqueezingOverflowError(
-            f"x = {x!r} below floor {x_min!r}: mode too soft for a faithful "
+            f"x = {x!r} below floor {X_MIN!r}: mode too soft for a faithful "
             f"truncated representation"
         )
-    if not 0.0 < x < math.inf:
+    if x == math.inf:
         raise SqueezingOverflowError(f"x = {x!r} is not a finite positive float")
     return SqueezingParams(channel.statistics, x)

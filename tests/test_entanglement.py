@@ -22,7 +22,6 @@ from collapsar import (
     BlackHoleParams,
     CSV_HEADER,
     ModeChannel,
-    NoSignChangeError,
     SqueezingParams,
     Statistics,
     boson_entropy,
@@ -37,6 +36,7 @@ from collapsar import (
     von_neumann_entropy,
 )
 from collapsar.entanglement import (
+    CROSSOVER_BRACKET,
     boson_entropy_hyperbolic,
     format_float,
     report_json_dict,
@@ -299,10 +299,6 @@ class TestCrossover:
         assert math.nextafter(lo, math.inf) == hi
         assert f(lo) * f(hi) < 0.0
 
-    def test_narrow_bracket_same_root(self):
-        res = crossover(lo=0.3, hi=0.5)
-        assert abs(res.x_star - X_STAR) <= X_STAR_TOL
-
     def test_sign_structure_around_root(self):
         # Fermions win above the root, bosons below.
         def f(x):
@@ -315,14 +311,21 @@ class TestCrossover:
         assert f(0.5) > 0.0
         assert f(1.0) > 0.0
 
-    def test_no_sign_change_raises(self):
-        with pytest.raises(NoSignChangeError):
-            crossover(lo=2.0, hi=3.0)
-
-    @pytest.mark.parametrize("lo,hi", [(0.5, 0.5), (1.0, 0.1), (-1.0, 1.0), (0.0, 1.0)])
-    def test_bad_bracket(self, lo, hi):
-        with pytest.raises(ValueError):
-            crossover(lo=lo, hi=hi)
+    def test_single_sign_change_lies_in_fixed_bracket(self):
+        # crossover() bisects CROSSOVER_BRACKET without a check of its own:
+        # on a log grid over [1e-3, 100], S_f - S_b is never 0, changes
+        # sign exactly once, and does so strictly inside the bracket.
+        xs = np.geomspace(1e-3, 100.0, 200)
+        diff = np.array([
+            fermion_entropy(SqueezingParams.from_x(F, float(x)))
+            - boson_entropy(SqueezingParams.from_x(B, float(x)))
+            for x in xs
+        ])
+        assert np.all(diff != 0.0)
+        (flips,) = np.nonzero(np.sign(diff[:-1]) != np.sign(diff[1:]))
+        assert len(flips) == 1
+        lo, hi = CROSSOVER_BRACKET
+        assert lo < xs[flips[0]] and xs[flips[0] + 1] < hi
 
 
 class TestSweep:

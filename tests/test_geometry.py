@@ -230,14 +230,10 @@ class TestSqueezingFor:
 
     @pytest.mark.parametrize("mass, omega", [(1e300, 1e10), (1e-300, 1e-300)])
     def test_unrepresentable_x_overflows(self, mass, omega):
-        # x = 4 pi m omega overflows to inf or underflows to 0.
+        # x = 4 pi m omega overflows to inf or underflows to 0; the infrared
+        # floor catches the second.
         p = BlackHoleParams(mass=mass)
         c = ModeChannel(omega=omega, statistics="boson")
-        with pytest.raises(SqueezingOverflowError, match="not a finite positive float"):
-            squeezing_for(p, c, x_min=0.0)
-
-    def test_floor_can_be_disabled(self):
-        p = BlackHoleParams(mass=1.0)
-        c = ModeChannel(omega=1e-9, statistics="fermion")
-        sq = squeezing_for(p, c, x_min=0.0)
-        assert 0.0 < sq.x < 1e-6
+        message = "not a finite positive float" if mass > 1.0 else "below floor"
+        with pytest.raises(SqueezingOverflowError, match=message):
+            squeezing_for(p, c)

@@ -74,7 +74,7 @@ class TestBosonBuilder:
             build_boson_state(boson_sq(1e-7))
 
     def test_cap_exceeded_below_floor_override(self):
-        # x passes the default floor but the cut would need ~2e6 levels.
+        # x passes the infrared floor but the cut would need ~2e6 levels.
         with pytest.raises(SqueezingOverflowError, match="cap"):
             build_boson_state(boson_sq(1e-5))
 

@@ -139,7 +139,7 @@ def cmd_reduced(args: argparse.Namespace) -> int:
     rho = partial_trace(state)
     doc = {"squeezing": sq.to_json_dict(), **rho.to_json_dict()}
     if args.spectrum:
-        doc["mean_occ"] = _json_number(mean_occupation(rho, "particle"))
+        doc["mean_occ"] = _json_number(mean_occupation(rho))
         doc["T_ratio"] = _json_number(temperature_ratio_fit(rho, sq.x))
     _emit(args, json.dumps(doc, indent=2) + "\n")
     return 0

@@ -192,7 +192,7 @@ def entropy_report(
         S_closed=s_closed,
         S_numeric=s_numeric,
         gap=abs(s_closed - s_numeric),
-        mean_occ=mean_occupation(rho, "particle"),
+        mean_occ=mean_occupation(rho),
         T_ratio=temperature_ratio_fit(rho, sq.x),
     )
 

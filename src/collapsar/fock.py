@@ -6,10 +6,12 @@ Basis labels come in two kinds and are never mixed within one state:
 * pair labels ``(n_particle, n_antiparticle)`` with entries in {0, 1}, for a
   fermionic mode carrying both a particle and an antiparticle slot.
 
-A pure bipartite state stores amplitudes keyed by ``(hor_label, out_label)``,
-the horizon-side label first, in Schmidt form: each horizon label and each
-outgoing label occurs in exactly one key.  Tracing out either side then
-leaves an exactly diagonal operator, stored as its diagonal.  Truncation is
+A pure bipartite state stores its Schmidt pairing directly: a sequence of
+horizon labels, a sequence of outgoing labels and one amplitude vector, the
+i-th amplitude belonging to the i-th label of each side.  No label repeats
+on either side, so tracing out one side leaves an exactly diagonal operator,
+stored as its diagonal.  A run of number labels may be given as a ``range``,
+which is checked by its ends instead of label by label.  Truncation is
 explicit: ``tail_bound`` is an upper bound on the squared norm discarded by
 the cut, and completeness is checked against it rather than silently
 renormalised away.
@@ -18,13 +20,14 @@ renormalised away.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Literal, Mapping, Union
+from typing import Literal, Union
 
 import numpy as np
 
 BasisLabel = Union[int, tuple[int, int]]
+Labels = Union[range, tuple[BasisLabel, ...]]
 
 FERMION_BASIS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -40,6 +43,10 @@ TRACE_EXCESS = 1e-12
 LAMBDA_FLOOR = 1e-30
 
 
+def _is_slot(k: object) -> bool:
+    return isinstance(k, int) and not isinstance(k, bool) and k in (0, 1)
+
+
 def _label_kind(label: object) -> str:
     if isinstance(label, bool):
         raise ValueError(f"bad basis label {label!r}")
@@ -47,13 +54,35 @@ def _label_kind(label: object) -> str:
         if label < 0:
             raise ValueError(f"number label must be nonnegative, got {label!r}")
         return "number"
-    if (
-        isinstance(label, tuple)
-        and len(label) == 2
-        and all(isinstance(k, int) and not isinstance(k, bool) and k in (0, 1) for k in label)
-    ):
+    if isinstance(label, tuple) and len(label) == 2 and _is_slot(label[0]) and _is_slot(label[1]):
         return "pair"
     raise ValueError(f"bad basis label {label!r}")
+
+
+def _label_run(labels: Sequence[BasisLabel]) -> tuple[Labels, set[str]]:
+    """Labels frozen as a range or a tuple, with the set of their kinds.
+
+    A range holds distinct number labels and is valid iff both its ends are
+    nonnegative; any other sequence is checked label by label, and the
+    caller checks it for repeats.
+    """
+    if isinstance(labels, range):
+        if labels and min(labels[0], labels[-1]) < 0:
+            raise ValueError(f"number labels must be nonnegative, got {labels!r}")
+        return labels, {"number"}
+    labels = tuple(labels)
+    return labels, {_label_kind(lab) for lab in labels}
+
+
+def _repeats(labels: Labels) -> bool:
+    return not isinstance(labels, range) and len(set(labels)) != len(labels)
+
+
+def _weights(amps: np.ndarray) -> np.ndarray:
+    """|a|^2 per amplitude, as re^2 + im^2 for complex amplitudes."""
+    if amps.dtype.kind == "c":
+        return amps.real * amps.real + amps.imag * amps.imag
+    return amps * amps
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,10 +91,14 @@ class PureBipartiteState:
 
     Parameters
     ----------
-    coefficients:
-        Mapping ``(hor_label, out_label) -> amplitude``, in Schmidt form: no
-        horizon label and no outgoing label occurs in two keys.  Labels must
-        be homogeneous in kind across the whole state.
+    hor, out:
+        Horizon and outgoing labels; ``amplitudes[i]`` is the amplitude of
+        ``|hor[i]>|out[i]>``.  No label repeats on either side (Schmidt
+        form), and labels are homogeneous in kind across the whole state.
+        Stored as given when a ``range``, else frozen to a tuple.
+    amplitudes:
+        One real or complex amplitude per label pair, stored as a read-only
+        1-D float64 or complex array copied from the caller's.
     tail_bound:
         Upper bound on the squared norm removed by truncation; 0.0 for an
         exactly representable state.
@@ -76,56 +109,94 @@ class PureBipartiteState:
     by almost ``tail_bound`` itself.
     """
 
-    coefficients: Mapping[tuple[BasisLabel, BasisLabel], complex]
+    hor: Labels
+    out: Labels
+    amplitudes: np.ndarray
     tail_bound: float = 0.0
 
     def __post_init__(self) -> None:
-        coeffs = dict(self.coefficients)
-        if not coeffs:
+        hor, hor_kinds = _label_run(self.hor)
+        out, out_kinds = _label_run(self.out)
+        amps = np.array(self.amplitudes)
+        if amps.dtype.kind not in "iufc":
+            raise ValueError(f"amplitudes are not numbers: dtype {amps.dtype}")
+        if amps.ndim != 1:
+            raise ValueError(f"amplitudes must be a 1-D array, got shape {amps.shape}")
+        if amps.size == 0:
             raise ValueError("state has no amplitudes")
-        for key in coeffs:
-            if not (isinstance(key, tuple) and len(key) == 2):
-                raise ValueError(f"amplitude key must be (hor, out), got {key!r}")
-        hor = {k[0] for k in coeffs}
-        out = {k[1] for k in coeffs}
-        # Each side is checked on its own: True == 1, so a union of the two
-        # sets could keep an int label and drop the bool label beside it.
-        # Within one side such a collapse fails the Schmidt check below.
-        if len({_label_kind(lab) for lab in hor} | {_label_kind(lab) for lab in out}) != 1:
+        if not len(hor) == len(out) == amps.size:
+            raise ValueError(
+                f"{len(hor)} horizon labels, {len(out)} outgoing labels "
+                f"and {amps.size} amplitudes"
+            )
+        if len(hor_kinds | out_kinds) != 1:
             raise ValueError("mixed number and pair labels in one state")
-        if not len(coeffs) == len(hor) == len(out):
-            raise ValueError("state not in Schmidt form: a label occurs in two amplitude keys")
-        for key, amp in coeffs.items():
-            if isinstance(amp, bool) or not isinstance(amp, (int, float, complex)):
-                raise ValueError(f"amplitude at {key!r} is not a number: {amp!r}")
-            c = complex(amp)
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError(f"non-finite amplitude at {key!r}")
+        if _repeats(hor) or _repeats(out):
+            raise ValueError("state not in Schmidt form: a label repeats on one side")
+        if not np.isfinite(amps).all():
+            raise ValueError("non-finite amplitude")
         tail = self.tail_bound
         if not (isinstance(tail, (int, float)) and 0.0 <= tail < 1.0):
             raise ValueError(f"tail_bound must lie in [0, 1), got {tail!r}")
+        if amps.dtype.char not in "dD":
+            amps = amps.astype(np.result_type(amps, np.float64))
+        amps.setflags(write=False)
+        object.__setattr__(self, "hor", hor)
+        object.__setattr__(self, "out", out)
+        object.__setattr__(self, "amplitudes", amps)
         total = self.norm_squared() + tail
         if not (1.0 - EPS_NORM <= total <= 1.0 + EPS_NORM + tail):
             raise ValueError(
                 f"state not complete: |amplitudes|^2 + tail_bound = {total!r}"
             )
-        object.__setattr__(self, "coefficients", MappingProxyType(coeffs))
+
+    @property
+    def coefficients(self) -> Mapping[tuple[BasisLabel, BasisLabel], float | complex]:
+        """Read-only view ``(hor_label, out_label) -> amplitude`` of the pairing."""
+        return _Coefficients(self)
 
     def norm_squared(self) -> float:
-        return math.fsum(abs(a) ** 2 for a in self.coefficients.values())
+        return math.fsum(_weights(self.amplitudes).tolist())
 
     def hor_labels(self) -> tuple[BasisLabel, ...]:
-        return tuple(sorted({k[0] for k in self.coefficients}))
+        return tuple(sorted(self.hor))
 
     def out_labels(self) -> tuple[BasisLabel, ...]:
-        return tuple(sorted({k[1] for k in self.coefficients}))
+        return tuple(sorted(self.out))
+
+
+class _Coefficients(Mapping):
+    """Mapping view over a state's pairing; builds no per-label storage."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: PureBipartiteState) -> None:
+        self._state = state
+
+    def __len__(self) -> int:
+        return self._state.amplitudes.size
+
+    def __iter__(self) -> Iterator[tuple[BasisLabel, BasisLabel]]:
+        return zip(self._state.hor, self._state.out)
+
+    def __getitem__(self, key: tuple[BasisLabel, BasisLabel]) -> float | complex:
+        state = self._state
+        try:
+            h, o = key
+            i = state.hor.index(h)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        if state.out[i] != o:
+            raise KeyError(key)
+        return state.amplitudes[i].item()
 
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Positive trace-near-one operator, diagonal in its labelled basis.
 
-    ``diag`` holds the probabilities in basis order, as a read-only float64
+    ``basis`` is stored as a tuple; a ``range`` is accepted and checked by
+    its ends.  ``diag`` holds the probabilities in basis order, as a read-only float64
     array.  ``max_trace_deficit`` widens the lower trace window for
     operators that descend from truncated states; it is a validation
     allowance, not data.
@@ -136,24 +207,24 @@ class DensityOperator:
     max_trace_deficit: float = field(default=TRACE_DEFICIT_DEFAULT, repr=False)
 
     def __post_init__(self) -> None:
-        basis = tuple(self.basis)
+        basis, kinds = _label_run(self.basis)
         if not basis:
             raise ValueError("empty basis")
-        kinds = {_label_kind(lab) for lab in basis}
         if len(kinds) != 1:
             raise ValueError("mixed number and pair labels in one basis")
-        if len(set(basis)) != len(basis):
+        if _repeats(basis):
             raise ValueError("duplicate basis labels")
+        basis = tuple(basis)
         diag = np.array(self.diag, dtype=np.float64, copy=True)
         if diag.shape != (len(basis),):
             raise ValueError(f"diag shape {diag.shape} does not match basis size {len(basis)}")
-        if not np.all(np.isfinite(diag)):
+        if not np.isfinite(diag).all():
             raise ValueError("non-finite diagonal entries")
         if not (0.0 <= self.max_trace_deficit < 1.0):
             raise ValueError(f"bad max_trace_deficit {self.max_trace_deficit!r}")
         if float(diag.min()) < -PSD_ATOL:
             raise ValueError(f"negative diagonal entry {float(diag.min())!r}")
-        tr = float(np.sum(diag))
+        tr = float(diag.sum())
         if not (1.0 - self.max_trace_deficit - 1e-15 <= tr <= 1.0 + TRACE_EXCESS):
             raise ValueError(f"trace {tr!r} outside allowed window")
 
@@ -205,19 +276,19 @@ def partial_trace(
     -------
     DensityOperator on the kept side, with a trace window widened by the
     state's tail bound.  The state is in Schmidt form, so each kept label
-    carries the weight |amplitude|^2 of its single key.
+    carries the weight |amplitude|^2 of its single pair; labels come out
+    sorted, which an ascending ``range`` already is.
     """
     if keep not in ("out", "hor"):
         raise ValueError(f"keep must be 'out' or 'hor', got {keep!r}")
-    kept_pos = 1 if keep == "out" else 0
-    weights = {}
-    for key, amp in state.coefficients.items():
-        a = complex(amp)
-        weights[key[kept_pos]] = (a.conjugate() * a).real
-    labels = tuple(sorted(weights))
-    diag = np.array([weights[lab] for lab in labels], dtype=np.float64)
+    labels = state.out if keep == "out" else state.hor
+    weights = _weights(state.amplitudes)
+    if not (isinstance(labels, range) and labels.step > 0):
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        labels = tuple(labels[i] for i in order)
+        weights = weights[order]
     deficit = min(1.0 - 1e-12, TRACE_DEFICIT_DEFAULT + state.tail_bound)
-    return DensityOperator(basis=labels, diag=diag, max_trace_deficit=deficit)
+    return DensityOperator(basis=labels, diag=weights, max_trace_deficit=deficit)
 
 
 def von_neumann_entropy(
@@ -255,30 +326,13 @@ def purity(rho: DensityOperator) -> float:
     return float(np.dot(rho.diag, rho.diag))
 
 
-def mean_occupation(
-    rho: DensityOperator,
-    which: Literal["total", "particle", "antiparticle"] = "total",
-) -> float:
-    """Expectation of the occupation number encoded in the basis labels.
+def mean_occupation(rho: DensityOperator, which: Literal["particle"] = "particle") -> float:
+    """Expected particle number: the number label, or a pair label's particle slot.
 
-    For number labels "particle" and "total" both mean the label itself;
-    "antiparticle" is rejected.  For pair labels the three sectors read the
-    respective components of ``(n_particle, n_antiparticle)``.
+    "particle" is the only sector; ``which`` rejects any other name.
     """
-    if which not in ("total", "particle", "antiparticle"):
+    if which != "particle":
         raise ValueError(f"unknown sector {which!r}")
-    occs = np.empty(rho.dim, dtype=np.float64)
-    for i, lab in enumerate(rho.basis):
-        if isinstance(lab, int):
-            if which == "antiparticle":
-                raise ValueError("number basis has no antiparticle sector")
-            occs[i] = lab
-        else:
-            n_p, n_a = lab
-            if which == "particle":
-                occs[i] = n_p
-            elif which == "antiparticle":
-                occs[i] = n_a
-            else:
-                occs[i] = n_p + n_a
+    labels = np.array(rho.basis, dtype=np.float64)
+    occs = labels if labels.ndim == 1 else labels[:, 0]
     return float(np.dot(rho.diagonal(), occs))

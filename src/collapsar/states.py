@@ -20,6 +20,10 @@ from .geometry import Statistics, SqueezingParams
 # Hard cap on the truncated dimension n_max + 1 of a bosonic pair state.
 N_CAP = 16384
 
+# Outgoing partner of each horizon label in FERMION_BASIS: particle and
+# antiparticle slots exchange.
+_FERMION_PARTNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
+
 EPS_TAIL_DEFAULT = 1e-12
 EPS_TAIL_MAX = 1e-6
 
@@ -85,8 +89,8 @@ def build_boson_state(
     ns = np.arange(n_max + 1)
     amps = inv_cosh * w**ns
     tail_bound = q ** (n_max + 1) / (1.0 - q)
-    coeffs = {(int(n), int(n)): float(a) for n, a in zip(ns, amps)}
-    return PureBipartiteState(coeffs, tail_bound)
+    levels = range(n_max + 1)
+    return PureBipartiteState(levels, levels, amps, tail_bound)
 
 
 def build_fermion_state(squeezing: SqueezingParams) -> PureBipartiteState:
@@ -102,13 +106,8 @@ def build_fermion_state(squeezing: SqueezingParams) -> PureBipartiteState:
         raise ValueError(f"fermionic builder got {squeezing.statistics.value} squeezing")
     c = math.cos(squeezing.r)
     s = math.sin(squeezing.r)
-    coeffs = {
-        ((0, 0), (0, 0)): c * c,
-        ((0, 1), (1, 0)): -(s * c),
-        ((1, 0), (0, 1)): s * c,
-        ((1, 1), (1, 1)): -(s * s),
-    }
-    return PureBipartiteState(coeffs, 0.0)
+    amps = [c * c, -(s * c), s * c, -(s * s)]
+    return PureBipartiteState(FERMION_BASIS, _FERMION_PARTNERS, amps, 0.0)
 
 
 def _clamp_unit_trace(diag: np.ndarray) -> np.ndarray:

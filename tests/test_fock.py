@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from collapsar import partial_trace, von_neumann_entropy
 from collapsar.fock import (
@@ -15,10 +17,11 @@ from collapsar.fock import (
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+BELL = (INV_SQRT2, INV_SQRT2)
 
 
 def bell_pair():
-    return PureBipartiteState({(0, 0): INV_SQRT2, (1, 1): INV_SQRT2})
+    return PureBipartiteState(range(2), range(2), BELL)
 
 
 class TestPureBipartiteState:
@@ -26,121 +29,213 @@ class TestPureBipartiteState:
         assert bell_pair().norm_squared() == pytest.approx(1.0, abs=1e-15)
 
     def test_labels_sorted(self):
-        st = PureBipartiteState({(1, 0): INV_SQRT2, (0, 1): INV_SQRT2})
-        assert st.hor_labels() == (0, 1)
-        assert st.out_labels() == (0, 1)
+        state = PureBipartiteState((1, 0), (0, 1), BELL)
+        assert state.hor_labels() == (0, 1)
+        assert state.out_labels() == (0, 1)
 
     def test_coefficients_frozen(self):
-        st = bell_pair()
+        state = bell_pair()
         with pytest.raises(TypeError):
-            st.coefficients[(0, 0)] = 0.0
+            state.coefficients[(0, 0)] = 0.0
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 0.0
 
-    def test_source_dict_mutation_does_not_leak(self):
-        coeffs = {(0, 0): INV_SQRT2, (1, 1): INV_SQRT2}
-        st = PureBipartiteState(coeffs)
-        coeffs[(0, 0)] = 99.0
-        assert st.coefficients[(0, 0)] == INV_SQRT2
+    def test_source_buffer_mutation_does_not_leak(self):
+        hor, out = [0, 1], [0, 1]
+        amps = np.array(BELL)
+        state = PureBipartiteState(hor, out, amps)
+        amps[0] = 99.0
+        hor[0] = out[0] = 7
+        assert state.coefficients[(0, 0)] == INV_SQRT2
+        assert state.hor == state.out == (0, 1)
 
     def test_tail_bound_widens_completeness_window(self):
         # Retained norm 1 - 5e-9 with a tail bound of 1e-8 is acceptable.
         a = math.sqrt(1.0 - 5e-9)
-        PureBipartiteState({(0, 0): a}, tail_bound=1e-8)
+        PureBipartiteState(range(1), range(1), [a], tail_bound=1e-8)
 
     def test_rejects_short_norm(self):
         with pytest.raises(ValueError, match="not complete"):
-            PureBipartiteState({(0, 0): 0.9})
+            PureBipartiteState(range(1), range(1), [0.9])
 
     def test_rejects_excess_norm(self):
         with pytest.raises(ValueError, match="not complete"):
-            PureBipartiteState({(0, 0): math.sqrt(1.0 + 1e-9)})
+            PureBipartiteState(range(1), range(1), [math.sqrt(1.0 + 1e-9)])
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            PureBipartiteState({})
+        with pytest.raises(ValueError, match="no amplitudes"):
+            PureBipartiteState((), (), [])
 
     @pytest.mark.parametrize(
         "coeffs",
         [
-            {(0, (0, 1)): 1.0},
-            {(-1, 0): 1.0},
-            {((0, 2), (0, 0)): 1.0},
-            {(0, 0, 0): 1.0},
-            {0: 1.0},
-            {(0.5, 0): 1.0},
-            {(True, 0): 1.0},
-            {(0, True): 1.0},
-            {((0, True), (0, 0)): 1.0},
+            ((0,), ((0, 1),)),
+            ((-1,), (0,)),
+            (((0, 2),), ((0, 0),)),
+            (((0, 0, 0),), (0,)),
+            (((0,),), (0,)),
+            ((0.5,), (0,)),
+            ((True,), (0,)),
+            ((0,), (True,)),
+            (((0, True),), ((0, 0),)),
         ],
     )
     def test_rejects_bad_labels(self, coeffs):
+        hor, out = coeffs
         with pytest.raises(ValueError):
-            PureBipartiteState(coeffs)
+            PureBipartiteState(hor, out, [1.0])
+
+    @pytest.mark.parametrize("hor", [range(-1, 2), range(1, -2, -1)])
+    def test_rejects_range_reaching_below_zero(self, hor):
+        with pytest.raises(ValueError, match="nonnegative"):
+            PureBipartiteState(hor, range(3), [3.0**-0.5] * 3)
 
     @pytest.mark.parametrize(
         "coeffs",
         [
-            {(0, 0): 0.6, (0, 1): 0.8},
-            {(0, 0): 0.6, (1, 0): 0.8},
-            {((0, 0), (0, 0)): INV_SQRT2, ((0, 0), (1, 1)): INV_SQRT2},
+            ((0, 0), (0, 1), (0.6, 0.8)),
+            ((0, 1), (0, 0), (0.6, 0.8)),
+            (((0, 0), (0, 0)), ((0, 0), (1, 1)), BELL),
         ],
     )
     def test_rejects_non_schmidt_form(self, coeffs):
         # A product state |0>_hor (a|0> + b|1>)_out repeats the horizon label;
         # its out reduction would carry coherences.
         with pytest.raises(ValueError, match="Schmidt form"):
-            PureBipartiteState(coeffs)
+            PureBipartiteState(*coeffs)
 
     def test_rejects_mixed_label_kinds(self):
         with pytest.raises(ValueError, match="mixed"):
-            PureBipartiteState({(0, 0): INV_SQRT2, ((0, 1), (1, 0)): INV_SQRT2})
+            PureBipartiteState((0, (0, 1)), (0, (1, 0)), BELL)
+        with pytest.raises(ValueError, match="mixed"):
+            PureBipartiteState(range(4), FERMION_BASIS, [0.5] * 4)
 
     @pytest.mark.parametrize("amp", [math.nan, math.inf, "0.5", None])
     def test_rejects_bad_amplitudes(self, amp):
         with pytest.raises(ValueError):
-            PureBipartiteState({(0, 0): amp})
+            PureBipartiteState(range(1), range(1), [amp])
+
+    def test_rejects_complex_non_finite_amplitude(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            PureBipartiteState(range(1), range(1), [complex(1.0, math.nan)])
+
+    def test_rejects_bool_amplitudes(self):
+        with pytest.raises(ValueError, match="not numbers"):
+            PureBipartiteState(range(1), range(1), np.array([True]))
+
+    @pytest.mark.parametrize(
+        "hor, out, amps",
+        [
+            (range(2), range(2), [1.0]),
+            (range(1), range(2), [1.0]),
+            (range(2), range(1), [1.0]),
+        ],
+    )
+    def test_rejects_count_mismatch(self, hor, out, amps):
+        with pytest.raises(ValueError, match="amplitudes"):
+            PureBipartiteState(hor, out, amps)
+
+    def test_rejects_2d_amplitudes(self):
+        with pytest.raises(ValueError, match="1-D"):
+            PureBipartiteState(range(1), range(1), [[1.0]])
 
     @pytest.mark.parametrize("tail", [-1e-3, 1.0, math.nan])
     def test_rejects_bad_tail(self, tail):
         with pytest.raises(ValueError):
-            PureBipartiteState({(0, 0): 1.0}, tail_bound=tail)
+            PureBipartiteState(range(1), range(1), [1.0], tail_bound=tail)
+
+    def test_coefficients_view(self):
+        state = PureBipartiteState(FERMION_BASIS, FERMION_BASIS[::-1], [0.5, -0.5, 0.5, -0.5])
+        view = state.coefficients
+        assert len(view) == 4
+        assert list(view) == list(zip(FERMION_BASIS, FERMION_BASIS[::-1]))
+        assert view[((0, 1), (1, 0))] == -0.5
+        assert ((0, 1), (0, 1)) not in view
+        assert ((2, 0), (0, 0)) not in view
+        assert 0 not in view
+
+
+def dict_reduction(pairing, keep):
+    """Sorted labels and weights of one side, reduced through a dict keyed by label pair."""
+    pos = 1 if keep == "out" else 0
+    weights = {}
+    for key, amp in pairing.items():
+        a = complex(amp)
+        weights[key[pos]] = (a.conjugate() * a).real
+    labels = tuple(sorted(weights))
+    return labels, np.array([weights[lab] for lab in labels], dtype=np.float64)
+
+
+@st.composite
+def schmidt_pairings(draw):
+    """Distinct number labels on each side, paired by a random permutation,
+    with normalised real or complex amplitudes."""
+    d = draw(st.integers(1, 64))
+    labels = st.lists(st.integers(0, 200), min_size=d, max_size=d, unique=True)
+    hor = draw(labels)
+    out = draw(st.permutations(draw(labels)))
+    part = st.floats(-1.0, 1.0, allow_nan=False)
+    amps = np.array(draw(st.lists(part, min_size=d, max_size=d)))
+    if draw(st.booleans()):
+        amps = amps + 1j * np.array(draw(st.lists(part, min_size=d, max_size=d)))
+    norm = np.linalg.norm(amps)
+    assume(norm > 1e-3)
+    return hor, out, amps / norm
 
 
 class TestPartialTrace:
     def test_bell_pair_both_sides(self):
-        st = bell_pair()
+        state = bell_pair()
         for keep in ("out", "hor"):
-            rho = partial_trace(st, keep=keep)
+            rho = partial_trace(state, keep=keep)
             assert rho.basis == (0, 1)
             np.testing.assert_allclose(rho.diagonal(), [0.5, 0.5], atol=1e-15)
 
     def test_crossed_pairing_keeps_each_weight_on_its_label(self):
         # |1>_hor|0>_out and |0>_hor|1>_out: the out side's label 0 carries a^2.
         a, b = 0.6, 0.8
-        st = PureBipartiteState({(1, 0): a, (0, 1): b})
-        np.testing.assert_array_equal(partial_trace(st, "out").diagonal(), [a * a, b * b])
-        np.testing.assert_array_equal(partial_trace(st, "hor").diagonal(), [b * b, a * a])
+        state = PureBipartiteState((1, 0), (0, 1), (a, b))
+        np.testing.assert_array_equal(partial_trace(state, "out").diagonal(), [a * a, b * b])
+        np.testing.assert_array_equal(partial_trace(state, "hor").diagonal(), [b * b, a * a])
 
     def test_complex_amplitudes(self):
-        st = PureBipartiteState({(0, 0): INV_SQRT2, (1, 1): 1j * INV_SQRT2})
-        rho = partial_trace(st)
+        state = PureBipartiteState(range(2), range(2), [INV_SQRT2, 1j * INV_SQRT2])
+        rho = partial_trace(state)
         np.testing.assert_allclose(rho.diagonal(), [0.5, 0.5], atol=1e-15)
         assert von_neumann_entropy(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_pair_labels(self):
-        st = PureBipartiteState(
-            {((0, 0), (0, 0)): INV_SQRT2, ((1, 1), (1, 1)): -INV_SQRT2}
-        )
-        rho = partial_trace(st)
+        state = PureBipartiteState(((0, 0), (1, 1)), ((0, 0), (1, 1)), [INV_SQRT2, -INV_SQRT2])
+        rho = partial_trace(state)
         assert rho.basis == ((0, 0), (1, 1))
         np.testing.assert_allclose(rho.diagonal(), [0.5, 0.5], atol=1e-15)
 
     def test_schmidt_symmetry_generic(self):
         amps = np.array([0.5, -0.4, 0.3, 0.2, 0.1])
         amps = amps / np.linalg.norm(amps)
-        st = PureBipartiteState({(n, n): float(a) for n, a in enumerate(amps)})
-        s_out = von_neumann_entropy(partial_trace(st, "out"), method="eigen")
-        s_hor = von_neumann_entropy(partial_trace(st, "hor"), method="eigen")
+        state = PureBipartiteState(range(5), range(5), amps)
+        s_out = von_neumann_entropy(partial_trace(state, "out"), method="eigen")
+        s_hor = von_neumann_entropy(partial_trace(state, "hor"), method="eigen")
         assert s_out == pytest.approx(s_hor, abs=1e-12)
+
+    def test_descending_range_comes_out_sorted(self):
+        state = PureBipartiteState(range(2), range(1, -1, -1), (0.6, 0.8))
+        rho = partial_trace(state, "out")
+        assert rho.basis == (0, 1)
+        np.testing.assert_array_equal(rho.diagonal(), [0.8 * 0.8, 0.6 * 0.6])
+
+    @given(pairing=schmidt_pairings())
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_matches_dict_reduction(self, pairing):
+        hor, out, amps = pairing
+        oracle = dict(zip(zip(hor, out), amps.tolist()))
+        state = PureBipartiteState(hor, out, amps)
+        assert dict(state.coefficients) == oracle
+        for keep in ("out", "hor"):
+            rho = partial_trace(state, keep)
+            labels, weights = dict_reduction(oracle, keep)
+            assert rho.basis == labels
+            np.testing.assert_array_equal(rho.diagonal(), weights)
 
     def test_bad_keep(self):
         with pytest.raises(ValueError):
@@ -235,17 +330,14 @@ class TestPurityAndOccupation:
 
     def test_mean_occupation_number_labels(self):
         rho = DensityOperator(basis=(0, 1, 2), diag=[0.5, 0.3, 0.2])
-        assert mean_occupation(rho, "total") == pytest.approx(0.7, abs=1e-15)
-        assert mean_occupation(rho, "particle") == pytest.approx(0.7, abs=1e-15)
-        with pytest.raises(ValueError, match="antiparticle"):
-            mean_occupation(rho, "antiparticle")
+        assert mean_occupation(rho) == pytest.approx(0.7, abs=1e-15)
+        assert mean_occupation(rho, "particle") == mean_occupation(rho)
 
     def test_mean_occupation_pair_labels(self):
         rho = DensityOperator(basis=FERMION_BASIS, diag=[0.4, 0.3, 0.2, 0.1])
-        assert mean_occupation(rho, "particle") == pytest.approx(0.3, abs=1e-15)
-        assert mean_occupation(rho, "antiparticle") == pytest.approx(0.4, abs=1e-15)
-        assert mean_occupation(rho, "total") == pytest.approx(0.7, abs=1e-15)
+        assert mean_occupation(rho) == pytest.approx(0.3, abs=1e-15)
 
     def test_mean_occupation_bad_sector(self):
-        with pytest.raises(ValueError):
-            mean_occupation(partial_trace(bell_pair()), "holes")
+        for which in ("holes", "total", "antiparticle"):
+            with pytest.raises(ValueError, match="sector"):
+                mean_occupation(partial_trace(bell_pair()), which)

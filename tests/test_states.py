@@ -1,6 +1,7 @@
 """Squeezed state builders and their closed-form reductions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,20 @@ class TestBosonBuilder:
         state = build_boson_state(boson_sq(800.0))
         assert dict(state.coefficients) == {(0, 0): 1.0}
         assert state.tail_bound == 0.0
+
+    def test_state_at_cap_retains_little_memory(self):
+        # x = 1.032e-3 truncates at exactly N_CAP levels.  The state keeps
+        # one float64 amplitude per level (128 KiB) and no per-label objects.
+        sq = boson_sq(1.032e-3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            state = build_boson_state(sq)
+            live = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(state.coefficients) == N_CAP
+        assert live <= 512 * 2**10
 
     def test_infrared_floor(self):
         with pytest.raises(SqueezingOverflowError):

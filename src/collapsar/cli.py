@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--eps-tail",
         type=float,
         default=EPS_TAIL_DEFAULT,
-        help="ceiling on the truncated tail bound (default %(default)g)",
+        help="ceiling on the truncated tail bound, a normal float <= 1e-6 (default %(default)g)",
     )
 
     fmt = argparse.ArgumentParser(add_help=False)

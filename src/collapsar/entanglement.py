@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SqueezingOverflowError
-from .fock import DensityOperator, mean_occupation, partial_trace, von_neumann_entropy
+from .fock import (
+    DensityOperator,
+    mean_occupation,
+    partial_trace,
+    particle_numbers,
+    von_neumann_entropy,
+)
 from .geometry import (
     BlackHoleParams,
     ModeChannel,
@@ -79,24 +85,6 @@ def boson_entropy(squeezing: SqueezingParams) -> float:
     return (-math.log1p(-q) - q * math.log(q) / (1.0 - q)) / _LN2
 
 
-def boson_entropy_hyperbolic(squeezing: SqueezingParams) -> float:
-    """Literal hyperbolic form of boson_entropy, kept as a cross check.
-
-    Loses accuracy through cancellation once x drops below roughly 0.05
-    and saturates to inf for r beyond the cosh overflow point; prefer
-    boson_entropy everywhere outside diagnostic comparisons.
-    """
-    _require_statistics(squeezing, Statistics.BOSON)
-    r = squeezing.r
-    if r == 0.0:
-        return 0.0
-    if not math.isfinite(r) or r > 350.0:
-        return math.inf
-    ch2 = math.cosh(r) ** 2
-    sh2 = math.sinh(r) ** 2
-    return ch2 * math.log2(ch2) - sh2 * math.log2(sh2)
-
-
 def _xlog2(p: float) -> float:
     return 0.0 if p == 0.0 else p * math.log2(p)
 
@@ -145,7 +133,7 @@ def temperature_ratio_fit(rho: DensityOperator, x: float) -> float:
         raise ValueError(f"x must be a finite positive real, got {x!r}")
     diag = rho.diagonal()
     if isinstance(rho.basis[0], int):
-        ns = np.asarray(rho.basis, dtype=np.float64)
+        ns = particle_numbers(rho)
         mask = diag > _FIT_FLOOR
         if int(mask.sum()) < 2:
             return math.nan

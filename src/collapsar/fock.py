@@ -195,14 +195,14 @@ class _Coefficients(Mapping):
 class DensityOperator:
     """Positive trace-near-one operator, diagonal in its labelled basis.
 
-    ``basis`` is stored as a tuple; a ``range`` is accepted and checked by
-    its ends.  ``diag`` holds the probabilities in basis order, as a read-only float64
-    array.  ``max_trace_deficit`` widens the lower trace window for
-    operators that descend from truncated states; it is a validation
-    allowance, not data.
+    ``basis`` is kept as given when a ``range`` of number labels, which is
+    checked by its ends, and is frozen to a tuple otherwise.  ``diag`` holds
+    the probabilities in basis order, as a read-only float64 array.
+    ``max_trace_deficit`` widens the lower trace window for operators that
+    descend from truncated states; it is a validation allowance, not data.
     """
 
-    basis: tuple[BasisLabel, ...]
+    basis: Labels
     diag: np.ndarray
     max_trace_deficit: float = field(default=TRACE_DEFICIT_DEFAULT, repr=False)
 
@@ -214,7 +214,6 @@ class DensityOperator:
             raise ValueError("mixed number and pair labels in one basis")
         if _repeats(basis):
             raise ValueError("duplicate basis labels")
-        basis = tuple(basis)
         diag = np.array(self.diag, dtype=np.float64, copy=True)
         if diag.shape != (len(basis),):
             raise ValueError(f"diag shape {diag.shape} does not match basis size {len(basis)}")
@@ -239,9 +238,6 @@ class DensityOperator:
     def diagonal(self) -> np.ndarray:
         """Probabilities in basis order, as a read-only array."""
         return self.diag
-
-    def trace(self) -> float:
-        return float(np.sum(self.diag))
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending real spectrum: the sorted diagonal."""
@@ -291,29 +287,15 @@ def partial_trace(
     return DensityOperator(basis=labels, diag=weights, max_trace_deficit=deficit)
 
 
-def von_neumann_entropy(
-    rho: DensityOperator,
-    method: Literal["auto", "diagonal", "eigen"] = "auto",
-) -> float:
-    """Entropy -tr(rho log2 rho) in bits.
+def von_neumann_entropy(rho: DensityOperator, method: Literal["eigen"] = "eigen") -> float:
+    """Entropy -tr(rho log2 rho) in bits, summed over the ascending spectrum.
 
-    Parameters
-    ----------
-    rho:
-        Operator to measure.
-    method:
-        "diagonal" and "auto" sum over the probabilities in basis order,
-        "eigen" over the ascending spectrum; the two differ only in
-        summation order.
-
-    Eigenvalues at or below LAMBDA_FLOOR count as exact zeros.
+    ``method`` accepts only "eigen".  Eigenvalues at or below LAMBDA_FLOOR
+    count as exact zeros.
     """
-    if method in ("auto", "diagonal"):
-        p = rho.diag
-    elif method == "eigen":
-        p = rho.eigenvalues()
-    else:
+    if method != "eigen":
         raise ValueError(f"unknown method {method!r}")
+    p = rho.eigenvalues()
     p = p[p > LAMBDA_FLOOR]
     if p.size == 0:
         return 0.0
@@ -321,18 +303,20 @@ def von_neumann_entropy(
     return max(0.0, s)
 
 
-def purity(rho: DensityOperator) -> float:
-    """tr(rho^2), the sum of the squared probabilities."""
-    return float(np.dot(rho.diag, rho.diag))
+def particle_numbers(rho: DensityOperator) -> np.ndarray:
+    """Particle number of each basis label, in basis order, as float64.
+
+    A pair label carries it in its first slot; a ``range`` needs no per-label loop.
+    """
+    basis = rho.basis
+    if isinstance(basis, range):
+        return np.arange(basis.start, basis.stop, basis.step, dtype=np.float64)
+    labels = np.array(basis, dtype=np.float64)
+    return labels if labels.ndim == 1 else labels[:, 0]
 
 
 def mean_occupation(rho: DensityOperator, which: Literal["particle"] = "particle") -> float:
-    """Expected particle number: the number label, or a pair label's particle slot.
-
-    "particle" is the only sector; ``which`` rejects any other name.
-    """
+    """Expected particle number; "particle" is the only sector ``which`` accepts."""
     if which != "particle":
         raise ValueError(f"unknown sector {which!r}")
-    labels = np.array(rho.basis, dtype=np.float64)
-    occs = labels if labels.ndim == 1 else labels[:, 0]
-    return float(np.dot(rho.diagonal(), occs))
+    return float(np.dot(rho.diag, particle_numbers(rho)))

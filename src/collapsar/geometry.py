@@ -1,11 +1,10 @@
 """Collapse geometry and per-mode squeezing parameters.
 
-A thin null shell of mass ``m`` collapsing along advanced time forms a
-horizon at ``v_H = v0 - 4m`` and radiates at the Hawking temperature
-``T_H = 1/(8 pi m)``.  Every field mode of frequency ``omega`` is pair
-produced in a two-mode squeezed state whose squeezing angle depends on
-geometry only through the dimensionless combination ``x = 4 pi m omega``,
-equal to ``omega / (2 T_H)``.
+A thin null shell of mass ``m`` collapses to a black hole that radiates
+at the Hawking temperature ``T_H = 1/(8 pi m)``.  Every field mode of
+frequency ``omega`` is pair produced in a two-mode squeezed state whose
+squeezing angle depends on the geometry only through the dimensionless
+combination ``x = 4 pi m omega``, equal to ``omega / (2 T_H)``.
 """
 
 from __future__ import annotations
@@ -35,16 +34,13 @@ class Statistics(str, Enum):
 
 @dataclass(frozen=True)
 class BlackHoleParams:
-    """Collapsing shell of mass ``mass``, crossing r = 0 at advanced time ``v0``."""
+    """Collapsing shell of mass ``mass``, the only geometric input to x."""
 
     mass: float
-    v0: float = 0.0
 
     def __post_init__(self) -> None:
         if not (isinstance(self.mass, (int, float)) and math.isfinite(self.mass) and self.mass > 0.0):
             raise ValueError(f"mass must be a finite positive real, got {self.mass!r}")
-        if not (isinstance(self.v0, (int, float)) and math.isfinite(self.v0)):
-            raise ValueError(f"v0 must be a finite real, got {self.v0!r}")
 
 
 @dataclass(frozen=True)
@@ -117,16 +113,6 @@ class SqueezingParams:
                 f"r {r!r} rounds to maximal squeezing; construct via from_x instead"
             )
         return cls(statistics, -math.log(w))
-
-
-def horizon_formation(params: BlackHoleParams) -> float:
-    """Advanced time at which the last escaping ray leaves: v_H = v0 - 4m."""
-    return params.v0 - 4.0 * params.mass
-
-
-def hawking_temperature(params: BlackHoleParams) -> float:
-    """Temperature of the late-time radiation, 1/(8 pi m)."""
-    return 1.0 / ((8.0 * math.pi) * params.mass)
 
 
 def dimensionless_x(params: BlackHoleParams, channel: ModeChannel) -> float:

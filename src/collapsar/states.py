@@ -1,4 +1,4 @@
-"""Squeezed pair states of collapse radiation and their reduced density operators.
+"""Squeezed pair states of collapse radiation.
 
 Bosonic modes come out in a two-mode squeezed vacuum over number labels,
 sum_n tanh^n(r)/cosh(r) |n, n>, truncated at an explicit occupation cut.
@@ -10,11 +10,12 @@ with its outgoing partner, horizon label first.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from .errors import SqueezingOverflowError
-from .fock import FERMION_BASIS, DensityOperator, PureBipartiteState
+from .fock import FERMION_BASIS, PureBipartiteState
 from .geometry import Statistics, SqueezingParams
 
 # Hard cap on the truncated dimension n_max + 1 of a bosonic pair state.
@@ -32,6 +33,12 @@ def _validate_eps_tail(eps_tail: float) -> None:
     if not (isinstance(eps_tail, (int, float)) and 0.0 < eps_tail <= EPS_TAIL_MAX):
         raise ValueError(
             f"eps_tail must lie in (0, {EPS_TAIL_MAX!r}], got {eps_tail!r}"
+        )
+    # A subnormal eps_tail lets eps_tail * (1 - q) underflow to 0 in
+    # _truncation_level, whose log and settle loops need it positive.
+    if eps_tail < sys.float_info.min:
+        raise ValueError(
+            f"eps_tail must not be subnormal (below {sys.float_info.min!r}), got {eps_tail!r}"
         )
 
 
@@ -108,62 +115,3 @@ def build_fermion_state(squeezing: SqueezingParams) -> PureBipartiteState:
     s = math.sin(squeezing.r)
     amps = [c * c, -(s * c), s * c, -(s * s)]
     return PureBipartiteState(FERMION_BASIS, _FERMION_PARTNERS, amps, 0.0)
-
-
-def _clamp_unit_trace(diag: np.ndarray) -> np.ndarray:
-    # Rounding may push the probability sum a few ulp above 1; shave the
-    # excess off the largest entry so emitted operators always trace to <= 1.
-    for _ in range(4):
-        excess = math.fsum(diag) - 1.0
-        if excess <= 0.0:
-            break
-        diag[int(np.argmax(diag))] -= excess
-    return diag
-
-
-def boson_reduced_analytic(
-    squeezing: SqueezingParams,
-    n_max: int | None = None,
-    eps_tail: float = EPS_TAIL_DEFAULT,
-) -> DensityOperator:
-    """Closed-form reduced state of either member of a bosonic pair.
-
-    Diagonal over number labels with entries (1-q) q^n, q = tanh^2 r,
-    truncated at ``n_max`` (derived from ``eps_tail`` when not given).
-    """
-    if squeezing.statistics is not Statistics.BOSON:
-        raise ValueError(f"bosonic reduction got {squeezing.statistics.value} squeezing")
-    w = squeezing.boltzmann_weight
-    q = w * w
-    if q >= 1.0:
-        raise SqueezingOverflowError("maximal squeezing has no normalisable reduction")
-    if n_max is None:
-        _validate_eps_tail(eps_tail)
-        n_max = _truncation_level(q, eps_tail)
-    if not (isinstance(n_max, int) and not isinstance(n_max, bool) and n_max >= 0):
-        raise ValueError(f"n_max must be a nonnegative int, got {n_max!r}")
-    if n_max + 1 > N_CAP:
-        raise SqueezingOverflowError(f"dimension {n_max + 1} exceeds cap {N_CAP}")
-    diag = _clamp_unit_trace((1.0 - q) * q ** np.arange(n_max + 1, dtype=np.float64))
-    deficit = min(1.0 - 1e-12, q ** (n_max + 1) + 1e-12)
-    return DensityOperator(
-        basis=tuple(range(n_max + 1)), diag=diag, max_trace_deficit=deficit
-    )
-
-
-def fermion_reduced_analytic(squeezing: SqueezingParams) -> DensityOperator:
-    """Closed-form reduced state of either member of a fermionic pair.
-
-    Diagonal over the four pair labels with entries
-    (cos^4 r, sin^2 r cos^2 r, sin^2 r cos^2 r, sin^4 r).
-    """
-    if squeezing.statistics is not Statistics.FERMION:
-        raise ValueError(f"fermionic reduction got {squeezing.statistics.value} squeezing")
-    w = squeezing.boltzmann_weight
-    w2 = w * w
-    c2 = 1.0 / (1.0 + w2)
-    s2 = w2 / (1.0 + w2)
-    diag = _clamp_unit_trace(
-        np.array([c2 * c2, c2 * s2, s2 * c2, s2 * s2], dtype=np.float64)
-    )
-    return DensityOperator(basis=FERMION_BASIS, diag=diag)

@@ -79,6 +79,15 @@ class TestArgumentErrors:
         assert code == 2
         assert "x must be" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--mass", "1", "--x", "1e-5", "--stats", "boson"],
+        ["sweep", "--mass", "1", "--omega-min", "0.1", "--omega-max", "1", "--points", "3"],
+    ])
+    def test_subnormal_eps_tail_is_validation_error(self, capsys, argv):
+        code, out, err = run(capsys, argv + ["--eps-tail", "1e-320"])
+        assert (code, out) == (2, "")
+        assert "eps_tail must not be subnormal" in err
+
     def test_sweep_needs_two_points(self, capsys):
         code, _, err = run(
             capsys,

@@ -37,13 +37,13 @@ from collapsar import (
 )
 from collapsar.entanglement import (
     CROSSOVER_BRACKET,
-    boson_entropy_hyperbolic,
     format_float,
     report_json_dict,
     temperature_ratio_fit,
 )
+from collapsar.fock import DensityOperator
 from collapsar.geometry import FOUR_PI
-from collapsar.states import N_CAP, boson_reduced_analytic
+from collapsar.states import N_CAP
 
 B = Statistics.BOSON
 F = Statistics.FERMION
@@ -103,7 +103,9 @@ class TestClosedForms:
             expected, abs=5e-13
         )
 
-    @pytest.mark.parametrize("x", [0.05, 0.2, 1.0, 3.0, 8.0])
+    @pytest.mark.parametrize(
+        "x", sorted({0.05, 0.2, 1.0, 3.0, 8.0, *map(float, np.geomspace(0.05, 5.0, 30))})
+    )
     def test_boson_against_live_mpmath(self, x):
         assert boson_entropy(SqueezingParams.from_x(B, x)) == pytest.approx(
             mp_boson_entropy(x), abs=1e-13
@@ -129,13 +131,6 @@ class TestClosedForms:
             a = hyperbolic.subs(r, r_val).evalf(50)
             b = stable.subs(r, r_val).evalf(50)
             assert abs(a - b) < sympy.Float(10) ** -40
-
-    def test_hyperbolic_cross_check_path(self):
-        for x in np.geomspace(0.05, 5.0, 30):
-            sq = SqueezingParams.from_x(B, float(x))
-            assert boson_entropy_hyperbolic(sq) == pytest.approx(
-                boson_entropy(sq), abs=1e-9
-            )
 
     def test_boson_edges(self):
         assert boson_entropy(SqueezingParams.from_x(B, 800.0)) == 0.0
@@ -188,10 +183,16 @@ def build_fermion(x):
     return build_fermion_state(SqueezingParams.from_x(F, x))
 
 
+def thermal_boson_rho(x, d=60):
+    """Exactly thermal reduced boson operator: (1 - q) q^n, q = e^-2x, n < d."""
+    q = math.exp(-2.0 * x)
+    return DensityOperator(range(d), (1.0 - q) * q ** np.arange(d))
+
+
 class TestTemperatureRatio:
     def test_boson_thermal_diagonal_fits_to_one(self):
         for x in (0.5, 1.0, 2.0):
-            rho = boson_reduced_analytic(SqueezingParams.from_x(B, x))
+            rho = thermal_boson_rho(x)
             assert temperature_ratio_fit(rho, x) == pytest.approx(1.0, abs=1e-10)
 
     def test_fermion_two_level_ratio(self):
@@ -200,7 +201,7 @@ class TestTemperatureRatio:
             assert temperature_ratio_fit(rho, x) == pytest.approx(1.0, abs=1e-12)
 
     def test_deep_vacuum_returns_nan(self):
-        rho = boson_reduced_analytic(SqueezingParams.from_x(B, 30.0))
+        rho = thermal_boson_rho(30.0)
         assert math.isnan(temperature_ratio_fit(rho, 30.0))
 
     def test_frozen_fermion_returns_nan(self):
@@ -227,7 +228,7 @@ class TestTemperatureRatio:
         assert math.isnan(r.T_ratio) or abs(r.T_ratio - 1.0) <= 1e-6
 
     def test_x_validation(self):
-        rho = boson_reduced_analytic(SqueezingParams.from_x(B, 1.0))
+        rho = thermal_boson_rho(1.0)
         with pytest.raises(ValueError):
             temperature_ratio_fit(rho, -1.0)
 

@@ -13,7 +13,6 @@ from collapsar.fock import (
     DensityOperator,
     PureBipartiteState,
     mean_occupation,
-    purity,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -188,7 +187,7 @@ class TestPartialTrace:
         state = bell_pair()
         for keep in ("out", "hor"):
             rho = partial_trace(state, keep=keep)
-            assert rho.basis == (0, 1)
+            assert tuple(rho.basis) == (0, 1)
             np.testing.assert_allclose(rho.diagonal(), [0.5, 0.5], atol=1e-15)
 
     def test_crossed_pairing_keeps_each_weight_on_its_label(self):
@@ -269,7 +268,7 @@ class TestDensityOperator:
 
     def test_ulp_scale_trace_excess_tolerated(self):
         rho = DensityOperator(basis=(0, 1, 2, 3), diag=[0.25000000000000006] * 4)
-        assert rho.trace() > 1.0
+        assert rho.diag.sum() > 1.0
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
@@ -301,15 +300,6 @@ class TestVonNeumannEntropy:
         rho = DensityOperator(basis=(0, 1), diag=[0.5, 0.5])
         assert von_neumann_entropy(rho) == pytest.approx(1.0, abs=1e-15)
 
-    def test_diagonal_and_eigen_paths_agree(self):
-        rng = np.random.default_rng(1234)
-        for _ in range(10):
-            p = rng.dirichlet(np.ones(8))
-            rho = DensityOperator(basis=tuple(range(8)), diag=p)
-            s_diag = von_neumann_entropy(rho, method="diagonal")
-            s_eig = von_neumann_entropy(rho, method="eigen")
-            assert abs(s_diag - s_eig) < 1e-12
-
     def test_exact_zeros_are_skipped(self):
         rho = DensityOperator(basis=(0, 1, 2), diag=[0.5, 0.5, 0.0])
         assert von_neumann_entropy(rho) == pytest.approx(1.0, abs=1e-15)
@@ -324,14 +314,11 @@ class TestVonNeumannEntropy:
 
 
 class TestPurityAndOccupation:
-    def test_purity_uniform(self):
-        rho = DensityOperator(basis=(0, 1), diag=[0.5, 0.5])
-        assert purity(rho) == pytest.approx(0.5, abs=1e-15)
-
     def test_mean_occupation_number_labels(self):
-        rho = DensityOperator(basis=(0, 1, 2), diag=[0.5, 0.3, 0.2])
-        assert mean_occupation(rho) == pytest.approx(0.7, abs=1e-15)
-        assert mean_occupation(rho, "particle") == mean_occupation(rho)
+        for basis in ((0, 1, 2), range(3)):
+            rho = DensityOperator(basis=basis, diag=[0.5, 0.3, 0.2])
+            assert mean_occupation(rho) == pytest.approx(0.7, abs=1e-15)
+            assert mean_occupation(rho, "particle") == mean_occupation(rho)
 
     def test_mean_occupation_pair_labels(self):
         rho = DensityOperator(basis=FERMION_BASIS, diag=[0.4, 0.3, 0.2, 0.1])

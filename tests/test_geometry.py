@@ -19,12 +19,7 @@ from collapsar import (
     SqueezingParams,
     Statistics,
 )
-from collapsar.geometry import (
-    dimensionless_x,
-    hawking_temperature,
-    horizon_formation,
-    squeezing_for,
-)
+from collapsar.geometry import dimensionless_x, squeezing_for
 
 
 def bisect_inverse(fn, target, lo, hi, steps=200):
@@ -38,23 +33,6 @@ def bisect_inverse(fn, target, lo, hi, steps=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def test_horizon_formation():
-    assert horizon_formation(BlackHoleParams(mass=1.0)) == -4.0
-    assert horizon_formation(BlackHoleParams(mass=2.0, v0=10.0)) == 2.0
-
-
-def test_hawking_temperature_value():
-    assert hawking_temperature(BlackHoleParams(mass=1.0)) == pytest.approx(
-        0.039788735772973836, rel=1e-15
-    )
-
-
-def test_hawking_temperature_scales_inversely():
-    t1 = hawking_temperature(BlackHoleParams(mass=1.0))
-    assert hawking_temperature(BlackHoleParams(mass=0.5)) == 2.0 * t1
-    assert hawking_temperature(BlackHoleParams(mass=2.0)) == 0.5 * t1
 
 
 def test_dimensionless_x_value():
@@ -195,10 +173,6 @@ class TestValidation:
     def test_bad_mass(self, mass):
         with pytest.raises(ValueError):
             BlackHoleParams(mass=mass)
-
-    def test_bad_v0(self):
-        with pytest.raises(ValueError):
-            BlackHoleParams(mass=1.0, v0=math.inf)
 
     @pytest.mark.parametrize("omega", [0.0, -0.5, math.inf, math.nan])
     def test_bad_omega(self, omega):

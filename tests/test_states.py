@@ -1,4 +1,4 @@
-"""Squeezed state builders and their closed-form reductions."""
+"""Squeezed state builders, and their traced diagonals against the closed forms."""
 
 import math
 import tracemalloc
@@ -15,13 +15,8 @@ from collapsar import (
     build_fermion_state,
     partial_trace,
 )
-from collapsar.states import (
-    EPS_TAIL_DEFAULT,
-    N_CAP,
-    _truncation_level,
-    boson_reduced_analytic,
-    fermion_reduced_analytic,
-)
+from collapsar.fock import FERMION_BASIS
+from collapsar.states import EPS_TAIL_DEFAULT, N_CAP, _truncation_level
 
 
 def boson_sq(x):
@@ -30,6 +25,19 @@ def boson_sq(x):
 
 def fermion_sq(x):
     return SqueezingParams.from_x("fermion", x)
+
+
+def boson_closed_diag(sq, d):
+    """(1 - q) q^n for n < d, q = tanh^2 r: the reduced boson diagonal."""
+    q = sq.boltzmann_weight ** 2
+    return (1.0 - q) * q ** np.arange(d)
+
+
+def fermion_closed_diag(sq):
+    """Products of (cos^2 r, sin^2 r) pairs, tan r = w: the reduced fermion diagonal."""
+    w2 = sq.boltzmann_weight ** 2
+    c2, s2 = 1.0 / (1.0 + w2), w2 / (1.0 + w2)
+    return np.array([c2 * c2, c2 * s2, s2 * c2, s2 * s2])
 
 
 class TestBosonBuilder:
@@ -93,7 +101,8 @@ class TestBosonBuilder:
         with pytest.raises(SqueezingOverflowError, match="cap"):
             build_boson_state(boson_sq(1e-5))
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-9, 2e-6, math.nan])
+    # 1e-320 is subnormal: eps_tail * (1 - q) would underflow to 0.
+    @pytest.mark.parametrize("eps", [0.0, -1e-9, 2e-6, math.nan, 1e-320])
     def test_eps_tail_validation(self, eps):
         with pytest.raises(ValueError):
             build_boson_state(boson_sq(1.0), eps_tail=eps)
@@ -109,7 +118,7 @@ class TestBosonBuilder:
         total = state.norm_squared() + state.tail_bound
         assert 1.0 - 1e-12 <= total <= 1.0 + 1e-12 + state.tail_bound
         rho = partial_trace(state)
-        assert rho.trace() >= 1.0 - state.tail_bound - 1e-14
+        assert rho.diag.sum() >= 1.0 - state.tail_bound - 1e-14
 
 
 class TestFermionBuilder:
@@ -161,71 +170,38 @@ class TestFermionBuilder:
 
 class TestBosonReducedAnalytic:
     def test_frozen_diagonal_at_q_exp_minus_two(self):
-        rho = boson_reduced_analytic(boson_sq(1.0), n_max=3)
-        assert rho.basis == (0, 1, 2, 3)
-        np.testing.assert_allclose(
-            rho.diagonal(),
-            [0.8646647167633873, 0.11701964434787852, 0.015836886712067823, 0.002143289548763847],
-            atol=1e-16,
-            rtol=0.0,
-        )
-        q = boson_sq(1.0).boltzmann_weight ** 2
-        assert rho.trace() == pytest.approx(1.0 - q**4, abs=1e-15)
+        sq = boson_sq(1.0)
+        rho = partial_trace(build_boson_state(sq))
+        assert tuple(rho.basis[:4]) == (0, 1, 2, 3)
+        frozen = [0.8646647167633873, 0.11701964434787852, 0.015836886712067823, 0.002143289548763847]
+        closed = boson_closed_diag(sq, 4)
+        np.testing.assert_allclose(closed, frozen, atol=1e-16, rtol=0.0)
+        assert math.fsum(closed) == pytest.approx(1.0 - sq.boltzmann_weight**8, abs=1e-15)
+        # The traced state squares each amplitude: one ulp of 0.86 away.
+        np.testing.assert_allclose(rho.diagonal()[:4], frozen, atol=1.2e-16, rtol=0.0)
 
     def test_matches_traced_state(self):
         for x in (0.2, 0.5, 1.0, 2.0, 5.0):
             sq = boson_sq(x)
-            state = build_boson_state(sq)
-            rho_num = partial_trace(state)
-            rho_ana = boson_reduced_analytic(sq)
-            assert rho_ana.basis == rho_num.basis
-            dev = np.max(np.abs(rho_ana.diagonal() - rho_num.diagonal()))
+            rho = partial_trace(build_boson_state(sq))
+            assert rho.basis == range(rho.dim)
+            dev = np.max(np.abs(boson_closed_diag(sq, rho.dim) - rho.diagonal()))
             assert dev < 1e-12
-
-    def test_default_truncation_matches_builder(self):
-        for x in (0.3, 1.0, 4.0):
-            assert boson_reduced_analytic(boson_sq(x)).dim == len(
-                build_boson_state(boson_sq(x)).coefficients
-            )
-
-    def test_trace_never_exceeds_one(self):
-        for x in np.geomspace(0.05, 30.0, 40):
-            rho = boson_reduced_analytic(boson_sq(float(x)))
-            assert math.fsum(rho.diagonal()) <= 1.0
-
-    @pytest.mark.parametrize("n_max", [-1, 2.5, True])
-    def test_bad_n_max(self, n_max):
-        with pytest.raises(ValueError):
-            boson_reduced_analytic(boson_sq(1.0), n_max=n_max)
-
-    def test_cap_applies_to_explicit_n_max(self):
-        with pytest.raises(SqueezingOverflowError):
-            boson_reduced_analytic(boson_sq(1.0), n_max=N_CAP)
-
-    def test_statistics_mismatch(self):
-        with pytest.raises(ValueError):
-            boson_reduced_analytic(fermion_sq(1.0))
 
 
 class TestFermionReducedAnalytic:
     def test_matches_traced_state(self):
         for x in (0.05, 0.3, 1.0, 2.0, 5.0, 20.0):
             sq = fermion_sq(x)
-            rho_num = partial_trace(build_fermion_state(sq))
-            rho_ana = fermion_reduced_analytic(sq)
-            assert rho_ana.basis == rho_num.basis
-            dev = np.max(np.abs(rho_ana.diagonal() - rho_num.diagonal()))
+            rho = partial_trace(build_fermion_state(sq))
+            assert rho.basis == FERMION_BASIS
+            dev = np.max(np.abs(fermion_closed_diag(sq) - rho.diagonal()))
             assert dev < 1e-12
 
-    def test_trace_never_exceeds_one(self):
-        for x in np.geomspace(1e-6, 30.0, 60):
-            rho = fermion_reduced_analytic(fermion_sq(float(x)))
-            assert math.fsum(rho.diagonal()) <= 1.0
-
     def test_maximal_mixing_is_uniform(self):
-        rho = fermion_reduced_analytic(SqueezingParams.from_x("fermion", 1e-17))
-        np.testing.assert_array_equal(rho.diagonal(), [0.25, 0.25, 0.25, 0.25])
-
-    def test_statistics_mismatch(self):
-        with pytest.raises(ValueError):
-            fermion_reduced_analytic(boson_sq(1.0))
+        sq = fermion_sq(1e-17)
+        np.testing.assert_array_equal(fermion_closed_diag(sq), [0.25, 0.25, 0.25, 0.25])
+        # cos^2(pi/4) rounds to 0.5000000000000001, so the traced weights are
+        # a few ulp off uniform.
+        rho = partial_trace(build_fermion_state(sq))
+        np.testing.assert_allclose(rho.diagonal(), [0.25, 0.25, 0.25, 0.25], atol=1.2e-16, rtol=0.0)

@@ -40,6 +40,10 @@ from .geometry import (
 )
 from .states import EPS_TAIL_DEFAULT, build_boson_state, build_fermion_state
 
+# Largest sweep grid.  A point at the truncation cap costs ~2 ms for both
+# statistics, so a sweep with every point there stays under about a minute.
+MAX_SWEEP_POINTS = 20_000
+
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.output:
@@ -92,8 +96,10 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     params = BlackHoleParams(mass=args.mass)
-    if args.points < 2:
-        raise ValueError(f"points must be at least 2, got {args.points}")
+    if not 2 <= args.points <= MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"points must be between 2 and {MAX_SWEEP_POINTS}, got {args.points}"
+        )
     if not (0.0 < args.omega_min < args.omega_max):
         raise ValueError(
             f"need 0 < omega-min < omega-max, got {args.omega_min!r}, {args.omega_max!r}"
@@ -191,7 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ps.add_argument("--omega-min", type=float, required=True)
     ps.add_argument("--omega-max", type=float, required=True)
-    ps.add_argument("--points", type=int, required=True)
+    ps.add_argument(
+        "--points",
+        type=int,
+        required=True,
+        help=f"grid size, from 2 to {MAX_SWEEP_POINTS}",
+    )
     ps.add_argument("--grid", choices=["log", "linear"], default="log")
     ps.add_argument("--stats", choices=["boson", "fermion", "both"], default="both")
     ps.set_defaults(func=cmd_sweep)

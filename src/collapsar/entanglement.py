@@ -27,6 +27,7 @@ from .geometry import (
     ModeChannel,
     SqueezingParams,
     Statistics,
+    _require_finite_positive,
     dimensionless_x,
     squeezing_for,
 )
@@ -124,20 +125,29 @@ class EntropyReport:
 def temperature_ratio_fit(rho: DensityOperator, x: float) -> float:
     """Radiation temperature read off the occupation spectrum, over T_H.
 
-    Bosonic ladders get a least-squares fit of log p(n) against n;
-    fermionic operators use the two-level ratio p(0,1)/p(0,0).  Returns 1
-    for an exactly thermal spectrum and nan when the spectrum retains too
-    little weight to fit, as when a fermionic p(0,0) or p(0,1) is subnormal.
+    Bosonic ladders get the least-squares slope of y = log p(n) against n
+    over the levels above the fit floor, from two centred vector sums,
+    sum((n - mean n) (y - y_mid)) / sum((n - mean n)^2), with no Vandermonde
+    matrix and no lstsq solve.  Since sum(n - mean n) = 0, the offset y_mid
+    does not change the slope; taking the middle sample rather than the mean
+    keeps the terms small and makes a fit over two adjacent levels exactly
+    y1 - y0.  Fermionic operators use the two-level ratio p(0,1)/p(0,0).
+    Returns 1 for an exactly thermal spectrum and nan when the spectrum
+    retains too little weight to fit, as when a fermionic p(0,0) or p(0,1)
+    is subnormal, or shows no falling slope.
     """
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0.0):
-        raise ValueError(f"x must be a finite positive real, got {x!r}")
+    _require_finite_positive("x", x)
     diag = rho.diagonal()
     if isinstance(rho.basis[0], int):
         ns = particle_numbers(rho)
         mask = diag > _FIT_FLOOR
         if int(mask.sum()) < 2:
             return math.nan
-        slope = float(np.polyfit(ns[mask], np.log(diag[mask]), 1)[0])
+        dn = ns[mask]
+        dn -= dn.mean()
+        y = np.log(diag[mask])
+        y -= y[y.size // 2]
+        slope = float((dn * y).sum() / (dn * dn).sum())
         if not (math.isfinite(slope) and slope < 0.0):
             return math.nan
         return -2.0 * x / slope

@@ -25,6 +25,14 @@ FOUR_PI = 4.0 * math.pi
 X_MIN = 1e-6
 
 
+def _require_finite_positive(name: str, value: object) -> None:
+    """Refuse anything but a finite positive int or float; a bool is not a number here."""
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0
+    ):
+        raise ValueError(f"{name} must be a finite positive real, got {value!r}")
+
+
 class Statistics(str, Enum):
     """Exchange statistics of a field mode."""
 
@@ -39,8 +47,7 @@ class BlackHoleParams:
     mass: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.mass, (int, float)) and math.isfinite(self.mass) and self.mass > 0.0):
-            raise ValueError(f"mass must be a finite positive real, got {self.mass!r}")
+        _require_finite_positive("mass", self.mass)
 
 
 @dataclass(frozen=True)
@@ -51,8 +58,7 @@ class ModeChannel:
     statistics: Statistics
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.omega, (int, float)) and math.isfinite(self.omega) and self.omega > 0.0):
-            raise ValueError(f"omega must be a finite positive real, got {self.omega!r}")
+        _require_finite_positive("omega", self.omega)
         object.__setattr__(self, "statistics", Statistics(self.statistics))
 
 
@@ -76,8 +82,7 @@ class SqueezingParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "statistics", Statistics(self.statistics))
         x = self.x
-        if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0.0):
-            raise ValueError(f"x must be a finite positive real, got {x!r}")
+        _require_finite_positive("x", x)
         w = math.exp(-x)
         if self.statistics is Statistics.BOSON:
             r = math.inf if w == 1.0 else math.atanh(w)
@@ -100,8 +105,7 @@ class SqueezingParams:
     def from_r(cls, statistics: Statistics | str, r: float) -> "SqueezingParams":
         """Build squeezing parameters from the squeezing angle itself."""
         statistics = Statistics(statistics)
-        if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0.0):
-            raise ValueError(f"r must be a finite positive real, got {r!r}")
+        _require_finite_positive("r", r)
         if statistics is Statistics.BOSON:
             w = math.tanh(r)
         else:

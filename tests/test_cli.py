@@ -3,13 +3,15 @@
 import argparse
 import json
 import math
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from collapsar import CSV_HEADER
-from collapsar.cli import build_parser, main
+from collapsar.cli import MAX_SWEEP_POINTS, build_parser, main
 from collapsar.entanglement import format_float
 
 HEADER_LINE = ",".join(CSV_HEADER)
@@ -96,6 +98,23 @@ class TestArgumentErrors:
         )
         assert code == 2
         assert "points" in err
+
+    @pytest.mark.parametrize("points", [MAX_SWEEP_POINTS + 1, 10**12])
+    def test_sweep_points_are_bounded_before_the_grid_is_built(self, capsys, points):
+        # 10**12 points would ask numpy for 8 TB before any report ran.
+        argv = ["sweep", "--mass", "1", "--omega-min", "0.1", "--omega-max", "0.2",
+                "--points", str(points)]
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 5.0
+        assert peak < 2**20
+        assert (code, out) == (2, "")
+        assert f"points must be between 2 and {MAX_SWEEP_POINTS}, got {points}" in err
 
     def test_sweep_needs_increasing_range(self, capsys):
         code, _, err = run(

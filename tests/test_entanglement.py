@@ -189,6 +189,25 @@ def thermal_boson_rho(x, d=60):
     return DensityOperator(range(d), (1.0 - q) * q ** np.arange(d))
 
 
+def fit_points(rho):
+    """The (n, p) points the boson fit uses: levels above its 1e-15 floor."""
+    diag = rho.diagonal()
+    mask = diag > 1e-15
+    return np.array(rho.basis, dtype=np.float64)[mask], diag[mask]
+
+
+def mpmath_slope(ns, ps):
+    """Least-squares slope of log p against n in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        n = [mpmath.mpf(float(v)) for v in ns]
+        y = [mpmath.log(mpmath.mpf(float(v))) for v in ps]
+        n_bar = mpmath.fsum(n) / len(n)
+        y_bar = mpmath.fsum(y) / len(y)
+        return mpmath.fsum((a - n_bar) * (b - y_bar) for a, b in zip(n, y)) / mpmath.fsum(
+            (a - n_bar) ** 2 for a in n
+        )
+
+
 class TestTemperatureRatio:
     def test_boson_thermal_diagonal_fits_to_one(self):
         for x in (0.5, 1.0, 2.0):
@@ -231,6 +250,87 @@ class TestTemperatureRatio:
         rho = thermal_boson_rho(1.0)
         with pytest.raises(ValueError):
             temperature_ratio_fit(rho, -1.0)
+
+    def test_bool_x_is_not_a_number(self):
+        with pytest.raises(ValueError, match="x must be a finite positive real, got True"):
+            temperature_ratio_fit(thermal_boson_rho(1.0), True)
+
+    # The fit's slope against a 40-digit least-squares slope of the same
+    # points, over the boson-deep range and beyond, and at d = N_CAP.
+    @pytest.mark.parametrize(
+        "x", [*np.geomspace(0.015, 40.0, 24).tolist(), 1.032e-3]
+    )
+    def test_boson_fit_matches_mpmath_least_squares(self, x):
+        rho = partial_trace(build_boson_state(SqueezingParams.from_x(B, x)))
+        ns, ps = fit_points(rho)
+        if ns.size < 2:
+            assert math.isnan(temperature_ratio_fit(rho, x))
+            return
+        want = -2 * mpmath.mpf(x) / mpmath_slope(ns, ps)
+        got = temperature_ratio_fit(rho, x)
+        assert abs(got - want) <= 4 * 2.0**-52 * abs(want)
+
+    # np.polyfit, which the fit replaced, as the oracle: any distinct
+    # non-negative labels, in any order, and any positive diagonal.
+    @given(
+        labels=st.one_of(
+            st.lists(st.integers(0, 10**6), min_size=2, max_size=80, unique=True).map(tuple),
+            st.builds(
+                lambda start, size, step: range(start, start + size * step, step),
+                st.integers(0, 10**4),
+                st.integers(2, 200),
+                st.integers(1, 7),
+            ),
+        ),
+        data=st.data(),
+    )
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_boson_fit_matches_polyfit(self, labels, data):
+        weights = np.array(
+            data.draw(
+                st.lists(
+                    st.floats(1e-6, 1.0), min_size=len(labels), max_size=len(labels)
+                )
+            )
+        )
+        rho = DensityOperator(labels, weights / weights.sum())
+        ns, ps = fit_points(rho)
+        # Shifting the integer labels by their minimum is exact and leaves the
+        # slope unchanged; it spares polyfit's uncentred Vandermonde matrix the
+        # ill-conditioning of labels far from 0, which costs it ~1e-12 at
+        # range(3097, 3099).
+        want = np.polyfit(ns - ns.min(), np.log(ps), 1)[0]
+        t_ratio = temperature_ratio_fit(rho, 1.0)
+        # A nearly flat spectrum has a slope at rounding level, which no two
+        # summation orders agree on to 1e-12 relative; the absolute term
+        # allows 64 ulp of the largest |log p| over the spread of the labels.
+        noise = 64 * sys.float_info.epsilon * np.abs(np.log(ps)).max() / np.sqrt(
+            ((ns - ns.mean()) ** 2).sum()
+        )
+        if math.isnan(t_ratio):  # the fit's slope is not negative
+            assert want >= -noise
+        else:
+            assert abs(-2.0 / t_ratio - want) <= 1e-12 * abs(want) + noise
+
+    @given(start=st.integers(0, 10**4), p0=st.floats(1e-12, 1.0 - 1e-12))
+    @example(start=3, p0=0.5)
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_two_level_fit_is_exact_log_ratio(self, start, p0):
+        # Two adjacent levels above the floor: the slope is exactly y1 - y0.
+        rho = DensityOperator(range(start, start + 2), [p0, 1.0 - p0])
+        y0, y1 = (float(v) for v in np.log(rho.diag))
+        t_ratio = temperature_ratio_fit(rho, 0.25)
+        if y1 < y0:
+            assert t_ratio == -0.5 / (y1 - y0)
+        else:
+            assert math.isnan(t_ratio)
+
+    # A flat spectrum has no temperature; polyfit read a rounding-level slope
+    # off range(8) and reported T_ratio = 1.1e17.
+    @pytest.mark.parametrize("basis", [range(8), (2, 9, 4, 30)])
+    def test_uniform_spectrum_returns_nan(self, basis):
+        rho = DensityOperator(basis, np.full(len(basis), 1.0 / len(basis)))
+        assert math.isnan(temperature_ratio_fit(rho, 1.0))
 
 
 class TestEntropyReport:

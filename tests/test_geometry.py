@@ -143,6 +143,13 @@ class TestSqueezingParams:
         with pytest.raises(ValueError):
             SqueezingParams.from_x("boson", x)
 
+    def test_bool_is_not_a_number(self):
+        # True == 1 would otherwise pass every check as x = 1 or r = 1.
+        with pytest.raises(ValueError, match="x must be a finite positive real, got True"):
+            SqueezingParams("boson", True)
+        with pytest.raises(ValueError, match="r must be a finite positive real, got True"):
+            SqueezingParams.from_r("fermion", True)
+
     @pytest.mark.parametrize("stat", [Statistics.BOSON, Statistics.FERMION])
     def test_weight_and_angle_derive_from_x_alone(self, stat):
         inverse = math.atanh if stat is Statistics.BOSON else math.atan
@@ -178,6 +185,14 @@ class TestValidation:
     def test_bad_omega(self, omega):
         with pytest.raises(ValueError):
             ModeChannel(omega=omega, statistics="boson")
+
+    def test_bool_mass_is_not_a_number(self):
+        with pytest.raises(ValueError, match="mass must be a finite positive real, got True"):
+            BlackHoleParams(mass=True)
+
+    def test_bool_omega_is_not_a_number(self):
+        with pytest.raises(ValueError, match="omega must be a finite positive real, got True"):
+            ModeChannel(omega=True, statistics="boson")
 
     def test_bad_statistics(self):
         with pytest.raises(ValueError):

@@ -53,12 +53,23 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _omega_from_x(x: float, mass: float) -> float:
+    """x / (4 pi mass); a zero, subnormal or infinite omega has lost the digits of x."""
+    omega = x / (FOUR_PI * mass)
+    if not sys.float_info.min <= omega < math.inf:
+        raise ValueError(
+            f"x = {x!r} at mass = {mass!r} gives omega = {omega!r}, "
+            "not a positive normal float"
+        )
+    return omega
+
+
 def _channel_omega(args: argparse.Namespace) -> float:
     if args.x is not None:
         x = args.x
         if not (math.isfinite(x) and x > 0.0):
             raise ValueError(f"x must be a finite positive real, got {x!r}")
-        return x / (FOUR_PI * args.mass)
+        return _omega_from_x(x, args.mass)
     return args.omega
 
 
@@ -123,7 +134,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_crossover(args: argparse.Namespace) -> int:
     params = BlackHoleParams(mass=args.mass)
     result = crossover()
-    omega_star = result.x_star / (FOUR_PI * params.mass)
+    omega_star = _omega_from_x(result.x_star, params.mass)
     lines = [
         f"x_star = {format_float(result.x_star)}",
         f"omega_star = {format_float(omega_star)}",

@@ -137,8 +137,8 @@ def temperature_ratio_fit(rho: DensityOperator, x: float) -> float:
     is subnormal, or shows no falling slope.
     """
     _require_finite_positive("x", x)
-    diag = rho.diagonal()
-    if isinstance(rho.basis[0], int):
+    diag = rho.diag
+    if rho.statistics is Statistics.BOSON:
         ns = particle_numbers(rho)
         mask = diag > _FIT_FLOOR
         if int(mask.sum()) < 2:
@@ -151,8 +151,9 @@ def temperature_ratio_fit(rho: DensityOperator, x: float) -> float:
         if not (math.isfinite(slope) and slope < 0.0):
             return math.nan
         return -2.0 * x / slope
-    p00 = float(diag[rho.basis.index((0, 0))])
-    p01 = float(diag[rho.basis.index((0, 1))])
+    # FERMION_BASIS starts with (0, 0), (0, 1).
+    p00 = float(diag[0])
+    p01 = float(diag[1])
     if p00 < sys.float_info.min or p01 < sys.float_info.min or p00 == p01:
         return math.nan
     return -2.0 * x / math.log(p01 / p00)

@@ -1,20 +1,15 @@
 """Truncated two-mode Fock space: Schmidt-form pair states and their reductions.
 
-Basis labels come in two kinds and are never mixed within one state:
-
-* number labels, plain ints ``n >= 0``, for a bosonic mode;
-* pair labels ``(n_particle, n_antiparticle)`` with entries in {0, 1}, for a
-  fermionic mode carrying both a particle and an antiparticle slot.
-
-A pure bipartite state stores its Schmidt pairing directly: a sequence of
-horizon labels, a sequence of outgoing labels and one amplitude vector, the
-i-th amplitude belonging to the i-th label of each side.  No label repeats
-on either side, so tracing out one side leaves an exactly diagonal operator,
-stored as its diagonal.  A run of number labels may be given as a ``range``,
-which is checked by its ends instead of label by label.  Truncation is
-explicit: ``tail_bound`` is an upper bound on the squared norm discarded by
-the cut, and completeness is checked against it rather than silently
-renormalised away.
+The statistics of a mode fixes its label layout; no caller chooses labels.
+A bosonic state of d amplitudes pairs number level ``n`` on the horizon side
+with the same level outside, ``n < d``.  A fermionic state holds four
+amplitudes over pair labels ``(n_particle, n_antiparticle)``:
+``FERMION_BASIS[i]`` on the horizon side pairs with its slot-exchanged
+partner outside.  Each label appears once per side, so tracing out a side
+leaves an exactly diagonal operator over ``range(d)`` or ``FERMION_BASIS``,
+stored as its diagonal.  Truncation is explicit: ``tail_bound`` bounds the
+squared norm discarded by the cut, and completeness is checked against it
+rather than silently renormalised away.
 """
 
 from __future__ import annotations
@@ -26,10 +21,13 @@ from typing import Literal, Union
 
 import numpy as np
 
+from .geometry import Statistics
+
 BasisLabel = Union[int, tuple[int, int]]
-Labels = Union[range, tuple[BasisLabel, ...]]
 
 FERMION_BASIS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
+# Index in FERMION_BASIS of each label's slot-exchanged partner; its own inverse.
+_SLOT_EXCHANGE = [0, 2, 1, 3]
 
 # Completeness window half-width for pure states.
 EPS_NORM = 1e-12
@@ -43,106 +41,50 @@ TRACE_EXCESS = 1e-12
 LAMBDA_FLOOR = 1e-30
 
 
-def _is_slot(k: object) -> bool:
-    return isinstance(k, int) and not isinstance(k, bool) and k in (0, 1)
+def _basis(statistics: Statistics, d: int) -> Sequence[BasisLabel]:
+    return FERMION_BASIS if statistics is Statistics.FERMION else range(d)
 
 
-def _label_kind(label: object) -> str:
-    if isinstance(label, bool):
-        raise ValueError(f"bad basis label {label!r}")
-    if isinstance(label, int):
-        if label < 0:
-            raise ValueError(f"number label must be nonnegative, got {label!r}")
-        return "number"
-    if isinstance(label, tuple) and len(label) == 2 and _is_slot(label[0]) and _is_slot(label[1]):
-        return "pair"
-    raise ValueError(f"bad basis label {label!r}")
-
-
-def _label_run(labels: Sequence[BasisLabel]) -> tuple[Labels, set[str]]:
-    """Labels frozen as a range or a tuple, with the set of their kinds.
-
-    A range holds distinct number labels and is valid iff both its ends are
-    nonnegative; any other sequence is checked label by label, and the
-    caller checks it for repeats.
-    """
-    if isinstance(labels, range):
-        if labels and min(labels[0], labels[-1]) < 0:
-            raise ValueError(f"number labels must be nonnegative, got {labels!r}")
-        return labels, {"number"}
-    labels = tuple(labels)
-    return labels, {_label_kind(lab) for lab in labels}
-
-
-def _repeats(labels: Labels) -> bool:
-    return not isinstance(labels, range) and len(set(labels)) != len(labels)
-
-
-def _weights(amps: np.ndarray) -> np.ndarray:
-    """|a|^2 per amplitude, as re^2 + im^2 for complex amplitudes."""
-    if amps.dtype.kind == "c":
-        return amps.real * amps.real + amps.imag * amps.imag
-    return amps * amps
+def _check_shape(statistics: Statistics, values: np.ndarray, what: str) -> None:
+    if values.ndim != 1:
+        raise ValueError(f"{what} must be a 1-D array, got shape {values.shape}")
+    if values.size == 0:
+        raise ValueError(f"no {what}")
+    if statistics is Statistics.FERMION and values.size != len(FERMION_BASIS):
+        raise ValueError(f"a fermion mode has 4 {what}, got {values.size}")
 
 
 @dataclass(frozen=True, eq=False)
 class PureBipartiteState:
     """Pure state of a horizon/outgoing mode pair in a truncated Fock basis.
 
-    Parameters
-    ----------
-    hor, out:
-        Horizon and outgoing labels; ``amplitudes[i]`` is the amplitude of
-        ``|hor[i]>|out[i]>``.  No label repeats on either side (Schmidt
-        form), and labels are homogeneous in kind across the whole state.
-        Stored as given when a ``range``, else frozen to a tuple.
-    amplitudes:
-        One real or complex amplitude per label pair, stored as a read-only
-        1-D float64 or complex array copied from the caller's.
-    tail_bound:
-        Upper bound on the squared norm removed by truncation; 0.0 for an
-        exactly representable state.
-
-    The completeness invariant is one sided: the analytic tail bound may
-    overestimate the discarded mass by up to a factor 1/(1-q), so the sum
-    of retained probability and ``tail_bound`` may legitimately exceed 1
-    by almost ``tail_bound`` itself.
+    ``amplitudes`` holds one real amplitude per label pair, in the horizon
+    side's basis order, as a read-only float64 copy of the caller's; the
+    pairing follows from ``statistics``.  ``tail_bound`` bounds the squared
+    norm removed by truncation, 0.0 for an exact state.  The analytic bound
+    may overestimate the discarded mass by up to a factor 1/(1-q), so the
+    retained probability plus ``tail_bound`` may exceed 1 by almost
+    ``tail_bound`` itself.
     """
 
-    hor: Labels
-    out: Labels
+    statistics: Statistics
     amplitudes: np.ndarray
     tail_bound: float = 0.0
 
     def __post_init__(self) -> None:
-        hor, hor_kinds = _label_run(self.hor)
-        out, out_kinds = _label_run(self.out)
+        statistics = Statistics(self.statistics)
         amps = np.array(self.amplitudes)
-        if amps.dtype.kind not in "iufc":
-            raise ValueError(f"amplitudes are not numbers: dtype {amps.dtype}")
-        if amps.ndim != 1:
-            raise ValueError(f"amplitudes must be a 1-D array, got shape {amps.shape}")
-        if amps.size == 0:
-            raise ValueError("state has no amplitudes")
-        if not len(hor) == len(out) == amps.size:
-            raise ValueError(
-                f"{len(hor)} horizon labels, {len(out)} outgoing labels "
-                f"and {amps.size} amplitudes"
-            )
-        if len(hor_kinds | out_kinds) != 1:
-            raise ValueError("mixed number and pair labels in one state")
-        if _repeats(hor) or _repeats(out):
-            raise ValueError("state not in Schmidt form: a label repeats on one side")
+        if amps.dtype.kind not in "iuf":
+            raise ValueError(f"amplitudes are not real numbers: dtype {amps.dtype}")
+        _check_shape(statistics, amps, "amplitudes")
         if not np.isfinite(amps).all():
             raise ValueError("non-finite amplitude")
         tail = self.tail_bound
         if not (isinstance(tail, (int, float)) and 0.0 <= tail < 1.0):
             raise ValueError(f"tail_bound must lie in [0, 1), got {tail!r}")
-        if amps.dtype.char not in "dD":
-            amps = amps.astype(np.result_type(amps, np.float64))
+        amps = amps.astype(np.float64, copy=False)
         amps.setflags(write=False)
-        object.__setattr__(self, "hor", hor)
-        object.__setattr__(self, "out", out)
+        object.__setattr__(self, "statistics", statistics)
         object.__setattr__(self, "amplitudes", amps)
         total = self.norm_squared() + tail
         if not (1.0 - EPS_NORM <= total <= 1.0 + EPS_NORM + tail):
@@ -151,72 +93,66 @@ class PureBipartiteState:
             )
 
     @property
-    def coefficients(self) -> Mapping[tuple[BasisLabel, BasisLabel], float | complex]:
+    def coefficients(self) -> Mapping[tuple[BasisLabel, BasisLabel], float]:
         """Read-only view ``(hor_label, out_label) -> amplitude`` of the pairing."""
         return _Coefficients(self)
 
     def norm_squared(self) -> float:
-        return math.fsum(_weights(self.amplitudes).tolist())
+        return math.fsum((self.amplitudes * self.amplitudes).tolist())
 
     def hor_labels(self) -> tuple[BasisLabel, ...]:
-        return tuple(sorted(self.hor))
+        return tuple(_basis(self.statistics, self.amplitudes.size))
 
-    def out_labels(self) -> tuple[BasisLabel, ...]:
-        return tuple(sorted(self.out))
+    # Sorted, both sides carry the same labels.
+    out_labels = hor_labels
 
 
 class _Coefficients(Mapping):
     """Mapping view over a state's pairing; builds no per-label storage."""
 
-    __slots__ = ("_state",)
+    __slots__ = ("_hor", "_out", "_amps")
 
     def __init__(self, state: PureBipartiteState) -> None:
-        self._state = state
+        self._amps = state.amplitudes
+        self._hor = self._out = _basis(state.statistics, self._amps.size)
+        if state.statistics is Statistics.FERMION:
+            self._out = tuple(FERMION_BASIS[i] for i in _SLOT_EXCHANGE)
 
     def __len__(self) -> int:
-        return self._state.amplitudes.size
+        return self._amps.size
 
     def __iter__(self) -> Iterator[tuple[BasisLabel, BasisLabel]]:
-        return zip(self._state.hor, self._state.out)
+        return zip(self._hor, self._out)
 
-    def __getitem__(self, key: tuple[BasisLabel, BasisLabel]) -> float | complex:
-        state = self._state
+    def __getitem__(self, key: tuple[BasisLabel, BasisLabel]) -> float:
         try:
             h, o = key
-            i = state.hor.index(h)
+            i = self._hor.index(h)
         except (TypeError, ValueError):
             raise KeyError(key) from None
-        if state.out[i] != o:
+        if self._out[i] != o:
             raise KeyError(key)
-        return state.amplitudes[i].item()
+        return self._amps[i].item()
 
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Positive trace-near-one operator, diagonal in its labelled basis.
+    """Positive trace-near-one operator, diagonal in the basis its statistics fixes.
 
-    ``basis`` is kept as given when a ``range`` of number labels, which is
-    checked by its ends, and is frozen to a tuple otherwise.  ``diag`` holds
-    the probabilities in basis order, as a read-only float64 array.
-    ``max_trace_deficit`` widens the lower trace window for operators that
-    descend from truncated states; it is a validation allowance, not data.
+    ``diag`` holds the probabilities in ``basis`` order, as a read-only
+    float64 array.  ``max_trace_deficit`` widens the lower trace window for
+    operators that descend from truncated states; it is a validation
+    allowance, not data.
     """
 
-    basis: Labels
+    statistics: Statistics
     diag: np.ndarray
     max_trace_deficit: float = field(default=TRACE_DEFICIT_DEFAULT, repr=False)
 
     def __post_init__(self) -> None:
-        basis, kinds = _label_run(self.basis)
-        if not basis:
-            raise ValueError("empty basis")
-        if len(kinds) != 1:
-            raise ValueError("mixed number and pair labels in one basis")
-        if _repeats(basis):
-            raise ValueError("duplicate basis labels")
+        statistics = Statistics(self.statistics)
         diag = np.array(self.diag, dtype=np.float64, copy=True)
-        if diag.shape != (len(basis),):
-            raise ValueError(f"diag shape {diag.shape} does not match basis size {len(basis)}")
+        _check_shape(statistics, diag, "probabilities")
         if not np.isfinite(diag).all():
             raise ValueError("non-finite diagonal entries")
         if not (0.0 <= self.max_trace_deficit < 1.0):
@@ -228,16 +164,17 @@ class DensityOperator:
             raise ValueError(f"trace {tr!r} outside allowed window")
 
         diag.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "statistics", statistics)
         object.__setattr__(self, "diag", diag)
 
     @property
-    def dim(self) -> int:
-        return len(self.basis)
+    def basis(self) -> Sequence[BasisLabel]:
+        """``range(dim)`` for a bosonic mode, ``FERMION_BASIS`` for a fermionic one."""
+        return _basis(self.statistics, self.diag.size)
 
-    def diagonal(self) -> np.ndarray:
-        """Probabilities in basis order, as a read-only array."""
-        return self.diag
+    @property
+    def dim(self) -> int:
+        return self.diag.size
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending real spectrum: the sorted diagonal."""
@@ -245,11 +182,8 @@ class DensityOperator:
 
     def to_json_dict(self) -> dict:
         """Serialisable view: basis labels, diagonal, and off-diagonal weight (always 0)."""
-        basis_json: list = [
-            list(lab) if isinstance(lab, tuple) else int(lab) for lab in self.basis
-        ]
         return {
-            "basis": basis_json,
+            "basis": [list(lab) if isinstance(lab, tuple) else lab for lab in self.basis],
             "diag": [float(p) for p in self.diag],
             "offdiag_norm": 0.0,
         }
@@ -258,33 +192,19 @@ class DensityOperator:
 def partial_trace(
     state: PureBipartiteState, keep: Literal["out", "hor"] = "out"
 ) -> DensityOperator:
-    """Reduce a pure bipartite state to one side.
+    """Reduce a pure bipartite state to the side ``keep``, "out" or "hor".
 
-    Parameters
-    ----------
-    state:
-        The pure state to reduce.
-    keep:
-        Which subsystem survives: "out" (outgoing radiation, the default)
-        or "hor" (horizon modes).
-
-    Returns
-    -------
-    DensityOperator on the kept side, with a trace window widened by the
-    state's tail bound.  The state is in Schmidt form, so each kept label
-    carries the weight |amplitude|^2 of its single pair; labels come out
-    sorted, which an ascending ``range`` already is.
+    Each kept label carries the weight amplitude^2 of its single pair; a
+    fermionic outgoing label takes it from its slot-exchanged horizon
+    partner.  The trace window is widened by the state's tail bound.
     """
     if keep not in ("out", "hor"):
         raise ValueError(f"keep must be 'out' or 'hor', got {keep!r}")
-    labels = state.out if keep == "out" else state.hor
-    weights = _weights(state.amplitudes)
-    if not (isinstance(labels, range) and labels.step > 0):
-        order = sorted(range(len(labels)), key=labels.__getitem__)
-        labels = tuple(labels[i] for i in order)
-        weights = weights[order]
+    weights = state.amplitudes * state.amplitudes
+    if keep == "out" and state.statistics is Statistics.FERMION:
+        weights = weights[_SLOT_EXCHANGE]
     deficit = min(1.0 - 1e-12, TRACE_DEFICIT_DEFAULT + state.tail_bound)
-    return DensityOperator(basis=labels, diag=weights, max_trace_deficit=deficit)
+    return DensityOperator(state.statistics, weights, max_trace_deficit=deficit)
 
 
 def von_neumann_entropy(rho: DensityOperator, method: Literal["eigen"] = "eigen") -> float:
@@ -306,17 +226,19 @@ def von_neumann_entropy(rho: DensityOperator, method: Literal["eigen"] = "eigen"
 def particle_numbers(rho: DensityOperator) -> np.ndarray:
     """Particle number of each basis label, in basis order, as float64.
 
-    A pair label carries it in its first slot; a ``range`` needs no per-label loop.
+    A pair label carries it in its first slot.
     """
-    basis = rho.basis
-    if isinstance(basis, range):
-        return np.arange(basis.start, basis.stop, basis.step, dtype=np.float64)
-    labels = np.array(basis, dtype=np.float64)
-    return labels if labels.ndim == 1 else labels[:, 0]
+    if rho.statistics is Statistics.FERMION:
+        return np.array([lab[0] for lab in FERMION_BASIS], dtype=np.float64)
+    return np.arange(rho.dim, dtype=np.float64)
 
 
 def mean_occupation(rho: DensityOperator, which: Literal["particle"] = "particle") -> float:
-    """Expected particle number; "particle" is the only sector ``which`` accepts."""
+    """Expected particle number; "particle" is the only sector ``which`` accepts.
+
+    numpy's pairwise sum, unlike a BLAS dot, adds in an order that no thread
+    count changes, so the printed digits are reproducible.
+    """
     if which != "particle":
         raise ValueError(f"unknown sector {which!r}")
-    return float(np.dot(rho.diag, particle_numbers(rho)))
+    return float((rho.diag * particle_numbers(rho)).sum())

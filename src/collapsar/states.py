@@ -3,8 +3,8 @@
 Bosonic modes come out in a two-mode squeezed vacuum over number labels,
 sum_n tanh^n(r)/cosh(r) |n, n>, truncated at an explicit occupation cut.
 Fermionic modes fill a four-term state over pair labels, exactly
-representable with no truncation.  Both builders pair each horizon label
-with its outgoing partner, horizon label first.
+representable with no truncation.  The builders supply only the statistics
+and the amplitudes; ``fock`` fixes which labels each amplitude pairs.
 """
 
 from __future__ import annotations
@@ -15,15 +15,11 @@ import sys
 import numpy as np
 
 from .errors import SqueezingOverflowError
-from .fock import FERMION_BASIS, PureBipartiteState
+from .fock import PureBipartiteState
 from .geometry import Statistics, SqueezingParams
 
 # Hard cap on the truncated dimension n_max + 1 of a bosonic pair state.
 N_CAP = 16384
-
-# Outgoing partner of each horizon label in FERMION_BASIS: particle and
-# antiparticle slots exchange.
-_FERMION_PARTNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 EPS_TAIL_DEFAULT = 1e-12
 EPS_TAIL_MAX = 1e-6
@@ -93,11 +89,9 @@ def build_boson_state(
         raise SqueezingOverflowError("maximal squeezing cannot be truncated")
     n_max = _truncation_level(q, eps_tail)
     inv_cosh = math.sqrt(1.0 - q)
-    ns = np.arange(n_max + 1)
-    amps = inv_cosh * w**ns
+    amps = inv_cosh * w ** np.arange(n_max + 1)
     tail_bound = q ** (n_max + 1) / (1.0 - q)
-    levels = range(n_max + 1)
-    return PureBipartiteState(levels, levels, amps, tail_bound)
+    return PureBipartiteState(Statistics.BOSON, amps, tail_bound)
 
 
 def build_fermion_state(squeezing: SqueezingParams) -> PureBipartiteState:
@@ -114,4 +108,4 @@ def build_fermion_state(squeezing: SqueezingParams) -> PureBipartiteState:
     c = math.cos(squeezing.r)
     s = math.sin(squeezing.r)
     amps = [c * c, -(s * c), s * c, -(s * s)]
-    return PureBipartiteState(FERMION_BASIS, _FERMION_PARTNERS, amps, 0.0)
+    return PureBipartiteState(Statistics.FERMION, amps, 0.0)

@@ -90,6 +90,20 @@ class TestArgumentErrors:
         assert (code, out) == (2, "")
         assert "eps_tail must not be subnormal" in err
 
+    # omega = x / (4 pi mass) must be a positive normal float: at the parent
+    # the first two printed omega_star = 0 and inf with exit 0, the third
+    # printed x = 0.99999999999999989 from a subnormal omega.
+    @pytest.mark.parametrize("argv, omega", [
+        (["crossover", "--mass", "1e308"], "0.0"),
+        (["crossover", "--mass", "1e-320"], "inf"),
+        (["entropy", "--mass", "1e307", "--x", "1"], "7.957747154594765e-309"),
+        (["entropy", "--mass", "1e-320", "--x", "1"], "inf"),
+    ])
+    def test_omega_from_x_must_be_a_normal_float(self, capsys, argv, omega):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert f"gives omega = {omega}, not a positive normal float" in err
+
     def test_sweep_needs_two_points(self, capsys):
         code, _, err = run(
             capsys,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from collapsar import partial_trace, von_neumann_entropy
+from collapsar import Statistics, partial_trace, von_neumann_entropy
 from collapsar.fock import (
     FERMION_BASIS,
     DensityOperator,
@@ -15,12 +15,15 @@ from collapsar.fock import (
     mean_occupation,
 )
 
+B = Statistics.BOSON
+F = Statistics.FERMION
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 BELL = (INV_SQRT2, INV_SQRT2)
+FERMION_AMPS = (0.5, -0.5, 0.5, -0.5)
 
 
 def bell_pair():
-    return PureBipartiteState(range(2), range(2), BELL)
+    return PureBipartiteState(B, BELL)
 
 
 class TestPureBipartiteState:
@@ -28,9 +31,10 @@ class TestPureBipartiteState:
         assert bell_pair().norm_squared() == pytest.approx(1.0, abs=1e-15)
 
     def test_labels_sorted(self):
-        state = PureBipartiteState((1, 0), (0, 1), BELL)
-        assert state.hor_labels() == (0, 1)
-        assert state.out_labels() == (0, 1)
+        # The fermion pairing is crossed, but each side lists its labels sorted.
+        state = PureBipartiteState(F, FERMION_AMPS)
+        assert state.hor_labels() == state.out_labels() == FERMION_BASIS
+        assert bell_pair().hor_labels() == bell_pair().out_labels() == (0, 1)
 
     def test_coefficients_frozen(self):
         state = bell_pair()
@@ -40,31 +44,40 @@ class TestPureBipartiteState:
             state.amplitudes[0] = 0.0
 
     def test_source_buffer_mutation_does_not_leak(self):
-        hor, out = [0, 1], [0, 1]
         amps = np.array(BELL)
-        state = PureBipartiteState(hor, out, amps)
+        state = PureBipartiteState(B, amps)
         amps[0] = 99.0
-        hor[0] = out[0] = 7
         assert state.coefficients[(0, 0)] == INV_SQRT2
-        assert state.hor == state.out == (0, 1)
 
     def test_tail_bound_widens_completeness_window(self):
         # Retained norm 1 - 5e-9 with a tail bound of 1e-8 is acceptable.
         a = math.sqrt(1.0 - 5e-9)
-        PureBipartiteState(range(1), range(1), [a], tail_bound=1e-8)
+        PureBipartiteState(B, [a], tail_bound=1e-8)
 
     def test_rejects_short_norm(self):
         with pytest.raises(ValueError, match="not complete"):
-            PureBipartiteState(range(1), range(1), [0.9])
+            PureBipartiteState(B, [0.9])
 
     def test_rejects_excess_norm(self):
         with pytest.raises(ValueError, match="not complete"):
-            PureBipartiteState(range(1), range(1), [math.sqrt(1.0 + 1e-9)])
+            PureBipartiteState(B, [math.sqrt(1.0 + 1e-9)])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="no amplitudes"):
-            PureBipartiteState((), (), [])
+            PureBipartiteState(B, [])
 
+    @pytest.mark.parametrize("amps", [[1.0], [0.6, 0.8], [0.5] * 4 + [0.0]])
+    def test_rejects_fermion_length_not_four(self, amps):
+        with pytest.raises(ValueError, match="4 amplitudes"):
+            PureBipartiteState(F, amps)
+
+    @pytest.mark.parametrize("statistics", ["photon", None, True])
+    def test_rejects_unknown_statistics(self, statistics):
+        with pytest.raises(ValueError):
+            PureBipartiteState(statistics, [1.0])
+
+    # Labels are no longer inputs; a caller hands one in only as a key of the
+    # coefficient view, which holds none of these.
     @pytest.mark.parametrize(
         "coeffs",
         [
@@ -80,106 +93,84 @@ class TestPureBipartiteState:
         ],
     )
     def test_rejects_bad_labels(self, coeffs):
-        hor, out = coeffs
-        with pytest.raises(ValueError):
-            PureBipartiteState(hor, out, [1.0])
-
-    @pytest.mark.parametrize("hor", [range(-1, 2), range(1, -2, -1)])
-    def test_rejects_range_reaching_below_zero(self, hor):
-        with pytest.raises(ValueError, match="nonnegative"):
-            PureBipartiteState(hor, range(3), [3.0**-0.5] * 3)
-
-    @pytest.mark.parametrize(
-        "coeffs",
-        [
-            ((0, 0), (0, 1), (0.6, 0.8)),
-            ((0, 1), (0, 0), (0.6, 0.8)),
-            (((0, 0), (0, 0)), ((0, 0), (1, 1)), BELL),
-        ],
-    )
-    def test_rejects_non_schmidt_form(self, coeffs):
-        # A product state |0>_hor (a|0> + b|1>)_out repeats the horizon label;
-        # its out reduction would carry coherences.
-        with pytest.raises(ValueError, match="Schmidt form"):
-            PureBipartiteState(*coeffs)
-
-    def test_rejects_mixed_label_kinds(self):
-        with pytest.raises(ValueError, match="mixed"):
-            PureBipartiteState((0, (0, 1)), (0, (1, 0)), BELL)
-        with pytest.raises(ValueError, match="mixed"):
-            PureBipartiteState(range(4), FERMION_BASIS, [0.5] * 4)
+        (h,), (o,) = coeffs
+        for state in (PureBipartiteState(B, [1.0]), PureBipartiteState(F, FERMION_AMPS)):
+            assert (h, o) not in state.coefficients
+            with pytest.raises(KeyError):
+                state.coefficients[(h, o)]
 
     @pytest.mark.parametrize("amp", [math.nan, math.inf, "0.5", None])
     def test_rejects_bad_amplitudes(self, amp):
         with pytest.raises(ValueError):
-            PureBipartiteState(range(1), range(1), [amp])
+            PureBipartiteState(B, [amp])
+
+    def test_rejects_complex_amplitudes(self):
+        with pytest.raises(ValueError, match="not real numbers"):
+            PureBipartiteState(B, [INV_SQRT2, 1j * INV_SQRT2])
 
     def test_rejects_complex_non_finite_amplitude(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            PureBipartiteState(range(1), range(1), [complex(1.0, math.nan)])
+        with pytest.raises(ValueError, match="not real numbers"):
+            PureBipartiteState(B, [complex(1.0, math.nan)])
 
     def test_rejects_bool_amplitudes(self):
-        with pytest.raises(ValueError, match="not numbers"):
-            PureBipartiteState(range(1), range(1), np.array([True]))
-
-    @pytest.mark.parametrize(
-        "hor, out, amps",
-        [
-            (range(2), range(2), [1.0]),
-            (range(1), range(2), [1.0]),
-            (range(2), range(1), [1.0]),
-        ],
-    )
-    def test_rejects_count_mismatch(self, hor, out, amps):
-        with pytest.raises(ValueError, match="amplitudes"):
-            PureBipartiteState(hor, out, amps)
+        with pytest.raises(ValueError, match="not real numbers"):
+            PureBipartiteState(B, np.array([True]))
 
     def test_rejects_2d_amplitudes(self):
         with pytest.raises(ValueError, match="1-D"):
-            PureBipartiteState(range(1), range(1), [[1.0]])
+            PureBipartiteState(B, [[1.0]])
 
     @pytest.mark.parametrize("tail", [-1e-3, 1.0, math.nan])
     def test_rejects_bad_tail(self, tail):
         with pytest.raises(ValueError):
-            PureBipartiteState(range(1), range(1), [1.0], tail_bound=tail)
+            PureBipartiteState(B, [1.0], tail_bound=tail)
+
+    def test_integer_amplitudes_become_float64(self):
+        state = PureBipartiteState(B, [0, 1])
+        assert state.amplitudes.dtype == np.float64
 
     def test_coefficients_view(self):
-        state = PureBipartiteState(FERMION_BASIS, FERMION_BASIS[::-1], [0.5, -0.5, 0.5, -0.5])
-        view = state.coefficients
+        view = PureBipartiteState(F, FERMION_AMPS).coefficients
         assert len(view) == 4
-        assert list(view) == list(zip(FERMION_BASIS, FERMION_BASIS[::-1]))
+        assert list(view) == [
+            ((0, 0), (0, 0)), ((0, 1), (1, 0)), ((1, 0), (0, 1)), ((1, 1), (1, 1)),
+        ]
         assert view[((0, 1), (1, 0))] == -0.5
         assert ((0, 1), (0, 1)) not in view
         assert ((2, 0), (0, 0)) not in view
         assert 0 not in view
 
 
+# The fermion pairing, written out here rather than imported: each horizon
+# pair label goes with its slot-exchanged partner.
+PAIR_LABELS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def exchanged(label):
+    n_particle, n_antiparticle = label
+    return (n_antiparticle, n_particle)
+
+
 def dict_reduction(pairing, keep):
-    """Sorted labels and weights of one side, reduced through a dict keyed by label pair."""
+    """Sorted labels and weights of one side, reduced through a dict keyed by label."""
     pos = 1 if keep == "out" else 0
     weights = {}
     for key, amp in pairing.items():
-        a = complex(amp)
-        weights[key[pos]] = (a.conjugate() * a).real
+        weights[key[pos]] = amp * amp
     labels = tuple(sorted(weights))
     return labels, np.array([weights[lab] for lab in labels], dtype=np.float64)
 
 
 @st.composite
-def schmidt_pairings(draw):
-    """Distinct number labels on each side, paired by a random permutation,
-    with normalised real or complex amplitudes."""
-    d = draw(st.integers(1, 64))
-    labels = st.lists(st.integers(0, 200), min_size=d, max_size=d, unique=True)
-    hor = draw(labels)
-    out = draw(st.permutations(draw(labels)))
+def real_states(draw):
+    """A statistics and a normalised real amplitude vector of a length it allows."""
+    statistics = draw(st.sampled_from([B, F]))
+    d = 4 if statistics is F else draw(st.integers(1, 64))
     part = st.floats(-1.0, 1.0, allow_nan=False)
     amps = np.array(draw(st.lists(part, min_size=d, max_size=d)))
-    if draw(st.booleans()):
-        amps = amps + 1j * np.array(draw(st.lists(part, min_size=d, max_size=d)))
     norm = np.linalg.norm(amps)
     assume(norm > 1e-3)
-    return hor, out, amps / norm
+    return statistics, amps / norm
 
 
 class TestPartialTrace:
@@ -188,53 +179,49 @@ class TestPartialTrace:
         for keep in ("out", "hor"):
             rho = partial_trace(state, keep=keep)
             assert tuple(rho.basis) == (0, 1)
-            np.testing.assert_allclose(rho.diagonal(), [0.5, 0.5], atol=1e-15)
+            np.testing.assert_allclose(rho.diag, [0.5, 0.5], atol=1e-15)
 
     def test_crossed_pairing_keeps_each_weight_on_its_label(self):
-        # |1>_hor|0>_out and |0>_hor|1>_out: the out side's label 0 carries a^2.
-        a, b = 0.6, 0.8
-        state = PureBipartiteState((1, 0), (0, 1), (a, b))
-        np.testing.assert_array_equal(partial_trace(state, "out").diagonal(), [a * a, b * b])
-        np.testing.assert_array_equal(partial_trace(state, "hor").diagonal(), [b * b, a * a])
-
-    def test_complex_amplitudes(self):
-        state = PureBipartiteState(range(2), range(2), [INV_SQRT2, 1j * INV_SQRT2])
-        rho = partial_trace(state)
-        np.testing.assert_allclose(rho.diagonal(), [0.5, 0.5], atol=1e-15)
-        assert von_neumann_entropy(rho) == pytest.approx(1.0, abs=1e-12)
+        # |01>_hor|10>_out and |10>_hor|01>_out: the out side's (0, 1) carries
+        # the weight of the horizon's (1, 0).
+        amps = np.array([0.1, 0.3, 0.5, 0.0])
+        amps[3] = math.sqrt(1.0 - (amps * amps).sum())
+        state = PureBipartiteState(F, amps)
+        w = amps * amps
+        np.testing.assert_array_equal(partial_trace(state, "hor").diag, w)
+        np.testing.assert_array_equal(partial_trace(state, "out").diag, w[[0, 2, 1, 3]])
 
     def test_pair_labels(self):
-        state = PureBipartiteState(((0, 0), (1, 1)), ((0, 0), (1, 1)), [INV_SQRT2, -INV_SQRT2])
-        rho = partial_trace(state)
-        assert rho.basis == ((0, 0), (1, 1))
-        np.testing.assert_allclose(rho.diagonal(), [0.5, 0.5], atol=1e-15)
+        state = PureBipartiteState(F, [INV_SQRT2, 0.0, 0.0, -INV_SQRT2])
+        for keep in ("out", "hor"):
+            rho = partial_trace(state, keep)
+            assert rho.basis == FERMION_BASIS
+            np.testing.assert_allclose(rho.diag, [0.5, 0.0, 0.0, 0.5], atol=1e-15)
 
     def test_schmidt_symmetry_generic(self):
         amps = np.array([0.5, -0.4, 0.3, 0.2, 0.1])
         amps = amps / np.linalg.norm(amps)
-        state = PureBipartiteState(range(5), range(5), amps)
+        state = PureBipartiteState(B, amps)
         s_out = von_neumann_entropy(partial_trace(state, "out"), method="eigen")
         s_hor = von_neumann_entropy(partial_trace(state, "hor"), method="eigen")
         assert s_out == pytest.approx(s_hor, abs=1e-12)
 
-    def test_descending_range_comes_out_sorted(self):
-        state = PureBipartiteState(range(2), range(1, -1, -1), (0.6, 0.8))
-        rho = partial_trace(state, "out")
-        assert rho.basis == (0, 1)
-        np.testing.assert_array_equal(rho.diagonal(), [0.8 * 0.8, 0.6 * 0.6])
-
-    @given(pairing=schmidt_pairings())
+    @given(drawn=real_states())
     @settings(derandomize=True, max_examples=200, deadline=None)
-    def test_matches_dict_reduction(self, pairing):
-        hor, out, amps = pairing
-        oracle = dict(zip(zip(hor, out), amps.tolist()))
-        state = PureBipartiteState(hor, out, amps)
-        assert dict(state.coefficients) == oracle
+    def test_matches_dict_reduction(self, drawn):
+        statistics, amps = drawn
+        state = PureBipartiteState(statistics, amps)
+        if statistics is F:
+            pairs = [(h, exchanged(h)) for h in PAIR_LABELS]
+        else:
+            pairs = [(n, n) for n in range(amps.size)]
+        pairing = dict(state.coefficients)
+        assert pairing == dict(zip(pairs, amps.tolist()))
         for keep in ("out", "hor"):
             rho = partial_trace(state, keep)
-            labels, weights = dict_reduction(oracle, keep)
-            assert rho.basis == labels
-            np.testing.assert_array_equal(rho.diagonal(), weights)
+            labels, weights = dict_reduction(pairing, keep)
+            assert tuple(rho.basis) == labels
+            np.testing.assert_array_equal(rho.diag, weights)
 
     def test_bad_keep(self):
         with pytest.raises(ValueError):
@@ -247,61 +234,66 @@ class TestDensityOperator:
         with pytest.raises(ValueError):
             rho.diag[0] = 0.0
 
+    def test_basis_follows_statistics(self):
+        assert DensityOperator(B, [0.2, 0.5, 0.3]).basis == range(3)
+        assert DensityOperator(F, [0.4, 0.3, 0.2, 0.1]).basis == FERMION_BASIS
+
     def test_eigenvalues_are_sorted_diagonal(self):
-        rho = DensityOperator(basis=(0, 1, 2), diag=[0.2, 0.5, 0.3])
+        rho = DensityOperator(B, diag=[0.2, 0.5, 0.3])
         assert rho.diag.dtype == np.float64 and rho.diag.shape == (3,)
         np.testing.assert_array_equal(rho.eigenvalues(), [0.2, 0.3, 0.5])
-        np.testing.assert_array_equal(rho.diagonal(), [0.2, 0.5, 0.3])
+        np.testing.assert_array_equal(rho.diag, [0.2, 0.5, 0.3])
 
     def test_rejects_negative_diagonal(self):
         with pytest.raises(ValueError, match="negative diagonal"):
-            DensityOperator(basis=(0, 1), diag=[1.1, -0.1])
+            DensityOperator(B, diag=[1.1, -0.1])
 
     def test_rejects_trace_deficit_beyond_allowance(self):
         with pytest.raises(ValueError, match="trace"):
-            DensityOperator(basis=(0, 1), diag=[0.5, 0.4])
-        DensityOperator(basis=(0, 1), diag=[0.5, 0.4], max_trace_deficit=0.2)
+            DensityOperator(B, diag=[0.5, 0.4])
+        DensityOperator(B, diag=[0.5, 0.4], max_trace_deficit=0.2)
 
     def test_rejects_trace_excess(self):
         with pytest.raises(ValueError, match="trace"):
-            DensityOperator(basis=(0, 1), diag=[0.6, 0.5])
+            DensityOperator(B, diag=[0.6, 0.5])
 
     def test_ulp_scale_trace_excess_tolerated(self):
-        rho = DensityOperator(basis=(0, 1, 2, 3), diag=[0.25000000000000006] * 4)
+        rho = DensityOperator(F, diag=[0.25000000000000006] * 4)
         assert rho.diag.sum() > 1.0
 
     def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError, match="4 probabilities"):
+            DensityOperator(F, diag=np.full(3, 1.0 / 3.0))
         with pytest.raises(ValueError, match="shape"):
-            DensityOperator(basis=(0, 1), diag=np.full(3, 1.0 / 3.0))
-
-    def test_rejects_duplicate_labels(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            DensityOperator(basis=(0, 0), diag=[0.5, 0.5])
+            DensityOperator(B, diag=np.full((2, 2), 0.25))
+        with pytest.raises(ValueError, match="no probabilities"):
+            DensityOperator(B, diag=[])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            DensityOperator(basis=(0, 1), diag=[math.nan, 0.5])
+            DensityOperator(B, diag=[math.nan, 0.5])
 
     def test_json_round_trip(self):
-        rho = DensityOperator(basis=FERMION_BASIS, diag=[0.4, 0.3, 0.2, 0.1])
+        rho = DensityOperator(F, diag=[0.4, 0.3, 0.2, 0.1])
         doc = rho.to_json_dict()
         assert list(doc) == ["basis", "diag", "offdiag_norm"]
         assert doc["basis"] == [[0, 0], [0, 1], [1, 0], [1, 1]]
         assert doc["diag"] == [0.4, 0.3, 0.2, 0.1]
         assert doc["offdiag_norm"] == 0.0
+        assert DensityOperator(B, diag=[0.5, 0.5]).to_json_dict()["basis"] == [0, 1]
 
 
 class TestVonNeumannEntropy:
     def test_pure_state_zero(self):
-        rho = DensityOperator(basis=(0, 1), diag=[1.0, 0.0])
+        rho = DensityOperator(B, diag=[1.0, 0.0])
         assert von_neumann_entropy(rho) == 0.0
 
     def test_uniform_two_level_one_bit(self):
-        rho = DensityOperator(basis=(0, 1), diag=[0.5, 0.5])
+        rho = DensityOperator(B, diag=[0.5, 0.5])
         assert von_neumann_entropy(rho) == pytest.approx(1.0, abs=1e-15)
 
     def test_exact_zeros_are_skipped(self):
-        rho = DensityOperator(basis=(0, 1, 2), diag=[0.5, 0.5, 0.0])
+        rho = DensityOperator(B, diag=[0.5, 0.5, 0.0])
         assert von_neumann_entropy(rho) == pytest.approx(1.0, abs=1e-15)
 
     def test_unknown_method(self):
@@ -309,19 +301,18 @@ class TestVonNeumannEntropy:
             von_neumann_entropy(partial_trace(bell_pair()), method="magic")
 
     def test_result_clamped_nonnegative(self):
-        rho = DensityOperator(basis=(0,), diag=[1.0])
+        rho = DensityOperator(B, diag=[1.0])
         assert von_neumann_entropy(rho) == 0.0
 
 
 class TestPurityAndOccupation:
     def test_mean_occupation_number_labels(self):
-        for basis in ((0, 1, 2), range(3)):
-            rho = DensityOperator(basis=basis, diag=[0.5, 0.3, 0.2])
-            assert mean_occupation(rho) == pytest.approx(0.7, abs=1e-15)
-            assert mean_occupation(rho, "particle") == mean_occupation(rho)
+        rho = DensityOperator(B, diag=[0.5, 0.3, 0.2])
+        assert mean_occupation(rho) == pytest.approx(0.7, abs=1e-15)
+        assert mean_occupation(rho, "particle") == mean_occupation(rho)
 
     def test_mean_occupation_pair_labels(self):
-        rho = DensityOperator(basis=FERMION_BASIS, diag=[0.4, 0.3, 0.2, 0.1])
+        rho = DensityOperator(F, diag=[0.4, 0.3, 0.2, 0.1])
         assert mean_occupation(rho) == pytest.approx(0.3, abs=1e-15)
 
     def test_mean_occupation_bad_sector(self):

@@ -158,7 +158,7 @@ class TestFermionBuilder:
         # at tan r = e^-1.
         rho = partial_trace(build_fermion_state(fermion_sq(1.0)))
         np.testing.assert_allclose(
-            rho.diagonal(),
+            rho.diag,
             [0.7758034925743758, 0.10499358540350652, 0.10499358540350652, 0.014209336618611044],
             atol=1e-15,
         )
@@ -178,14 +178,14 @@ class TestBosonReducedAnalytic:
         np.testing.assert_allclose(closed, frozen, atol=1e-16, rtol=0.0)
         assert math.fsum(closed) == pytest.approx(1.0 - sq.boltzmann_weight**8, abs=1e-15)
         # The traced state squares each amplitude: one ulp of 0.86 away.
-        np.testing.assert_allclose(rho.diagonal()[:4], frozen, atol=1.2e-16, rtol=0.0)
+        np.testing.assert_allclose(rho.diag[:4], frozen, atol=1.2e-16, rtol=0.0)
 
     def test_matches_traced_state(self):
         for x in (0.2, 0.5, 1.0, 2.0, 5.0):
             sq = boson_sq(x)
             rho = partial_trace(build_boson_state(sq))
             assert rho.basis == range(rho.dim)
-            dev = np.max(np.abs(boson_closed_diag(sq, rho.dim) - rho.diagonal()))
+            dev = np.max(np.abs(boson_closed_diag(sq, rho.dim) - rho.diag))
             assert dev < 1e-12
 
 
@@ -195,7 +195,7 @@ class TestFermionReducedAnalytic:
             sq = fermion_sq(x)
             rho = partial_trace(build_fermion_state(sq))
             assert rho.basis == FERMION_BASIS
-            dev = np.max(np.abs(fermion_closed_diag(sq) - rho.diagonal()))
+            dev = np.max(np.abs(fermion_closed_diag(sq) - rho.diag))
             assert dev < 1e-12
 
     def test_maximal_mixing_is_uniform(self):
@@ -204,4 +204,4 @@ class TestFermionReducedAnalytic:
         # cos^2(pi/4) rounds to 0.5000000000000001, so the traced weights are
         # a few ulp off uniform.
         rho = partial_trace(build_fermion_state(sq))
-        np.testing.assert_allclose(rho.diagonal(), [0.25, 0.25, 0.25, 0.25], atol=1.2e-16, rtol=0.0)
+        np.testing.assert_allclose(rho.diag, [0.25, 0.25, 0.25, 0.25], atol=1.2e-16, rtol=0.0)

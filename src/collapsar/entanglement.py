@@ -141,10 +141,11 @@ def temperature_ratio_fit(rho: DensityOperator, x: float) -> float:
     if rho.statistics is Statistics.BOSON:
         ns = particle_numbers(rho)
         mask = diag > _FIT_FLOOR
-        if int(mask.sum()) < 2:
+        k = np.count_nonzero(mask)
+        if k < 2:
             return math.nan
         dn = ns[mask]
-        dn -= dn.mean()
+        dn -= dn.sum() / k
         y = np.log(diag[mask])
         y -= y[y.size // 2]
         slope = float((dn * y).sum() / (dn * dn).sum())

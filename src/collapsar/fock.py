@@ -28,6 +28,9 @@ BasisLabel = Union[int, tuple[int, int]]
 FERMION_BASIS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 # Index in FERMION_BASIS of each label's slot-exchanged partner; its own inverse.
 _SLOT_EXCHANGE = [0, 2, 1, 3]
+# Particle number of each FERMION_BASIS label: its first slot.
+_FERMION_NUMBERS = np.array([lab[0] for lab in FERMION_BASIS], dtype=np.float64)
+_FERMION_NUMBERS.setflags(write=False)
 
 # Completeness window half-width for pure states.
 EPS_NORM = 1e-12
@@ -37,12 +40,21 @@ PSD_ATOL = 1e-10
 TRACE_DEFICIT_DEFAULT = 1e-9
 # Allowance on trace above 1 (pure rounding).
 TRACE_EXCESS = 1e-12
+# Within this distance of a completeness window edge the pairwise sum of
+# squares does not decide; math.fsum does.  Over 20x numpy's pairwise
+# error bound on a sum near 1, even at d = 2e7.
+_EDGE_SLACK = 1e-13
 # Eigenvalues at or below this floor are treated as exact zeros in entropies.
 LAMBDA_FLOOR = 1e-30
 
 
 def _basis(statistics: Statistics, d: int) -> Sequence[BasisLabel]:
     return FERMION_BASIS if statistics is Statistics.FERMION else range(d)
+
+
+def _is_real(value: object) -> bool:
+    """An int or float; a bool is not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_shape(statistics: Statistics, values: np.ndarray, what: str) -> None:
@@ -65,6 +77,11 @@ class PureBipartiteState:
     may overestimate the discarded mass by up to a factor 1/(1-q), so the
     retained probability plus ``tail_bound`` may exceed 1 by almost
     ``tail_bound`` itself.
+
+    The squared norm is numpy's pairwise sum of the squared amplitudes.
+    Within ``_EDGE_SLACK`` of a window edge, or when the check fails, the
+    exactly rounded ``norm_squared()`` (``math.fsum``) decides instead and is
+    the total an error reports, so every decision is that of the exact sum.
     """
 
     statistics: Statistics
@@ -77,20 +94,27 @@ class PureBipartiteState:
         if amps.dtype.kind not in "iuf":
             raise ValueError(f"amplitudes are not real numbers: dtype {amps.dtype}")
         _check_shape(statistics, amps, "amplitudes")
-        if not np.isfinite(amps).all():
+        amps = amps.astype(np.float64, copy=False)
+        with np.errstate(over="ignore"):
+            total = float((amps * amps).sum())
+        # A nan or inf amplitude always makes the sum non-finite.
+        if not math.isfinite(total) and not np.isfinite(amps).all():
             raise ValueError("non-finite amplitude")
         tail = self.tail_bound
-        if not (isinstance(tail, (int, float)) and 0.0 <= tail < 1.0):
+        if not _is_real(tail) or not 0.0 <= tail < 1.0:
             raise ValueError(f"tail_bound must lie in [0, 1), got {tail!r}")
-        amps = amps.astype(np.float64, copy=False)
         amps.setflags(write=False)
         object.__setattr__(self, "statistics", statistics)
         object.__setattr__(self, "amplitudes", amps)
-        total = self.norm_squared() + tail
-        if not (1.0 - EPS_NORM <= total <= 1.0 + EPS_NORM + tail):
-            raise ValueError(
-                f"state not complete: |amplitudes|^2 + tail_bound = {total!r}"
-            )
+        total += tail
+        upper = 1.0 + EPS_NORM + tail
+        if not 1.0 - EPS_NORM + _EDGE_SLACK < total < upper - _EDGE_SLACK:
+            # At an edge, or failing: decide and report on the exact sum.
+            total = self.norm_squared() + tail
+            if not 1.0 - EPS_NORM <= total <= upper:
+                raise ValueError(
+                    f"state not complete: |amplitudes|^2 + tail_bound = {total!r}"
+                )
 
     @property
     def coefficients(self) -> Mapping[tuple[BasisLabel, BasisLabel], float]:
@@ -98,7 +122,13 @@ class PureBipartiteState:
         return _Coefficients(self)
 
     def norm_squared(self) -> float:
-        return math.fsum((self.amplitudes * self.amplitudes).tolist())
+        """Exactly rounded sum of the squared amplitudes; inf past the float range."""
+        with np.errstate(over="ignore"):
+            squares = (self.amplitudes * self.amplitudes).tolist()
+        try:
+            return math.fsum(squares)
+        except OverflowError:
+            return math.inf
 
     def hor_labels(self) -> tuple[BasisLabel, ...]:
         return tuple(_basis(self.statistics, self.amplitudes.size))
@@ -153,14 +183,17 @@ class DensityOperator:
         statistics = Statistics(self.statistics)
         diag = np.array(self.diag, dtype=np.float64, copy=True)
         _check_shape(statistics, diag, "probabilities")
-        if not np.isfinite(diag).all():
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr = float(diag.sum())
+        # A nan or inf entry always makes the trace non-finite.
+        if not math.isfinite(tr) and not np.isfinite(diag).all():
             raise ValueError("non-finite diagonal entries")
-        if not (0.0 <= self.max_trace_deficit < 1.0):
-            raise ValueError(f"bad max_trace_deficit {self.max_trace_deficit!r}")
+        deficit = self.max_trace_deficit
+        if not _is_real(deficit) or not 0.0 <= deficit < 1.0:
+            raise ValueError(f"bad max_trace_deficit {deficit!r}")
         if float(diag.min()) < -PSD_ATOL:
             raise ValueError(f"negative diagonal entry {float(diag.min())!r}")
-        tr = float(diag.sum())
-        if not (1.0 - self.max_trace_deficit - 1e-15 <= tr <= 1.0 + TRACE_EXCESS):
+        if not (1.0 - deficit - 1e-15 <= tr <= 1.0 + TRACE_EXCESS):
             raise ValueError(f"trace {tr!r} outside allowed window")
 
         diag.setflags(write=False)
@@ -219,17 +252,18 @@ def von_neumann_entropy(rho: DensityOperator, method: Literal["eigen"] = "eigen"
     p = p[p > LAMBDA_FLOOR]
     if p.size == 0:
         return 0.0
-    s = -float(np.sum(p * np.log2(p)))
+    s = -float((p * np.log2(p)).sum())
     return max(0.0, s)
 
 
 def particle_numbers(rho: DensityOperator) -> np.ndarray:
     """Particle number of each basis label, in basis order, as float64.
 
-    A pair label carries it in its first slot.
+    A pair label carries it in its first slot; the fermion array is one
+    shared read-only constant.
     """
     if rho.statistics is Statistics.FERMION:
-        return np.array([lab[0] for lab in FERMION_BASIS], dtype=np.float64)
+        return _FERMION_NUMBERS
     return np.arange(rho.dim, dtype=np.float64)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from collapsar import Statistics, partial_trace, von_neumann_entropy
 from collapsar.fock import (
+    EPS_NORM,
     FERMION_BASIS,
     DensityOperator,
     PureBipartiteState,
@@ -120,9 +121,10 @@ class TestPureBipartiteState:
         with pytest.raises(ValueError, match="1-D"):
             PureBipartiteState(B, [[1.0]])
 
-    @pytest.mark.parametrize("tail", [-1e-3, 1.0, math.nan])
+    # A bool is not a number here, and neither is a string.
+    @pytest.mark.parametrize("tail", [-1e-3, 1.0, math.nan, False, True, "0", None])
     def test_rejects_bad_tail(self, tail):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tail_bound must lie"):
             PureBipartiteState(B, [1.0], tail_bound=tail)
 
     def test_integer_amplitudes_become_float64(self):
@@ -139,6 +141,69 @@ class TestPureBipartiteState:
         assert ((0, 1), (0, 1)) not in view
         assert ((2, 0), (0, 0)) not in view
         assert 0 not in view
+
+
+class TestCompleteness:
+    """The pairwise sum of squares decides away from the window edges; fsum at them."""
+
+    @given(
+        statistics=st.sampled_from([B, F]),
+        d=st.integers(1, 20_000),
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["normal", "decaying", "spike"]),
+        tail=st.one_of(st.just(0.0), st.floats(0.0, 1e-6)),
+        upper=st.booleans(),
+        ulps=st.integers(-8, 8),
+    )
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_decision_is_the_fsum_window_check(
+        self, statistics, d, seed, shape, tail, upper, ulps
+    ):
+        rng = np.random.default_rng(seed)
+        n = 4 if statistics is F else d
+        if shape == "normal":
+            amps = rng.standard_normal(n)
+        elif shape == "decaying":
+            amps = rng.uniform(0.5, 1.0) ** np.arange(n) * rng.choice([-1.0, 1.0], n)
+        else:
+            # Squares below half an ulp of the first: a running sum that
+            # starts from the first square drops them, fsum does not.
+            amps = np.full(n, math.sqrt(rng.uniform(1e-18, 6e-17)))
+            amps[0] = 1.0
+        assume(np.any(amps))
+        # Rescale so that fsum(a^2) + tail lands within 8 ulp of an edge.
+        edge = 1.0 + EPS_NORM + tail if upper else 1.0 - EPS_NORM
+        target = edge + ulps * math.ulp(edge) - tail
+        amps *= math.sqrt(target / math.fsum((amps * amps).tolist()))
+        total = math.fsum((amps * amps).tolist()) + tail
+        assume(abs(total - edge) <= 8 * math.ulp(edge))
+        if 1.0 - EPS_NORM <= total <= 1.0 + EPS_NORM + tail:
+            PureBipartiteState(statistics, amps, tail_bound=tail)
+        else:
+            with pytest.raises(ValueError, match="not complete") as exc:
+                PureBipartiteState(statistics, amps, tail_bound=tail)
+            assert str(exc.value).endswith(f"= {total!r}")
+
+    def test_inner_states_skip_the_exact_sum(self, monkeypatch):
+        def exact_sum(self):
+            raise AssertionError("fsum reached away from the window edges")
+
+        monkeypatch.setattr(PureBipartiteState, "norm_squared", exact_sum)
+        PureBipartiteState(F, FERMION_AMPS)
+        bell_pair()
+        a = math.sqrt(1.0 - 5e-9)
+        PureBipartiteState(B, [a], tail_bound=1e-8)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "amps",
+        [[1e200], [1e154, 1e154], [1e200, 0.0, 0.0, 0.0]],
+        ids=["square-overflows", "sum-overflows", "fermion-square-overflows"],
+    )
+    def test_overflow_is_incomplete_without_warning(self, amps):
+        statistics = F if len(amps) == 4 else B
+        with pytest.raises(ValueError, match=r"not complete: .* = inf$"):
+            PureBipartiteState(statistics, amps)
 
 
 # The fermion pairing, written out here rather than imported: each horizon
@@ -272,6 +337,19 @@ class TestDensityOperator:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             DensityOperator(B, diag=[math.nan, 0.5])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_trace_is_rejected_without_warning(self):
+        with pytest.raises(ValueError, match="trace inf outside allowed window"):
+            DensityOperator(B, diag=[1e308, 1e308])
+        with pytest.raises(ValueError, match="non-finite diagonal entries"):
+            DensityOperator(B, diag=[math.inf, -math.inf])
+
+    # A bool is not a number here, and neither is a string.
+    @pytest.mark.parametrize("deficit", [-1e-3, 1.0, math.nan, False, True, "x", None])
+    def test_rejects_bad_max_trace_deficit(self, deficit):
+        with pytest.raises(ValueError, match="bad max_trace_deficit"):
+            DensityOperator(B, diag=[1.0], max_trace_deficit=deficit)
 
     def test_json_round_trip(self):
         rho = DensityOperator(F, diag=[0.4, 0.3, 0.2, 0.1])

@@ -92,6 +92,20 @@ class TestBosonBuilder:
         assert len(state.coefficients) == N_CAP
         assert live <= 512 * 2**10
 
+    def test_state_at_cap_peaks_at_four_level_vectors(self):
+        # Building and checking the state at N_CAP levels allocates no
+        # per-level Python objects: the peak stays within four float64
+        # vectors of N_CAP entries (512 KiB).
+        sq = boson_sq(1.032e-3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build_boson_state(sq)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * N_CAP
+
     def test_infrared_floor(self):
         with pytest.raises(SqueezingOverflowError):
             build_boson_state(boson_sq(1e-7))

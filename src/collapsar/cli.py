@@ -40,8 +40,8 @@ from .geometry import (
 )
 from .states import EPS_TAIL_DEFAULT, build_boson_state, build_fermion_state
 
-# Largest sweep grid.  A point at the truncation cap costs ~2 ms for both
-# statistics, so a sweep with every point there stays under about a minute.
+# Largest sweep grid.  A point at the truncation cap costs ~0.6 ms for both
+# statistics, so a sweep with every point there takes about 12 s.
 MAX_SWEEP_POINTS = 20_000
 
 
@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = mode.add_mutually_exclusive_group(required=True)
     group.add_argument("--omega", type=float, help="mode frequency omega > 0")
     group.add_argument(
-        "--x", type=float, help="dimensionless 4 pi m omega, overrides --omega"
+        "--x", type=float, help="dimensionless 4 pi m omega, in place of --omega"
     )
 
     trunc = argparse.ArgumentParser(add_help=False)

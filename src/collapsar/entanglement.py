@@ -144,11 +144,20 @@ def temperature_ratio_fit(rho: DensityOperator, x: float) -> float:
         k = np.count_nonzero(mask)
         if k < 2:
             return math.nan
-        dn = ns[mask]
-        dn -= dn.sum() / k
-        y = np.log(diag[mask])
+        if mask[:k].all():
+            # The fitted levels are 0..k-1, whose mean is exactly (k - 1) / 2.
+            dn = ns[:k] - (k - 1) / 2
+            y = diag[:k]
+        else:
+            dn = ns[mask]
+            dn -= dn.sum() / k
+            y = diag[mask]
+        del ns, mask
+        sxx = (dn * dn).sum()
+        y = np.log(y)
         y -= y[y.size // 2]
-        slope = float((dn * y).sum() / (dn * dn).sum())
+        y *= dn
+        slope = float(y.sum() / sxx)
         if not (math.isfinite(slope) and slope < 0.0):
             return math.nan
         return -2.0 * x / slope

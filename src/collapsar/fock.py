@@ -57,6 +57,12 @@ def _is_real(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _one_signed_zero(values: np.ndarray) -> bool:
+    """No two zeros of ``values`` differ in sign."""
+    signs = np.signbit(values[values == 0.0])
+    return bool(signs.all() or not signs.any())
+
+
 def _check_shape(statistics: Statistics, values: np.ndarray, what: str) -> None:
     if values.ndim != 1:
         raise ValueError(f"{what} must be a 1-D array, got shape {values.shape}")
@@ -172,7 +178,8 @@ class DensityOperator:
     ``diag`` holds the probabilities in ``basis`` order, as a read-only
     float64 array.  ``max_trace_deficit`` widens the lower trace window for
     operators that descend from truncated states; it is a validation
-    allowance, not data.
+    allowance, not data.  The constructor checks a caller's probabilities;
+    a reduction from ``partial_trace`` is checked once, on its pair state.
     """
 
     statistics: Statistics
@@ -181,8 +188,11 @@ class DensityOperator:
 
     def __post_init__(self) -> None:
         statistics = Statistics(self.statistics)
-        diag = np.array(self.diag, dtype=np.float64, copy=True)
+        diag = np.array(self.diag)
+        if diag.dtype.kind not in "iuf":
+            raise ValueError(f"probabilities are not real numbers: dtype {diag.dtype}")
         _check_shape(statistics, diag, "probabilities")
+        diag = diag.astype(np.float64, copy=False)
         with np.errstate(over="ignore", invalid="ignore"):
             tr = float(diag.sum())
         # A nan or inf entry always makes the trace non-finite.
@@ -200,6 +210,26 @@ class DensityOperator:
         object.__setattr__(self, "statistics", statistics)
         object.__setattr__(self, "diag", diag)
 
+    @classmethod
+    def _reduced(
+        cls, statistics: Statistics, diag: np.ndarray, max_trace_deficit: float
+    ) -> DensityOperator:
+        """Adopt a fresh diagonal that a validated pair state fixed, unchecked.
+
+        The squares of finite amplitudes are finite and non-negative, and
+        their sum is the one the state accepted, so the constructor's checks
+        would repeat the state's.  The windows differ only at two edges: a
+        sum whose exact total sits on the state's upper edge may lie an ulp
+        above the trace window, and a tail bound within 1e-9 of 1 lets the
+        state keep less weight than the clamped trace window asks.
+        """
+        rho = object.__new__(cls)
+        diag.setflags(write=False)
+        object.__setattr__(rho, "statistics", statistics)
+        object.__setattr__(rho, "diag", diag)
+        object.__setattr__(rho, "max_trace_deficit", max_trace_deficit)
+        return rho
+
     @property
     def basis(self) -> Sequence[BasisLabel]:
         """``range(dim)`` for a bosonic mode, ``FERMION_BASIS`` for a fermionic one."""
@@ -210,8 +240,18 @@ class DensityOperator:
         return self.diag.size
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending real spectrum: the sorted diagonal."""
-        return np.sort(self.diag)
+        """Ascending real spectrum: the sorted diagonal, as a fresh contiguous array.
+
+        A non-increasing diagonal, as every reduction of a built state is,
+        is reversed rather than sorted; the bits are those of ``np.sort``.
+        The one exception sorts: a tie of +0.0 and -0.0, whose input order
+        ``np.sort`` keeps.  Like its diagonal, the spectrum of a reduction is
+        checked once, on its pair state.
+        """
+        diag = self.diag
+        if (diag[1:] <= diag[:-1]).all() and (diag[-1] > 0.0 or _one_signed_zero(diag)):
+            return diag[::-1].copy()
+        return np.sort(diag)
 
     def to_json_dict(self) -> dict:
         """Serialisable view: basis labels, diagonal, and off-diagonal weight (always 0)."""
@@ -229,7 +269,9 @@ def partial_trace(
 
     Each kept label carries the weight amplitude^2 of its single pair; a
     fermionic outgoing label takes it from its slot-exchanged horizon
-    partner.  The trace window is widened by the state's tail bound.
+    partner.  The trace window is widened by the state's tail bound.  The
+    reduction is checked once, on its pair state: the operator adopts the
+    fresh weights without a second copy, sum or sign check.
     """
     if keep not in ("out", "hor"):
         raise ValueError(f"keep must be 'out' or 'hor', got {keep!r}")
@@ -237,7 +279,7 @@ def partial_trace(
     if keep == "out" and state.statistics is Statistics.FERMION:
         weights = weights[_SLOT_EXCHANGE]
     deficit = min(1.0 - 1e-12, TRACE_DEFICIT_DEFAULT + state.tail_bound)
-    return DensityOperator(state.statistics, weights, max_trace_deficit=deficit)
+    return DensityOperator._reduced(state.statistics, weights, deficit)
 
 
 def von_neumann_entropy(rho: DensityOperator, method: Literal["eigen"] = "eigen") -> float:
@@ -249,11 +291,13 @@ def von_neumann_entropy(rho: DensityOperator, method: Literal["eigen"] = "eigen"
     if method != "eigen":
         raise ValueError(f"unknown method {method!r}")
     p = rho.eigenvalues()
-    p = p[p > LAMBDA_FLOOR]
-    if p.size == 0:
-        return 0.0
-    s = -float((p * np.log2(p)).sum())
-    return max(0.0, s)
+    if p[0] <= LAMBDA_FLOOR:
+        p = p[np.searchsorted(p, LAMBDA_FLOOR, side="right") :]
+        if p.size == 0:
+            return 0.0
+    t = np.log2(p)
+    t *= p
+    return max(0.0, -float(t.sum()))
 
 
 def particle_numbers(rho: DensityOperator) -> np.ndarray:

@@ -207,6 +207,28 @@ def mpmath_slope(ns, ps):
         )
 
 
+def masked_fit(rho, x):
+    """The boson fit over the fit points, centred on their mean label."""
+    ns, ps = fit_points(rho)
+    dn = ns - ns.sum() / ns.size
+    y = np.log(ps)
+    y -= y[y.size // 2]
+    slope = float((dn * y).sum() / (dn * dn).sum())
+    return -2.0 * x / slope if math.isfinite(slope) and slope < 0.0 else math.nan
+
+
+@st.composite
+def ladders(draw):
+    """A thermal ladder, its x, and a level below the fit floor or zero tail levels."""
+    d = draw(st.integers(3, 300))
+    x = draw(st.floats(0.005, 2.5))
+    diag = -math.expm1(-2.0 * x) * np.exp(-2.0 * x * np.arange(d))
+    if draw(st.booleans()):
+        diag[draw(st.integers(1, d - 2))] = 1e-16
+    zeros = draw(st.integers(0, 4))
+    return x, np.concatenate([diag, np.zeros(zeros)])
+
+
 class TestTemperatureRatio:
     def test_boson_thermal_diagonal_fits_to_one(self):
         for x in (0.5, 1.0, 2.0):
@@ -313,6 +335,20 @@ class TestTemperatureRatio:
         else:
             assert math.isnan(t_ratio)
 
+    # Every built ladder's fitted levels form a prefix, which the fit slices;
+    # a level below the floor in the middle takes the masked path.  Both give
+    # the bits of the masked centred sums.
+    @given(ladder=ladders())
+    @example(ladder=(0.5, np.array([0.6, 0.3, 1e-16, 0.1])))
+    @example(ladder=(0.5, np.array([0.6, 0.3, 0.1, 0.0, 0.0])))
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_prefix_and_masked_fits_match_masked_sums(self, ladder):
+        x, diag = ladder
+        rho = DensityOperator(B, diag, max_trace_deficit=0.999)
+        want = masked_fit(rho, x)
+        got = temperature_ratio_fit(rho, x)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
     # A flat spectrum has no temperature; polyfit read a rounding-level slope
     # off range(8) and reported T_ratio = 1.1e17.  A flat fermion spectrum
     # has p(0,1) == p(0,0).
@@ -362,6 +398,21 @@ class TestEntropyReport:
             tracemalloc.stop()
         assert peak <= 64 * 2**20
         assert r.gap < 1e-9
+
+    def test_report_at_cap_peaks_at_five_level_vectors(self):
+        # The state's amplitudes and the operator's diagonal live through the
+        # whole report; the spectrum, entropy, occupation and fit add at most
+        # three more float64 vectors of N_CAP entries (640 KiB in all).
+        p, c = BlackHoleParams(mass=1.0), ModeChannel(1.032e-3 / FOUR_PI, B)
+        entropy_report(p, c)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            entropy_report(p, c)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * N_CAP
 
     def test_overflow_propagates(self):
         from collapsar import SqueezingOverflowError

@@ -7,10 +7,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from collapsar import Statistics, partial_trace, von_neumann_entropy
+from collapsar import (
+    SqueezingParams,
+    Statistics,
+    build_boson_state,
+    build_fermion_state,
+    partial_trace,
+    von_neumann_entropy,
+)
 from collapsar.fock import (
     EPS_NORM,
     FERMION_BASIS,
+    LAMBDA_FLOOR,
+    PSD_ATOL,
+    TRACE_DEFICIT_DEFAULT,
+    TRACE_EXCESS,
     DensityOperator,
     PureBipartiteState,
     mean_occupation,
@@ -292,6 +303,55 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(bell_pair(), keep="in")
 
+    # The reduction of a built state, either side: the state's squares in
+    # basis order, read-only, and an operator the public constructor accepts.
+    # Its spectrum is a reversal: np.sort never runs.
+    @pytest.mark.parametrize(
+        "statistics, x",
+        [(B, 1.032e-3), (B, 0.1), (B, 3.0), (B, 40.0), (F, 1e-6), (F, 1.0), (F, 50.0)],
+    )
+    def test_built_reduction_is_the_checked_squares(self, monkeypatch, statistics, x):
+        sq = SqueezingParams.from_x(statistics, x)
+        state = build_boson_state(sq) if statistics is B else build_fermion_state(sq)
+        squares = state.amplitudes**2
+        deficit = min(1.0 - 1e-12, TRACE_DEFICIT_DEFAULT + state.tail_bound)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.sort ran on a non-increasing diagonal")
+
+        for keep in ("hor", "out"):
+            rho = partial_trace(state, keep)
+            want = squares[[0, 2, 1, 3]] if statistics is F and keep == "out" else squares
+            np.testing.assert_array_equal(rho.diag, want)
+            assert rho.diag.dtype == np.float64
+            assert not rho.diag.flags.writeable
+            assert rho.statistics is statistics and rho.max_trace_deficit == deficit
+            again = DensityOperator(rho.statistics, rho.diag, rho.max_trace_deficit)
+            np.testing.assert_array_equal(again.diag, rho.diag)
+            with monkeypatch.context() as m:
+                m.setattr(np, "sort", no_sort)
+                np.testing.assert_array_equal(rho.eigenvalues(), want[::-1])
+
+    def test_reduction_skips_the_public_checks(self, monkeypatch):
+        def public_checks(self):
+            raise AssertionError("a reduction was checked a second time")
+
+        monkeypatch.setattr(DensityOperator, "__post_init__", public_checks)
+        for keep in ("hor", "out"):
+            partial_trace(bell_pair(), keep)
+            partial_trace(PureBipartiteState(F, FERMION_AMPS), keep)
+
+    def test_state_at_the_upper_edge_reduces(self):
+        # fsum(a^2) is exactly 1 + EPS_NORM, which the state accepts; the
+        # pairwise sum lies 1 ulp above, which only a second check refuses.
+        amps = [-0.5636345654443332, 0.8255617528835841, -0.027638176733674816]
+        state = PureBipartiteState(B, amps)
+        assert state.norm_squared() == 1.0 + EPS_NORM
+        rho = partial_trace(state)
+        assert float(rho.diag.sum()) > 1.0 + TRACE_EXCESS
+        with pytest.raises(ValueError, match="trace"):
+            DensityOperator(B, rho.diag)
+
 
 class TestDensityOperator:
     def test_matrix_read_only(self):
@@ -308,6 +368,37 @@ class TestDensityOperator:
         assert rho.diag.dtype == np.float64 and rho.diag.shape == (3,)
         np.testing.assert_array_equal(rho.eigenvalues(), [0.2, 0.3, 0.5])
         np.testing.assert_array_equal(rho.diag, [0.2, 0.5, 0.3])
+
+    # Non-increasing diagonals are reversed, others sorted; either way the
+    # spectrum is np.sort's, bit for bit, in a fresh contiguous array.
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, -PSD_ATOL, 5e-324, LAMBDA_FLOOR, 0.25]),
+                st.floats(-PSD_ATOL, 1.0),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        order=st.sampled_from(["non-increasing", "ascending", "drawn"]),
+    )
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_eigenvalues_are_np_sort_bit_for_bit(self, values, order):
+        diag = np.array(values)
+        positive = diag > 0.0
+        assume(positive.any())
+        # Scaling the positive entries to unit sum keeps each tie and each
+        # zero's sign.
+        diag[positive] /= diag[positive].sum()
+        if order == "non-increasing":
+            diag = -np.sort(-diag, kind="stable")
+        elif order == "ascending":
+            diag = np.sort(diag, kind="stable")
+        rho = DensityOperator(B, diag, max_trace_deficit=1e-6)
+        got = rho.eigenvalues()
+        assert got.tobytes() == np.sort(rho.diag).tobytes()
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert not np.shares_memory(got, rho.diag)
 
     def test_rejects_negative_diagonal(self):
         with pytest.raises(ValueError, match="negative diagonal"):
@@ -337,6 +428,21 @@ class TestDensityOperator:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             DensityOperator(B, diag=[math.nan, 0.5])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "diag",
+        [
+            ["0.5", "0.5"],
+            [True, False],
+            np.array([0.5, 0.5], dtype=object),
+            np.array([0.5 + 0.5j, 0.5]),
+        ],
+        ids=["strings", "bools", "object", "complex"],
+    )
+    def test_rejects_non_numbers(self, diag):
+        with pytest.raises(ValueError, match="probabilities are not real numbers: dtype"):
+            DensityOperator(B, diag)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_trace_is_rejected_without_warning(self):
@@ -381,6 +487,26 @@ class TestVonNeumannEntropy:
     def test_result_clamped_nonnegative(self):
         rho = DensityOperator(B, diag=[1.0])
         assert von_neumann_entropy(rho) == 0.0
+
+    # Eigenvalues at or below LAMBDA_FLOOR drop out; the sum runs over the
+    # same ascending entries, in the same order, as a mask of the sorted
+    # spectrum would leave.
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            partial_trace(build_fermion_state(SqueezingParams.from_x(F, 50.0))),
+            DensityOperator(B, [0.5, 0.25, 0.125, 0.125, 0.0, 0.0]),
+            DensityOperator(B, [0.5, 0.5 - 2 * LAMBDA_FLOOR, LAMBDA_FLOOR, LAMBDA_FLOOR]),
+            DensityOperator(B, [1.0, LAMBDA_FLOOR]),
+            DensityOperator(B, [0.75, 0.25, 2 * LAMBDA_FLOOR, -0.0, -PSD_ATOL / 2]),
+        ],
+        ids=["fermion-x50", "boson-zero-tail", "at-floor", "pure-at-floor", "negative"],
+    )
+    def test_floor_drops_the_same_entries_as_a_mask(self, rho):
+        p = np.sort(rho.diag)
+        assert p[0] <= LAMBDA_FLOOR
+        p = p[p > LAMBDA_FLOOR]
+        assert von_neumann_entropy(rho) == max(0.0, -float((p * np.log2(p)).sum()))
 
 
 class TestPurityAndOccupation:

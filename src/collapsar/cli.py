@@ -36,6 +36,7 @@ from .geometry import (
     BlackHoleParams,
     ModeChannel,
     Statistics,
+    _require_finite_positive,
     squeezing_for,
 )
 from .states import EPS_TAIL_DEFAULT, build_boson_state, build_fermion_state
@@ -66,10 +67,8 @@ def _omega_from_x(x: float, mass: float) -> float:
 
 def _channel_omega(args: argparse.Namespace) -> float:
     if args.x is not None:
-        x = args.x
-        if not (math.isfinite(x) and x > 0.0):
-            raise ValueError(f"x must be a finite positive real, got {x!r}")
-        return _omega_from_x(x, args.mass)
+        _require_finite_positive("x", args.x)
+        return _omega_from_x(args.x, args.mass)
     return args.omega
 
 
@@ -115,6 +114,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(
             f"need 0 < omega-min < omega-max, got {args.omega_min!r}, {args.omega_max!r}"
         )
+    # Past the ordering check only +inf is left to refuse, before numpy
+    # spaces a grid over it.
+    _require_finite_positive("omega-max", args.omega_max)
     if args.grid == "log":
         omegas = np.geomspace(args.omega_min, args.omega_max, args.points)
     else:
@@ -244,10 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     except SqueezingOverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,24 +10,19 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import SqueezingOverflowError
-from .fock import (
-    DensityOperator,
-    mean_occupation,
-    partial_trace,
-    particle_numbers,
-    von_neumann_entropy,
-)
+from .fock import DensityOperator, mean_occupation, partial_trace, von_neumann_entropy
 from .geometry import (
     BlackHoleParams,
     ModeChannel,
     SqueezingParams,
     Statistics,
     _require_finite_positive,
+    _require_statistics,
     dimensionless_x,
     squeezing_for,
 )
@@ -47,26 +42,6 @@ _FIT_FLOOR = 1e-15
 # S_f - S_b changes sign exactly once on a log grid over [1e-3, 100], and
 # that the change lies inside this bracket.
 CROSSOVER_BRACKET = (0.1, 1.0)
-
-CSV_HEADER = (
-    "x",
-    "omega",
-    "mass",
-    "statistics",
-    "S_closed",
-    "S_numeric",
-    "gap",
-    "mean_occ",
-    "T_ratio",
-    "error",
-)
-
-
-def _require_statistics(squeezing: SqueezingParams, expected: Statistics) -> None:
-    if squeezing.statistics is not expected:
-        raise ValueError(
-            f"expected {expected.value} squeezing, got {squeezing.statistics.value}"
-        )
 
 
 def boson_entropy(squeezing: SqueezingParams) -> float:
@@ -122,6 +97,9 @@ class EntropyReport:
     error: str | None = None
 
 
+CSV_HEADER = tuple(f.name for f in fields(EntropyReport))
+
+
 def temperature_ratio_fit(rho: DensityOperator, x: float) -> float:
     """Radiation temperature read off the occupation spectrum, over T_H.
 
@@ -139,20 +117,21 @@ def temperature_ratio_fit(rho: DensityOperator, x: float) -> float:
     _require_finite_positive("x", x)
     diag = rho.diag
     if rho.statistics is Statistics.BOSON:
-        ns = particle_numbers(rho)
         mask = diag > _FIT_FLOOR
         k = np.count_nonzero(mask)
         if k < 2:
             return math.nan
         if mask[:k].all():
             # The fitted levels are 0..k-1, whose mean is exactly (k - 1) / 2.
-            dn = ns[:k] - (k - 1) / 2
+            dn = np.arange(k, dtype=np.float64)
+            dn -= (k - 1) / 2
             y = diag[:k]
         else:
-            dn = ns[mask]
-            dn -= dn.sum() / k
+            # An integer sum over k is the exact mean, correctly rounded.
+            levels = np.flatnonzero(mask)
+            dn = levels - levels.sum() / k
             y = diag[mask]
-        del ns, mask
+        del mask
         sxx = (dn * dn).sum()
         y = np.log(y)
         y -= y[y.size // 2]
@@ -269,8 +248,7 @@ def sweep(
     if not oms:
         raise ValueError("empty frequency grid")
     for o in oms:
-        if not (math.isfinite(o) and o > 0.0):
-            raise ValueError(f"omega must be a finite positive real, got {o!r}")
+        _require_finite_positive("omega", o)
     if any(b <= a for a, b in zip(oms, oms[1:])):
         raise ValueError("frequency grid must be strictly increasing")
     if isinstance(statistics, (Statistics, str)):

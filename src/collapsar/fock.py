@@ -21,7 +21,7 @@ from typing import Literal, Union
 
 import numpy as np
 
-from .geometry import Statistics
+from .geometry import Statistics, _is_real
 
 BasisLabel = Union[int, tuple[int, int]]
 
@@ -52,24 +52,29 @@ def _basis(statistics: Statistics, d: int) -> Sequence[BasisLabel]:
     return FERMION_BASIS if statistics is Statistics.FERMION else range(d)
 
 
-def _is_real(value: object) -> bool:
-    """An int or float; a bool is not a number here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _one_signed_zero(values: np.ndarray) -> bool:
     """No two zeros of ``values`` differ in sign."""
     signs = np.signbit(values[values == 0.0])
     return bool(signs.all() or not signs.any())
 
 
-def _check_shape(statistics: Statistics, values: np.ndarray, what: str) -> None:
-    if values.ndim != 1:
-        raise ValueError(f"{what} must be a 1-D array, got shape {values.shape}")
-    if values.size == 0:
+def _real_vector(statistics: Statistics, values: object, what: str) -> np.ndarray:
+    """A float64 copy of ``values``: real numbers, one per basis label."""
+    vec = np.array(values)
+    if vec.dtype.kind not in "iuf":
+        raise ValueError(f"{what} are not real numbers: dtype {vec.dtype}")
+    if vec.ndim != 1:
+        raise ValueError(f"{what} must be a 1-D array, got shape {vec.shape}")
+    if vec.size == 0:
         raise ValueError(f"no {what}")
-    if statistics is Statistics.FERMION and values.size != len(FERMION_BASIS):
-        raise ValueError(f"a fermion mode has 4 {what}, got {values.size}")
+    if statistics is Statistics.FERMION and vec.size != len(FERMION_BASIS):
+        raise ValueError(f"a fermion mode has 4 {what}, got {vec.size}")
+    return vec.astype(np.float64, copy=False)
+
+
+def _require_fraction(name: str, value: object) -> None:
+    if not (_is_real(value) and 0.0 <= value < 1.0):
+        raise ValueError(f"{name} must lie in [0, 1), got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,19 +101,14 @@ class PureBipartiteState:
 
     def __post_init__(self) -> None:
         statistics = Statistics(self.statistics)
-        amps = np.array(self.amplitudes)
-        if amps.dtype.kind not in "iuf":
-            raise ValueError(f"amplitudes are not real numbers: dtype {amps.dtype}")
-        _check_shape(statistics, amps, "amplitudes")
-        amps = amps.astype(np.float64, copy=False)
+        amps = _real_vector(statistics, self.amplitudes, "amplitudes")
         with np.errstate(over="ignore"):
             total = float((amps * amps).sum())
         # A nan or inf amplitude always makes the sum non-finite.
         if not math.isfinite(total) and not np.isfinite(amps).all():
             raise ValueError("non-finite amplitude")
         tail = self.tail_bound
-        if not _is_real(tail) or not 0.0 <= tail < 1.0:
-            raise ValueError(f"tail_bound must lie in [0, 1), got {tail!r}")
+        _require_fraction("tail_bound", tail)
         amps.setflags(write=False)
         object.__setattr__(self, "statistics", statistics)
         object.__setattr__(self, "amplitudes", amps)
@@ -188,19 +188,14 @@ class DensityOperator:
 
     def __post_init__(self) -> None:
         statistics = Statistics(self.statistics)
-        diag = np.array(self.diag)
-        if diag.dtype.kind not in "iuf":
-            raise ValueError(f"probabilities are not real numbers: dtype {diag.dtype}")
-        _check_shape(statistics, diag, "probabilities")
-        diag = diag.astype(np.float64, copy=False)
+        diag = _real_vector(statistics, self.diag, "probabilities")
         with np.errstate(over="ignore", invalid="ignore"):
             tr = float(diag.sum())
         # A nan or inf entry always makes the trace non-finite.
         if not math.isfinite(tr) and not np.isfinite(diag).all():
             raise ValueError("non-finite diagonal entries")
         deficit = self.max_trace_deficit
-        if not _is_real(deficit) or not 0.0 <= deficit < 1.0:
-            raise ValueError(f"bad max_trace_deficit {deficit!r}")
+        _require_fraction("max_trace_deficit", deficit)
         if float(diag.min()) < -PSD_ATOL:
             raise ValueError(f"negative diagonal entry {float(diag.min())!r}")
         if not (1.0 - deficit - 1e-15 <= tr <= 1.0 + TRACE_EXCESS):
@@ -300,23 +295,18 @@ def von_neumann_entropy(rho: DensityOperator, method: Literal["eigen"] = "eigen"
     return max(0.0, -float(t.sum()))
 
 
-def particle_numbers(rho: DensityOperator) -> np.ndarray:
-    """Particle number of each basis label, in basis order, as float64.
-
-    A pair label carries it in its first slot; the fermion array is one
-    shared read-only constant.
-    """
-    if rho.statistics is Statistics.FERMION:
-        return _FERMION_NUMBERS
-    return np.arange(rho.dim, dtype=np.float64)
-
-
 def mean_occupation(rho: DensityOperator, which: Literal["particle"] = "particle") -> float:
     """Expected particle number; "particle" is the only sector ``which`` accepts.
 
-    numpy's pairwise sum, unlike a BLAS dot, adds in an order that no thread
-    count changes, so the printed digits are reproducible.
+    Boson level n holds n particles; a fermion pair label holds the count in
+    its first slot.  numpy's pairwise sum, unlike a BLAS dot, adds in an
+    order that no thread count changes, so the printed digits are
+    reproducible.
     """
     if which != "particle":
         raise ValueError(f"unknown sector {which!r}")
-    return float((rho.diag * particle_numbers(rho)).sum())
+    if rho.statistics is Statistics.FERMION:
+        numbers = _FERMION_NUMBERS
+    else:
+        numbers = np.arange(rho.dim, dtype=np.float64)
+    return float((rho.diag * numbers).sum())

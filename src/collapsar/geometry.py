@@ -25,11 +25,14 @@ FOUR_PI = 4.0 * math.pi
 X_MIN = 1e-6
 
 
+def _is_real(value: object) -> bool:
+    """An int or float; a bool is not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _require_finite_positive(name: str, value: object) -> None:
-    """Refuse anything but a finite positive int or float; a bool is not a number here."""
-    if isinstance(value, bool) or not (
-        isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0
-    ):
+    """Refuse anything but a finite positive real."""
+    if not (_is_real(value) and math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be a finite positive real, got {value!r}")
 
 
@@ -117,6 +120,13 @@ class SqueezingParams:
                 f"r {r!r} rounds to maximal squeezing; construct via from_x instead"
             )
         return cls(statistics, -math.log(w))
+
+
+def _require_statistics(squeezing: SqueezingParams, expected: Statistics) -> None:
+    if squeezing.statistics is not expected:
+        raise ValueError(
+            f"expected {expected.value} squeezing, got {squeezing.statistics.value}"
+        )
 
 
 def dimensionless_x(params: BlackHoleParams, channel: ModeChannel) -> float:

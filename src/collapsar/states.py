@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SqueezingOverflowError
 from .fock import PureBipartiteState
-from .geometry import Statistics, SqueezingParams
+from .geometry import Statistics, SqueezingParams, _is_real, _require_statistics
 
 # Hard cap on the truncated dimension n_max + 1 of a bosonic pair state.
 N_CAP = 16384
@@ -26,7 +26,7 @@ EPS_TAIL_MAX = 1e-6
 
 
 def _validate_eps_tail(eps_tail: float) -> None:
-    if not (isinstance(eps_tail, (int, float)) and 0.0 < eps_tail <= EPS_TAIL_MAX):
+    if not (_is_real(eps_tail) and 0.0 < eps_tail <= EPS_TAIL_MAX):
         raise ValueError(
             f"eps_tail must lie in (0, {EPS_TAIL_MAX!r}], got {eps_tail!r}"
         )
@@ -80,8 +80,7 @@ def build_boson_state(
     Raises SqueezingOverflowError when the cut needs more than N_CAP levels,
     which holds for every x below about 1e-3.
     """
-    if squeezing.statistics is not Statistics.BOSON:
-        raise ValueError(f"bosonic builder got {squeezing.statistics.value} squeezing")
+    _require_statistics(squeezing, Statistics.BOSON)
     _validate_eps_tail(eps_tail)
     w = squeezing.boltzmann_weight
     q = w * w
@@ -103,8 +102,7 @@ def build_fermion_state(squeezing: SqueezingParams) -> PureBipartiteState:
 
         cos^2 r |00,00> - sin r cos r |01,10> + sin r cos r |10,01> - sin^2 r |11,11>
     """
-    if squeezing.statistics is not Statistics.FERMION:
-        raise ValueError(f"fermionic builder got {squeezing.statistics.value} squeezing")
+    _require_statistics(squeezing, Statistics.FERMION)
     c = math.cos(squeezing.r)
     s = math.sin(squeezing.r)
     amps = [c * c, -(s * c), s * c, -(s * s)]

@@ -130,6 +130,19 @@ class TestArgumentErrors:
         assert (code, out) == (2, "")
         assert f"points must be between 2 and {MAX_SWEEP_POINTS}, got {points}" in err
 
+    # The range is refused before numpy spaces a grid over inf, which warns
+    # "invalid value encountered in multiply".
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid", ["log", "linear"])
+    def test_sweep_refuses_infinite_omega_max_without_warning(self, capsys, grid):
+        code, out, err = run(
+            capsys,
+            ["sweep", "--mass", "1", "--omega-min", "0.1", "--omega-max", "inf",
+             "--points", "3", "--grid", grid],
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: omega-max must be a finite positive real, got inf\n"
+
     def test_sweep_needs_increasing_range(self, capsys):
         code, _, err = run(
             capsys,

@@ -454,7 +454,7 @@ class TestDensityOperator:
     # A bool is not a number here, and neither is a string.
     @pytest.mark.parametrize("deficit", [-1e-3, 1.0, math.nan, False, True, "x", None])
     def test_rejects_bad_max_trace_deficit(self, deficit):
-        with pytest.raises(ValueError, match="bad max_trace_deficit"):
+        with pytest.raises(ValueError, match="max_trace_deficit must lie"):
             DensityOperator(B, diag=[1.0], max_trace_deficit=deficit)
 
     def test_json_round_trip(self):

@@ -17,7 +17,7 @@ SURFACE = {
     ],
     "fock": [
         "DensityOperator", "PureBipartiteState", "mean_occupation", "partial_trace",
-        "particle_numbers", "von_neumann_entropy",
+        "von_neumann_entropy",
     ],
     "states": ["build_boson_state", "build_fermion_state"],
     "entanglement": [

@@ -41,8 +41,8 @@ from .geometry import (
 )
 from .states import EPS_TAIL_DEFAULT, build_boson_state, build_fermion_state
 
-# Largest sweep grid.  A point at the truncation cap costs ~0.6 ms for both
-# statistics, so a sweep with every point there takes about 12 s.
+# Largest sweep grid.  A point at the truncation cap costs ~0.55 ms for both
+# statistics, so a sweep with every point there takes about 11 s.
 MAX_SWEEP_POINTS = 20_000
 
 

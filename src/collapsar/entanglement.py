@@ -126,13 +126,17 @@ def temperature_ratio_fit(rho: DensityOperator, x: float) -> float:
             dn = np.arange(k, dtype=np.float64)
             dn -= (k - 1) / 2
             y = diag[:k]
+            # sum(dn^2) in closed form.  Each term is a half-integer squared
+            # and every partial sum is exact for k below 3e5, so the pairwise
+            # sum is this value, correctly rounded, bit for bit.
+            sxx = k * (k * k - 1) / 12
         else:
             # An integer sum over k is the exact mean, correctly rounded.
             levels = np.flatnonzero(mask)
             dn = levels - levels.sum() / k
             y = diag[mask]
+            sxx = (dn * dn).sum()
         del mask
-        sxx = (dn * dn).sum()
         y = np.log(y)
         y -= y[y.size // 2]
         y *= dn

@@ -27,13 +27,16 @@ BasisLabel = Union[int, tuple[int, int]]
 
 FERMION_BASIS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 # Index in FERMION_BASIS of each label's slot-exchanged partner; its own inverse.
-_SLOT_EXCHANGE = [0, 2, 1, 3]
+_SLOT_EXCHANGE = np.array([0, 2, 1, 3], dtype=np.intp)
+_SLOT_EXCHANGE.setflags(write=False)
 # Particle number of each FERMION_BASIS label: its first slot.
 _FERMION_NUMBERS = np.array([lab[0] for lab in FERMION_BASIS], dtype=np.float64)
 _FERMION_NUMBERS.setflags(write=False)
 
 # Completeness window half-width for pure states.
 EPS_NORM = 1e-12
+# Largest tail bound a pair state takes: a cut may not discard more than it keeps.
+_TAIL_MAX = 0.5
 # How negative a probability may be before the operator is rejected.
 PSD_ATOL = 1e-10
 # Default allowance on 1 - trace for a reduced operator.
@@ -82,12 +85,15 @@ class PureBipartiteState:
     """Pure state of a horizon/outgoing mode pair in a truncated Fock basis.
 
     ``amplitudes`` holds one real amplitude per label pair, in the horizon
-    side's basis order, as a read-only float64 copy of the caller's; the
-    pairing follows from ``statistics``.  ``tail_bound`` bounds the squared
-    norm removed by truncation, 0.0 for an exact state.  The analytic bound
-    may overestimate the discarded mass by up to a factor 1/(1-q), so the
-    retained probability plus ``tail_bound`` may exceed 1 by almost
-    ``tail_bound`` itself.
+    side's basis order, as a read-only float64 array; the pairing follows
+    from ``statistics``.  The constructor copies and checks a caller's
+    amplitudes; a builder's fresh array is adopted with no copy and checked
+    once, for completeness.  ``tail_bound`` bounds the squared norm removed
+    by truncation, 0.0 for an exact state, and may not exceed 1/2: a cut
+    never discards more than it keeps.  The analytic bound may overestimate
+    the discarded mass by up to a factor 1/(1-q), so the retained
+    probability plus ``tail_bound`` may exceed 1 by almost ``tail_bound``
+    itself.
 
     The squared norm is numpy's pairwise sum of the squared amplitudes.
     Within ``_EDGE_SLACK`` of a window edge, or when the check fails, the
@@ -104,13 +110,38 @@ class PureBipartiteState:
         amps = _real_vector(statistics, self.amplitudes, "amplitudes")
         with np.errstate(over="ignore"):
             total = float((amps * amps).sum())
+        object.__setattr__(self, "statistics", statistics)
+        self._adopt(amps, total)
+
+    @classmethod
+    def _built(
+        cls, statistics: Statistics, amps: np.ndarray, tail_bound: float
+    ) -> PureBipartiteState:
+        """Adopt a builder's fresh float64 amplitudes, checked once for completeness.
+
+        A built amplitude lies in [-1, 1], so its square cannot overflow, and
+        the builder fixes the statistics and the length; the copy, the intake
+        and the errstate of the constructor would repeat what it knows.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "statistics", statistics)
+        object.__setattr__(state, "tail_bound", tail_bound)
+        state._adopt(amps, float((amps * amps).sum()))
+        return state
+
+    def _adopt(self, amps: np.ndarray, total: float) -> None:
+        """Check the tail bound and completeness on ``total``; keep ``amps`` read-only."""
         # A nan or inf amplitude always makes the sum non-finite.
         if not math.isfinite(total) and not np.isfinite(amps).all():
             raise ValueError("non-finite amplitude")
         tail = self.tail_bound
         _require_fraction("tail_bound", tail)
+        if tail > _TAIL_MAX:
+            raise ValueError(
+                f"tail_bound must not exceed {_TAIL_MAX!r}: a cut may not "
+                f"discard more than it keeps, got {tail!r}"
+            )
         amps.setflags(write=False)
-        object.__setattr__(self, "statistics", statistics)
         object.__setattr__(self, "amplitudes", amps)
         total += tail
         upper = 1.0 + EPS_NORM + tail
@@ -143,16 +174,32 @@ class PureBipartiteState:
     out_labels = hor_labels
 
 
-class _Coefficients(Mapping):
-    """Mapping view over a state's pairing; builds no per-label storage."""
+def _is_int(value: object) -> bool:
+    """An int; a bool is not a label here."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    __slots__ = ("_hor", "_out", "_amps")
+
+class _Coefficients(Mapping):
+    """Mapping view over a state's pairing; builds no per-label storage.
+
+    A key is a pair of labels of the state's kind: ints for a boson state,
+    pairs of ints for a fermion one.  Anything else, a bool or a float that
+    equals a label included, is not in the view.
+    """
+
+    __slots__ = ("_hor", "_out", "_amps", "_pairs")
 
     def __init__(self, state: PureBipartiteState) -> None:
         self._amps = state.amplitudes
         self._hor = self._out = _basis(state.statistics, self._amps.size)
-        if state.statistics is Statistics.FERMION:
+        self._pairs = state.statistics is Statistics.FERMION
+        if self._pairs:
             self._out = tuple(FERMION_BASIS[i] for i in _SLOT_EXCHANGE)
+
+    def _is_label(self, value: object) -> bool:
+        if self._pairs:
+            return isinstance(value, tuple) and len(value) == 2 and all(map(_is_int, value))
+        return _is_int(value)
 
     def __len__(self) -> int:
         return self._amps.size
@@ -163,8 +210,15 @@ class _Coefficients(Mapping):
     def __getitem__(self, key: tuple[BasisLabel, BasisLabel]) -> float:
         try:
             h, o = key
-            i = self._hor.index(h)
         except (TypeError, ValueError):
+            raise KeyError(key) from None
+        if not (self._is_label(h) and self._is_label(o)):
+            raise KeyError(key)
+        # h is a label of the state's kind: it matches only itself, and a
+        # boson range finds it without a scan.
+        try:
+            i = self._hor.index(h)
+        except ValueError:
             raise KeyError(key) from None
         if self._out[i] != o:
             raise KeyError(key)
@@ -213,10 +267,9 @@ class DensityOperator:
 
         The squares of finite amplitudes are finite and non-negative, and
         their sum is the one the state accepted, so the constructor's checks
-        would repeat the state's.  The windows differ only at two edges: a
+        would repeat the state's.  The windows differ only at one edge: a
         sum whose exact total sits on the state's upper edge may lie an ulp
-        above the trace window, and a tail bound within 1e-9 of 1 lets the
-        state keep less weight than the clamped trace window asks.
+        above the trace window.
         """
         rho = object.__new__(cls)
         diag.setflags(write=False)
@@ -273,7 +326,7 @@ def partial_trace(
     weights = state.amplitudes * state.amplitudes
     if keep == "out" and state.statistics is Statistics.FERMION:
         weights = weights[_SLOT_EXCHANGE]
-    deficit = min(1.0 - 1e-12, TRACE_DEFICIT_DEFAULT + state.tail_bound)
+    deficit = TRACE_DEFICIT_DEFAULT + state.tail_bound
     return DensityOperator._reduced(state.statistics, weights, deficit)
 
 
@@ -306,7 +359,7 @@ def mean_occupation(rho: DensityOperator, which: Literal["particle"] = "particle
     if which != "particle":
         raise ValueError(f"unknown sector {which!r}")
     if rho.statistics is Statistics.FERMION:
-        numbers = _FERMION_NUMBERS
-    else:
-        numbers = np.arange(rho.dim, dtype=np.float64)
-    return float((rho.diag * numbers).sum())
+        return float((rho.diag * _FERMION_NUMBERS).sum())
+    numbers = np.arange(rho.dim, dtype=np.float64)
+    numbers *= rho.diag
+    return float(numbers.sum())

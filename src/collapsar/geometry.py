@@ -62,7 +62,8 @@ class ModeChannel:
 
     def __post_init__(self) -> None:
         _require_finite_positive("omega", self.omega)
-        object.__setattr__(self, "statistics", Statistics(self.statistics))
+        if not isinstance(self.statistics, Statistics):
+            object.__setattr__(self, "statistics", Statistics(self.statistics))
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,8 @@ class SqueezingParams:
     r: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "statistics", Statistics(self.statistics))
+        if not isinstance(self.statistics, Statistics):
+            object.__setattr__(self, "statistics", Statistics(self.statistics))
         x = self.x
         _require_finite_positive("x", x)
         w = math.exp(-x)

@@ -88,9 +88,12 @@ def build_boson_state(
         raise SqueezingOverflowError("maximal squeezing cannot be truncated")
     n_max = _truncation_level(q, eps_tail)
     inv_cosh = math.sqrt(1.0 - q)
-    amps = inv_cosh * w ** np.arange(n_max + 1)
+    # One d-vector, filled in place: inv_cosh * w**n for n <= n_max.
+    amps = np.arange(n_max + 1, dtype=np.float64)
+    np.power(w, amps, out=amps)
+    amps *= inv_cosh
     tail_bound = q ** (n_max + 1) / (1.0 - q)
-    return PureBipartiteState(Statistics.BOSON, amps, tail_bound)
+    return PureBipartiteState._built(Statistics.BOSON, amps, tail_bound)
 
 
 def build_fermion_state(squeezing: SqueezingParams) -> PureBipartiteState:
@@ -105,5 +108,5 @@ def build_fermion_state(squeezing: SqueezingParams) -> PureBipartiteState:
     _require_statistics(squeezing, Statistics.FERMION)
     c = math.cos(squeezing.r)
     s = math.sin(squeezing.r)
-    amps = [c * c, -(s * c), s * c, -(s * s)]
-    return PureBipartiteState(Statistics.FERMION, amps, 0.0)
+    amps = np.array([c * c, -(s * c), s * c, -(s * s)])
+    return PureBipartiteState._built(Statistics.FERMION, amps, 0.0)

@@ -349,6 +349,21 @@ class TestTemperatureRatio:
         got = temperature_ratio_fit(rho, x)
         assert got == want or (math.isnan(got) and math.isnan(want))
 
+    # The prefix path takes sum(dn^2) in closed form.  With log p exactly 1
+    # below the middle level and 0 from it on, every other step of the fit
+    # is exact, so the fitted ratio carries the bits of the pairwise sum.
+    def test_prefix_fit_sxx_is_the_pairwise_sum(self):
+        assert np.log(math.e) == 1.0
+        n = np.arange(N_CAP, dtype=np.float64)
+        steps = np.repeat([math.e, 1.0], N_CAP)
+        for k in range(2, N_CAP + 1):
+            mid = k // 2
+            dn = n[:k] - (k - 1) / 2
+            diag = steps[N_CAP - mid : N_CAP - mid + k]
+            rho = DensityOperator._reduced(B, diag, 0.0)
+            slope = dn[:mid].sum() / (dn * dn).sum()
+            assert temperature_ratio_fit(rho, 0.5) == -1.0 / slope, k
+
     # A flat spectrum has no temperature; polyfit read a rounding-level slope
     # off range(8) and reported T_ratio = 1.1e17.  A flat fermion spectrum
     # has p(0,1) == p(0,0).

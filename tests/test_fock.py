@@ -102,11 +102,21 @@ class TestPureBipartiteState:
             ((True,), (0,)),
             ((0,), (True,)),
             (((0, True),), ((0, 0),)),
+            # Equal to a label, but not a label: each would match by equality.
+            ((True,), (True,)),
+            ((1.0,), (1.0,)),
+            (((False, True),), ((True, False),)),
+            (((0.0, 1.0),), ((1.0, 0.0),)),
         ],
     )
     def test_rejects_bad_labels(self, coeffs):
         (h,), (o,) = coeffs
-        for state in (PureBipartiteState(B, [1.0]), PureBipartiteState(F, FERMION_AMPS)):
+        states = (
+            PureBipartiteState(B, [1.0]),
+            bell_pair(),
+            PureBipartiteState(F, FERMION_AMPS),
+        )
+        for state in states:
             assert (h, o) not in state.coefficients
             with pytest.raises(KeyError):
                 state.coefficients[(h, o)]
@@ -137,6 +147,22 @@ class TestPureBipartiteState:
     def test_rejects_bad_tail(self, tail):
         with pytest.raises(ValueError, match="tail_bound must lie"):
             PureBipartiteState(B, [1.0], tail_bound=tail)
+
+    # A state keeps at least what its cut discards, so it never reduces to
+    # the zero diagonal.
+    @pytest.mark.parametrize("tail", [0.5 + 2**-53, 0.75, 1.0 - 1e-13])
+    def test_rejects_tail_above_half(self, tail):
+        message = (
+            "tail_bound must not exceed 0.5: a cut may not discard more than "
+            f"it keeps, got {tail!r}"
+        )
+        with pytest.raises(ValueError) as info:
+            PureBipartiteState(B, [0.0], tail_bound=tail)
+        assert str(info.value) == message
+
+    def test_takes_tail_of_half(self):
+        state = PureBipartiteState(B, [math.sqrt(0.5)], tail_bound=0.5)
+        assert partial_trace(state).max_trace_deficit == TRACE_DEFICIT_DEFAULT + 0.5
 
     def test_integer_amplitudes_become_float64(self):
         state = PureBipartiteState(B, [0, 1])
@@ -188,12 +214,14 @@ class TestCompleteness:
         amps *= math.sqrt(target / math.fsum((amps * amps).tolist()))
         total = math.fsum((amps * amps).tolist()) + tail
         assume(abs(total - edge) <= 8 * math.ulp(edge))
-        if 1.0 - EPS_NORM <= total <= 1.0 + EPS_NORM + tail:
-            PureBipartiteState(statistics, amps, tail_bound=tail)
-        else:
-            with pytest.raises(ValueError, match="not complete") as exc:
-                PureBipartiteState(statistics, amps, tail_bound=tail)
-            assert str(exc.value).endswith(f"= {total!r}")
+        # A builder's adopted array takes the same decision as a caller's.
+        for make in (PureBipartiteState, PureBipartiteState._built):
+            if 1.0 - EPS_NORM <= total <= 1.0 + EPS_NORM + tail:
+                make(statistics, amps.copy(), tail)
+            else:
+                with pytest.raises(ValueError, match="not complete") as exc:
+                    make(statistics, amps.copy(), tail)
+                assert str(exc.value).endswith(f"= {total!r}")
 
     def test_inner_states_skip_the_exact_sum(self, monkeypatch):
         def exact_sum(self):
@@ -215,6 +243,37 @@ class TestCompleteness:
         statistics = F if len(amps) == 4 else B
         with pytest.raises(ValueError, match=r"not complete: .* = inf$"):
             PureBipartiteState(statistics, amps)
+
+
+class TestBuiltState:
+    """A builder's array is adopted, and checked once: for completeness."""
+
+    # Each would pass the constructor's intake; only the numbers are wrong.
+    @pytest.mark.parametrize(
+        "statistics, amps, tail",
+        [
+            (B, [0.9], 0.0),
+            (B, [1.0, 1e-5], 0.0),
+            (F, [0.5, -0.5, 0.5, -0.5 + 1e-6], 0.0),
+            (B, [math.nan, 0.0], 0.0),
+            (F, [1.0, 0.0, -math.inf, 0.0], 0.0),
+            (B, [1.0], -1e-3),
+            (B, [1.0], 1.0),
+            (B, [1.0], math.nan),
+            (B, [1.0], True),
+            (B, [0.0], 0.75),
+        ],
+        ids=[
+            "short", "excess", "fermion-excess", "nan", "fermion-inf",
+            "negative-tail", "unit-tail", "nan-tail", "bool-tail", "tail-above-half",
+        ],
+    )
+    def test_refuses_as_the_constructor_does(self, statistics, amps, tail):
+        with pytest.raises(ValueError) as public:
+            PureBipartiteState(statistics, amps, tail_bound=tail)
+        with pytest.raises(ValueError) as built:
+            PureBipartiteState._built(statistics, np.array(amps), tail)
+        assert str(built.value) == str(public.value)
 
 
 # The fermion pairing, written out here rather than imported: each horizon

@@ -15,7 +15,7 @@ from collapsar import (
     build_fermion_state,
     partial_trace,
 )
-from collapsar.fock import FERMION_BASIS
+from collapsar.fock import FERMION_BASIS, PureBipartiteState
 from collapsar.states import EPS_TAIL_DEFAULT, N_CAP, _truncation_level
 
 
@@ -92,10 +92,11 @@ class TestBosonBuilder:
         assert len(state.coefficients) == N_CAP
         assert live <= 512 * 2**10
 
-    def test_state_at_cap_peaks_at_four_level_vectors(self):
+    def test_state_at_cap_peaks_at_two_level_vectors(self):
         # Building and checking the state at N_CAP levels allocates no
-        # per-level Python objects: the peak stays within four float64
-        # vectors of N_CAP entries (512 KiB).
+        # per-level Python objects and no copy: the amplitudes, filled in
+        # place, and their squares for the completeness sum.  The peak stays
+        # within 2.25 float64 vectors of N_CAP entries (288 KiB).
         sq = boson_sq(1.032e-3)
         tracemalloc.start()
         try:
@@ -104,7 +105,7 @@ class TestBosonBuilder:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 8 * N_CAP
+        assert peak <= 2.25 * 8 * N_CAP
 
     def test_infrared_floor(self):
         with pytest.raises(SqueezingOverflowError):
@@ -180,6 +181,38 @@ class TestFermionBuilder:
     def test_statistics_mismatch(self):
         with pytest.raises(ValueError, match="fermion"):
             build_fermion_state(boson_sq(1.0))
+
+
+# Each builder hands its fresh array to the state, which adopts it read-only
+# without a copy or a second pass through the constructor's intake.
+@pytest.mark.parametrize(
+    "build, sq",
+    [
+        (build_boson_state, boson_sq(1.032e-3)),
+        (build_boson_state, boson_sq(1.0)),
+        (build_boson_state, boson_sq(800.0)),
+        (build_fermion_state, fermion_sq(1.0)),
+    ],
+    ids=["boson-cap", "boson", "boson-vacuum", "fermion"],
+)
+def test_built_state_adopts_the_builders_array(monkeypatch, build, sq):
+    adopted = []
+    built = PureBipartiteState._built.__func__
+
+    def spy(cls, statistics, amps, tail_bound):
+        adopted.append(amps)
+        return built(cls, statistics, amps, tail_bound)
+
+    def public_checks(self):
+        raise AssertionError("a built state went through the constructor's intake")
+
+    monkeypatch.setattr(PureBipartiteState, "_built", classmethod(spy))
+    monkeypatch.setattr(PureBipartiteState, "__post_init__", public_checks)
+    state = build(sq)
+    assert len(adopted) == 1 and state.amplitudes is adopted[0]
+    assert state.amplitudes.dtype == np.float64
+    assert not state.amplitudes.flags.writeable
+    assert state.statistics is sq.statistics
 
 
 class TestBosonReducedAnalytic:

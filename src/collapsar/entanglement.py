@@ -117,11 +117,18 @@ def temperature_ratio_fit(rho: DensityOperator, x: float) -> float:
     _require_finite_positive("x", x)
     diag = rho.diag
     if rho.statistics is Statistics.BOSON:
-        mask = diag > _FIT_FLOOR
-        k = np.count_nonzero(mask)
+        if rho._descending():
+            # The levels above the floor are a prefix: all of them, or a count.
+            mask = None
+            k = diag.size if diag[-1] > _FIT_FLOOR else np.count_nonzero(diag > _FIT_FLOOR)
+        else:
+            mask = diag > _FIT_FLOOR
+            k = np.count_nonzero(mask)
+            if mask[:k].all():
+                mask = None
         if k < 2:
             return math.nan
-        if mask[:k].all():
+        if mask is None:
             # The fitted levels are 0..k-1, whose mean is exactly (k - 1) / 2.
             dn = np.arange(k, dtype=np.float64)
             dn -= (k - 1) / 2
@@ -175,6 +182,8 @@ def entropy_report(
         s_closed = fermion_entropy(sq)
         state = build_fermion_state(sq)
     rho = partial_trace(state)
+    # The operator keeps the squares it needs; the amplitudes can go.
+    del state
     s_numeric = von_neumann_entropy(rho, method="eigen")
     return EntropyReport(
         x=sq.x,

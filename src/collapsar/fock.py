@@ -61,6 +61,17 @@ def _one_signed_zero(values: np.ndarray) -> bool:
     return bool(signs.all() or not signs.any())
 
 
+def _descends(diag: np.ndarray) -> bool:
+    """``diag`` is non-increasing, so that reversed it is ``np.sort(diag)``, bit for bit.
+
+    The one exception is a tie of +0.0 and -0.0, whose input order
+    ``np.sort`` keeps; such a diagonal does not count as descending.
+    """
+    return bool(
+        (diag[1:] <= diag[:-1]).all() and (diag[-1] > 0.0 or _one_signed_zero(diag))
+    )
+
+
 def _real_vector(statistics: Statistics, values: object, what: str) -> np.ndarray:
     """A float64 copy of ``values``: real numbers, one per basis label."""
     vec = np.array(values)
@@ -88,7 +99,9 @@ class PureBipartiteState:
     side's basis order, as a read-only float64 array; the pairing follows
     from ``statistics``.  The constructor copies and checks a caller's
     amplitudes; a builder's fresh array is adopted with no copy and checked
-    once, for completeness.  ``tail_bound`` bounds the squared norm removed
+    once, for completeness.  The squares that completeness sums are kept
+    beside the amplitudes, read-only, for ``partial_trace`` to hand on, so
+    a state holds two d-vectors.  ``tail_bound`` bounds the squared norm removed
     by truncation, 0.0 for an exact state, and may not exceed 1/2: a cut
     never discards more than it keeps.  The analytic bound may overestimate
     the discarded mass by up to a factor 1/(1-q), so the retained
@@ -109,9 +122,10 @@ class PureBipartiteState:
         statistics = Statistics(self.statistics)
         amps = _real_vector(statistics, self.amplitudes, "amplitudes")
         with np.errstate(over="ignore"):
-            total = float((amps * amps).sum())
+            squares = amps * amps
+            total = float(squares.sum())
         object.__setattr__(self, "statistics", statistics)
-        self._adopt(amps, total)
+        self._adopt(amps, squares, total)
 
     @classmethod
     def _built(
@@ -126,11 +140,16 @@ class PureBipartiteState:
         state = object.__new__(cls)
         object.__setattr__(state, "statistics", statistics)
         object.__setattr__(state, "tail_bound", tail_bound)
-        state._adopt(amps, float((amps * amps).sum()))
+        squares = amps * amps
+        state._adopt(amps, squares, float(squares.sum()))
         return state
 
-    def _adopt(self, amps: np.ndarray, total: float) -> None:
-        """Check the tail bound and completeness on ``total``; keep ``amps`` read-only."""
+    def _adopt(self, amps: np.ndarray, squares: np.ndarray, total: float) -> None:
+        """Check the tail bound and completeness on ``total``, the sum of ``squares``.
+
+        Keeps ``amps`` and ``squares`` read-only; the squares are the
+        diagonal that ``partial_trace`` hands on.
+        """
         # A nan or inf amplitude always makes the sum non-finite.
         if not math.isfinite(total) and not np.isfinite(amps).all():
             raise ValueError("non-finite amplitude")
@@ -142,7 +161,9 @@ class PureBipartiteState:
                 f"discard more than it keeps, got {tail!r}"
             )
         amps.setflags(write=False)
+        squares.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "_squares", squares)
         total += tail
         upper = 1.0 + EPS_NORM + tail
         if not 1.0 - EPS_NORM + _EDGE_SLACK < total < upper - _EDGE_SLACK:
@@ -160,10 +181,8 @@ class PureBipartiteState:
 
     def norm_squared(self) -> float:
         """Exactly rounded sum of the squared amplitudes; inf past the float range."""
-        with np.errstate(over="ignore"):
-            squares = (self.amplitudes * self.amplitudes).tolist()
         try:
-            return math.fsum(squares)
+            return math.fsum(self._squares.tolist())
         except OverflowError:
             return math.inf
 
@@ -239,6 +258,8 @@ class DensityOperator:
     statistics: Statistics
     diag: np.ndarray
     max_trace_deficit: float = field(default=TRACE_DEFICIT_DEFAULT, repr=False)
+    # Whether diag is non-increasing: None until _descending() decides it.
+    _order = None
 
     def __post_init__(self) -> None:
         statistics = Statistics(self.statistics)
@@ -263,7 +284,7 @@ class DensityOperator:
     def _reduced(
         cls, statistics: Statistics, diag: np.ndarray, max_trace_deficit: float
     ) -> DensityOperator:
-        """Adopt a fresh diagonal that a validated pair state fixed, unchecked.
+        """Adopt, unchecked and uncopied, a diagonal that a validated pair state fixed.
 
         The squares of finite amplitudes are finite and non-negative, and
         their sum is the one the state accepted, so the constructor's checks
@@ -287,19 +308,26 @@ class DensityOperator:
     def dim(self) -> int:
         return self.diag.size
 
+    def _descending(self) -> bool:
+        """Whether the diagonal is non-increasing; decided on first use, then kept."""
+        if self._order is None:
+            object.__setattr__(self, "_order", _descends(self.diag))
+        return self._order
+
     def eigenvalues(self) -> np.ndarray:
         """Ascending real spectrum: the sorted diagonal, as a fresh contiguous array.
 
         A non-increasing diagonal, as every reduction of a built state is,
         is reversed rather than sorted; the bits are those of ``np.sort``.
         The one exception sorts: a tie of +0.0 and -0.0, whose input order
-        ``np.sort`` keeps.  Like its diagonal, the spectrum of a reduction is
-        checked once, on its pair state.
+        ``np.sort`` keeps.  The order is decided once per operator and shared
+        with ``von_neumann_entropy`` and the temperature fit.  Like its
+        diagonal, the spectrum of a reduction is checked once, on its pair
+        state.
         """
-        diag = self.diag
-        if (diag[1:] <= diag[:-1]).all() and (diag[-1] > 0.0 or _one_signed_zero(diag)):
-            return diag[::-1].copy()
-        return np.sort(diag)
+        if self._descending():
+            return self.diag[::-1].copy()
+        return np.sort(self.diag)
 
     def to_json_dict(self) -> dict:
         """Serialisable view: basis labels, diagonal, and off-diagonal weight (always 0)."""
@@ -319,11 +347,12 @@ def partial_trace(
     fermionic outgoing label takes it from its slot-exchanged horizon
     partner.  The trace window is widened by the state's tail bound.  The
     reduction is checked once, on its pair state: the operator adopts the
-    fresh weights without a second copy, sum or sign check.
+    squares the state summed for completeness, with no second square,
+    copy, sum or sign check.
     """
     if keep not in ("out", "hor"):
         raise ValueError(f"keep must be 'out' or 'hor', got {keep!r}")
-    weights = state.amplitudes * state.amplitudes
+    weights = state._squares
     if keep == "out" and state.statistics is Statistics.FERMION:
         weights = weights[_SLOT_EXCHANGE]
     deficit = TRACE_DEFICIT_DEFAULT + state.tail_bound
@@ -334,17 +363,29 @@ def von_neumann_entropy(rho: DensityOperator, method: Literal["eigen"] = "eigen"
     """Entropy -tr(rho log2 rho) in bits, summed over the ascending spectrum.
 
     ``method`` accepts only "eigen".  Eigenvalues at or below LAMBDA_FLOOR
-    count as exact zeros.
+    count as exact zeros.  A non-increasing diagonal is its spectrum read
+    backwards: the logarithms run over it as it lies, in contiguous memory
+    (numpy's ``log2`` may round a strided view differently), and only the
+    pairwise sum reads the terms in reverse, so no spectrum is copied.
+    Any other diagonal is sorted.
     """
     if method != "eigen":
         raise ValueError(f"unknown method {method!r}")
-    p = rho.eigenvalues()
-    if p[0] <= LAMBDA_FLOOR:
-        p = p[np.searchsorted(p, LAMBDA_FLOOR, side="right") :]
-        if p.size == 0:
-            return 0.0
+    descending = rho._descending()
+    if descending:
+        p = rho.diag
+        if p[-1] <= LAMBDA_FLOOR:
+            p = p[: np.count_nonzero(p > LAMBDA_FLOOR)]
+    else:
+        p = np.sort(rho.diag)
+        if p[0] <= LAMBDA_FLOOR:
+            p = p[np.searchsorted(p, LAMBDA_FLOOR, side="right") :]
+    if p.size == 0:
+        return 0.0
     t = np.log2(p)
     t *= p
+    if descending:
+        t = t[::-1]
     return max(0.0, -float(t.sum()))
 
 

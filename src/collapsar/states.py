@@ -70,6 +70,11 @@ def build_boson_state(
 ) -> PureBipartiteState:
     """Truncated two-mode squeezed vacuum for a bosonic mode.
 
+    Level n carries the amplitude tanh^n r / cosh r, computed from x as
+    e^(-x n) sqrt(-expm1(-2x)) in one exp pass over the levels.  The state
+    holds two d-vectors: the amplitudes and the squares that its
+    completeness check sums, which its reductions adopt as their diagonal.
+
     Parameters
     ----------
     squeezing:
@@ -82,16 +87,18 @@ def build_boson_state(
     """
     _require_statistics(squeezing, Statistics.BOSON)
     _validate_eps_tail(eps_tail)
+    x = squeezing.x
     w = squeezing.boltzmann_weight
     q = w * w
     if q >= 1.0:
         raise SqueezingOverflowError("maximal squeezing cannot be truncated")
     n_max = _truncation_level(q, eps_tail)
-    inv_cosh = math.sqrt(1.0 - q)
-    # One d-vector, filled in place: inv_cosh * w**n for n <= n_max.
+    # One d-vector, filled in place from x: the rounding of w is never raised
+    # to the n-th power, and 1 - q keeps its digits as q -> 1.
     amps = np.arange(n_max + 1, dtype=np.float64)
-    np.power(w, amps, out=amps)
-    amps *= inv_cosh
+    amps *= -x
+    np.exp(amps, out=amps)
+    amps *= math.sqrt(-math.expm1(-2.0 * x))
     tail_bound = q ** (n_max + 1) / (1.0 - q)
     return PureBipartiteState._built(Statistics.BOSON, amps, tail_bound)
 

@@ -35,13 +35,15 @@ from collapsar import (
     sweep,
     von_neumann_entropy,
 )
+from collapsar import fock
 from collapsar.entanglement import (
     CROSSOVER_BRACKET,
+    _FIT_FLOOR,
     format_float,
     report_json_dict,
     temperature_ratio_fit,
 )
-from collapsar.fock import DensityOperator
+from collapsar.fock import LAMBDA_FLOOR, DensityOperator
 from collapsar.geometry import FOUR_PI
 from collapsar.states import N_CAP
 
@@ -375,6 +377,131 @@ class TestTemperatureRatio:
         assert math.isnan(temperature_ratio_fit(rho, 1.0))
 
 
+def entropy_oracle(diag):
+    """The entropy by the sorted route: an ascending copy, log2, multiply, sum."""
+    p = np.sort(diag)
+    if p[0] <= LAMBDA_FLOOR:
+        p = p[np.searchsorted(p, LAMBDA_FLOOR, side="right") :]
+        if p.size == 0:
+            return 0.0
+    t = np.log2(p)
+    t *= p
+    return max(0.0, -float(t.sum()))
+
+
+def fit_oracle(rho, x):
+    """The boson fit by masked sums; nan below two fit points."""
+    if np.count_nonzero(rho.diag > _FIT_FLOOR) < 2:
+        return math.nan
+    return masked_fit(rho, x)
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# Entries for the tail of a drawn diagonal: zeros, subnormals, and values
+# on and either side of both floors.
+TAIL_VALUES = np.array([
+    0.0, 5e-324, 1e-300, LAMBDA_FLOOR / 2, LAMBDA_FLOOR, np.nextafter(LAMBDA_FLOOR, 1.0),
+    1e-20, _FIT_FLOOR, np.nextafter(_FIT_FLOOR, 1.0),
+])
+
+
+@st.composite
+def descending_diagonals(draw):
+    """A non-increasing unit-trace diagonal: a thermal or random head and a drawn tail.
+
+    The sizes include both sides of numpy's 8192-element pairwise blocks
+    and N_CAP; the tail takes entries across LAMBDA_FLOOR and the fit floor.
+    """
+    d = draw(st.sampled_from([2, 4, 8191, 8192, 8193, N_CAP]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = draw(st.floats(1e-3, 20.0))
+        head = -math.expm1(-2.0 * x) * np.exp(-2.0 * x * np.arange(d))
+        head *= 1.0 + rng.uniform(-1e-9, 1e-9, d)
+    else:
+        head = rng.random(d) ** draw(st.integers(1, 60))
+    tail = draw(st.integers(0, min(d - 1, 30)))
+    head[d - tail :] = rng.choice(TAIL_VALUES, tail)
+    head[: d - tail] /= head[: d - tail].sum()
+    return np.sort(head)[::-1].copy()
+
+
+class TestSpectrumPath:
+    """A non-increasing diagonal is read in place; its bits are those of the sorted route."""
+
+    @given(diag=descending_diagonals())
+    @example(diag=np.array([1.0, 0.0]))
+    @example(diag=np.array([1.0, LAMBDA_FLOOR, 0.0, 0.0]))
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_entropy_and_fit_keep_the_oracle_bits(self, diag):
+        want_s = entropy_oracle(diag)
+        rho = DensityOperator(B, diag)
+        want_t = fit_oracle(rho, 0.5)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(np, "sort", no_sort)
+            assert same_bits(von_neumann_entropy(rho), want_s)
+            assert same_bits(temperature_ratio_fit(rho, 0.5), want_t)
+
+    # Any other public operator still sorts for its entropy, and its fit
+    # masks; with the fit levels scattered it takes the masked sums.
+    @pytest.mark.parametrize(
+        "diag, scattered",
+        [
+            ([0.2, 0.5, 0.3], False),
+            ([0.3, 0.5, 0.0, 0.2], True),
+            ([0.4, 1e-16, 0.35, 0.25, 0.0], True),
+            ([0.25, 0.25, 0.5, LAMBDA_FLOOR], False),
+        ],
+    )
+    def test_unordered_operator_sorts_and_masks(self, monkeypatch, diag, scattered):
+        rho = DensityOperator(B, diag)
+        want_s, want_t = entropy_oracle(rho.diag), fit_oracle(rho, 0.5)
+        calls = {"sort": 0, "flatnonzero": 0}
+        for name in calls:
+            monkeypatch.setattr(np, name, counting(calls, name, getattr(np, name)))
+        assert same_bits(von_neumann_entropy(rho), want_s)
+        assert calls["sort"] == 1
+        assert same_bits(temperature_ratio_fit(rho, 0.5), want_t)
+        assert calls["flatnonzero"] == int(scattered)
+
+    # A report decides its operator's order once, whatever it reads of it.
+    @pytest.mark.parametrize("statistics", [B, F])
+    def test_report_decides_order_once(self, monkeypatch, statistics):
+        calls = {"_descends": 0}
+        monkeypatch.setattr(fock, "_descends", counting(calls, "_descends", fock._descends))
+        for x in (1.032e-3, 0.02, 0.5, 3.0, 40.0):
+            calls["_descends"] = 0
+            entropy_report(BlackHoleParams(mass=1.0), ModeChannel(x / FOUR_PI, statistics))
+            assert calls["_descends"] == 1, x
+
+    # The reduction of every built state is non-increasing: no report, and
+    # no spectrum of either side, ever sorts.
+    @pytest.mark.parametrize("statistics", [B, F])
+    def test_built_states_never_sort(self, monkeypatch, statistics):
+        monkeypatch.setattr(np, "sort", no_sort)
+        for x in np.geomspace(1.032e-3, 700.0, 60):
+            entropy_report(BlackHoleParams(mass=1.0), ModeChannel(x / FOUR_PI, statistics))
+            sq = SqueezingParams.from_x(statistics, x)
+            state = build_boson_state(sq) if statistics is B else build_fermion_state(sq)
+            for keep in ("out", "hor"):
+                partial_trace(state, keep).eigenvalues()
+
+
+def no_sort(*args, **kwargs):
+    raise AssertionError("np.sort ran on a non-increasing diagonal")
+
+
+def counting(calls, name, func):
+    def spy(*args, **kwargs):
+        calls[name] += 1
+        return func(*args, **kwargs)
+
+    return spy
+
+
 class TestEntropyReport:
     def test_boson_report_fields(self):
         p = BlackHoleParams(mass=1.0)
@@ -414,10 +541,12 @@ class TestEntropyReport:
         assert peak <= 64 * 2**20
         assert r.gap < 1e-9
 
-    def test_report_at_cap_peaks_at_five_level_vectors(self):
-        # The state's amplitudes and the operator's diagonal live through the
-        # whole report; the spectrum, entropy, occupation and fit add at most
-        # three more float64 vectors of N_CAP entries (640 KiB in all).
+    def test_report_at_cap_peaks_at_three_level_vectors(self):
+        # The state holds its amplitudes and their squares, which become the
+        # operator's diagonal, and is dropped once reduced.  The entropy's
+        # terms, the occupation's numbers and the fit's two vectors then
+        # come and go beside the diagonal: at most three float64 vectors of
+        # N_CAP entries (384 KiB) at any one time.
         p, c = BlackHoleParams(mass=1.0), ModeChannel(1.032e-3 / FOUR_PI, B)
         entropy_report(p, c)
         tracemalloc.start()
@@ -427,7 +556,17 @@ class TestEntropyReport:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * 8 * N_CAP
+        assert peak <= 3 * 8 * N_CAP
+
+    # Built from x, the amplitudes are a geometric ladder to within a few
+    # ulp, and the fit over all N_CAP levels reads the Hawking temperature
+    # to 2 ulp.  Amplitudes built as w^n carry the rounding of w n-fold and
+    # read it 5.4e-14 off.
+    def test_report_at_cap_fits_the_hawking_temperature(self):
+        x = 1.032e-3
+        r = entropy_report(BlackHoleParams(mass=1.0), ModeChannel(x / FOUR_PI, B))
+        assert partial_trace(build_boson_state(SqueezingParams.from_x(B, r.x))).dim == N_CAP
+        assert abs(r.T_ratio - 1.0) <= 2 * sys.float_info.epsilon
 
     def test_overflow_propagates(self):
         from collapsar import SqueezingOverflowError

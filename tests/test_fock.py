@@ -15,6 +15,7 @@ from collapsar import (
     partial_trace,
     von_neumann_entropy,
 )
+from collapsar import fock
 from collapsar.fock import (
     EPS_NORM,
     FERMION_BASIS,
@@ -391,6 +392,36 @@ class TestPartialTrace:
                 m.setattr(np, "sort", no_sort)
                 np.testing.assert_array_equal(rho.eigenvalues(), want[::-1])
 
+    # The squares a state sums for completeness are its reduction's diagonal:
+    # formed once, never squared again.  Only the fermion's outgoing side,
+    # a slot exchange, takes a permuted copy.
+    def test_reduction_is_the_array_the_state_summed(self, monkeypatch):
+        summed = []
+        adopt = PureBipartiteState._adopt
+
+        def spy(self, amps, squares, total):
+            summed.append(squares)
+            return adopt(self, amps, squares, total)
+
+        monkeypatch.setattr(PureBipartiteState, "_adopt", spy)
+        states = [
+            build_boson_state(SqueezingParams.from_x(B, 0.02)),
+            build_fermion_state(SqueezingParams.from_x(F, 0.5)),
+            bell_pair(),
+            PureBipartiteState(F, FERMION_AMPS),
+        ]
+        assert len(summed) == len(states)
+        for state, squares in zip(states, summed):
+            assert state._squares is squares
+            assert float(squares.sum()) == float((state.amplitudes**2).sum())
+            for keep in ("out", "hor"):
+                diag = partial_trace(state, keep).diag
+                if state.statistics is F and keep == "out":
+                    assert not np.shares_memory(diag, squares)
+                    np.testing.assert_array_equal(diag, squares[[0, 2, 1, 3]])
+                else:
+                    assert diag is squares
+
     def test_reduction_skips_the_public_checks(self, monkeypatch):
         def public_checks(self):
             raise AssertionError("a reduction was checked a second time")
@@ -458,6 +489,17 @@ class TestDensityOperator:
         assert got.tobytes() == np.sort(rho.diag).tobytes()
         assert got.flags.c_contiguous and got.flags.writeable
         assert not np.shares_memory(got, rho.diag)
+
+    @pytest.mark.parametrize("diag", [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3]])
+    def test_order_is_decided_once(self, monkeypatch, diag):
+        decided = []
+        descends = fock._descends
+        monkeypatch.setattr(fock, "_descends", lambda d: decided.append(d) or descends(d))
+        rho = DensityOperator(B, diag)
+        first = rho.eigenvalues()
+        np.testing.assert_array_equal(rho.eigenvalues(), first)
+        von_neumann_entropy(rho)
+        assert len(decided) == 1 and decided[0] is rho.diag
 
     def test_rejects_negative_diagonal(self):
         with pytest.raises(ValueError, match="negative diagonal"):

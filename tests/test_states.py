@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +107,24 @@ class TestBosonBuilder:
         finally:
             tracemalloc.stop()
         assert peak <= 2.25 * 8 * N_CAP
+
+    # Level n carries tanh^n r / cosh r = e^(-x n) sqrt(1 - e^(-2x)).  Built
+    # from x, an amplitude's relative error is the rounding of x n, which
+    # exp carries over, plus a few roundings: (4 + x n) units of 2^-53.
+    # Built as sqrt(1 - q) w^n, the rounding of w grows n-fold, to 7,800
+    # units at N_CAP levels.
+    @pytest.mark.parametrize("x", [1.032e-3, 0.02, 3.0])
+    def test_amplitudes_match_mpmath(self, x):
+        amps = build_boson_state(boson_sq(x)).amplitudes
+        assert amps.size == N_CAP or x > 1.032e-3
+        with mpmath.workdps(40):
+            X = mpmath.mpf(x)
+            w = mpmath.exp(-X)
+            ref = mpmath.sqrt(-mpmath.expm1(-2 * X))
+            for n, a in enumerate(amps.tolist()):
+                err = abs(mpmath.mpf(a) - ref) / ref
+                assert err <= (4 + x * n) * 2.0**-53, (n, a)
+                ref *= w
 
     def test_infrared_floor(self):
         with pytest.raises(SqueezingOverflowError):

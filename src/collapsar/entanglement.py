@@ -28,6 +28,7 @@ from .geometry import (
 )
 from .states import (
     EPS_TAIL_DEFAULT,
+    _validate_eps_tail,
     build_boson_state,
     build_fermion_state,
 )
@@ -130,8 +131,8 @@ def temperature_ratio_fit(rho: DensityOperator, x: float) -> float:
             return math.nan
         if mask is None:
             # The fitted levels are 0..k-1, whose mean is exactly (k - 1) / 2.
-            dn = np.arange(k, dtype=np.float64)
-            dn -= (k - 1) / 2
+            # One fill of exact half-integers, centred on that mean.
+            dn = np.arange(-(k - 1) / 2, (k + 1) / 2)
             y = diag[:k]
             # sum(dn^2) in closed form.  Each term is a half-integer squared
             # and every partial sum is exact for k below 3e5, so the pairwise
@@ -172,13 +173,16 @@ def entropy_report(
     the outgoing side and ``T_ratio`` the fitted-to-Hawking temperature ratio.
 
     Raises SqueezingOverflowError when the mode cannot be represented;
-    sweep() converts that into an in-band error row instead.
+    sweep() converts that into an in-band error row instead.  A fermion
+    mode needs no truncation, but refuses a bad ``eps_tail`` as a boson
+    one does.
     """
     sq = squeezing_for(params, channel)
     if sq.statistics is Statistics.BOSON:
         s_closed = boson_entropy(sq)
         state = build_boson_state(sq, eps_tail=eps_tail)
     else:
+        _validate_eps_tail(eps_tail)
         s_closed = fermion_entropy(sq)
         state = build_fermion_state(sq)
     rho = partial_trace(state)
@@ -271,6 +275,7 @@ def sweep(
         raise ValueError("no statistics selected")
     if len(set(stats)) != len(stats):
         raise ValueError("duplicate statistics selected")
+    _validate_eps_tail(eps_tail)
 
     reports: list[EntropyReport] = []
     for om in oms:

@@ -117,6 +117,9 @@ class PureBipartiteState:
     statistics: Statistics
     amplitudes: np.ndarray
     tail_bound: float = 0.0
+    # True when both reductions are known to be non-increasing, as a
+    # builder's are (see _built); None leaves each operator to decide.
+    _order = None
 
     def __post_init__(self) -> None:
         statistics = Statistics(self.statistics)
@@ -136,10 +139,28 @@ class PureBipartiteState:
         A built amplitude lies in [-1, 1], so its square cannot overflow, and
         the builder fixes the statistics and the length; the copy, the intake
         and the errstate of the constructor would repeat what it knows.
+
+        The builder also vouches for the order: the squares, and so both
+        reductions, are non-increasing, with every zero a +0.0 square, so no
+        operator of a built state runs ``_descends``.  Rounding cannot undo
+        the order, because correctly rounded products and squares of
+        non-negative numbers are monotone and each step between neighbours
+        is far wider than the rounding of ``exp``:
+
+        - boson: level n is exp(-x n) c with c = sqrt(-expm1(-2x)).  The
+          arguments -x n are exact to a relative 2^-53 and step by x, and
+          neighbouring exps differ by the factor e^(-x) <= e^(-6.2e-4) (no
+          admitted x is smaller at any eps_tail), against a few ulp of error
+          in ``exp``; scaling by c and squaring keep the order.
+        - fermion: r = atan(e^(-x)) < pi/4 for x >= X_MIN, so c > s by about
+          7e-7, far more than an ulp, and (c c)^2 >= (s c)^2 >= (s s)^2.  The
+          slot exchange of the outgoing side swaps two entries with the same
+          bits.
         """
         state = object.__new__(cls)
         object.__setattr__(state, "statistics", statistics)
         object.__setattr__(state, "tail_bound", tail_bound)
+        object.__setattr__(state, "_order", True)
         squares = amps * amps
         state._adopt(amps, squares, float(squares.sum()))
         return state
@@ -258,7 +279,8 @@ class DensityOperator:
     statistics: Statistics
     diag: np.ndarray
     max_trace_deficit: float = field(default=TRACE_DEFICIT_DEFAULT, repr=False)
-    # Whether diag is non-increasing: None until _descending() decides it.
+    # Whether diag is non-increasing: True from the start for a reduction of
+    # a built state, else None until _descending() decides it.
     _order = None
 
     def __post_init__(self) -> None:
@@ -282,7 +304,11 @@ class DensityOperator:
 
     @classmethod
     def _reduced(
-        cls, statistics: Statistics, diag: np.ndarray, max_trace_deficit: float
+        cls,
+        statistics: Statistics,
+        diag: np.ndarray,
+        max_trace_deficit: float,
+        order: bool | None = None,
     ) -> DensityOperator:
         """Adopt, unchecked and uncopied, a diagonal that a validated pair state fixed.
 
@@ -290,13 +316,16 @@ class DensityOperator:
         their sum is the one the state accepted, so the constructor's checks
         would repeat the state's.  The windows differ only at one edge: a
         sum whose exact total sits on the state's upper edge may lie an ulp
-        above the trace window.
+        above the trace window.  The diagonal arrives read-only, so no flag
+        is set here.  ``order`` is the state's mark: True when a builder
+        vouched that the diagonal is non-increasing, None to leave the order
+        to be decided once.
         """
         rho = object.__new__(cls)
-        diag.setflags(write=False)
         object.__setattr__(rho, "statistics", statistics)
         object.__setattr__(rho, "diag", diag)
         object.__setattr__(rho, "max_trace_deficit", max_trace_deficit)
+        object.__setattr__(rho, "_order", order)
         return rho
 
     @property
@@ -309,7 +338,7 @@ class DensityOperator:
         return self.diag.size
 
     def _descending(self) -> bool:
-        """Whether the diagonal is non-increasing; decided on first use, then kept."""
+        """Whether the diagonal is non-increasing: vouched for, or decided once and kept."""
         if self._order is None:
             object.__setattr__(self, "_order", _descends(self.diag))
         return self._order
@@ -317,13 +346,13 @@ class DensityOperator:
     def eigenvalues(self) -> np.ndarray:
         """Ascending real spectrum: the sorted diagonal, as a fresh contiguous array.
 
-        A non-increasing diagonal, as every reduction of a built state is,
-        is reversed rather than sorted; the bits are those of ``np.sort``.
-        The one exception sorts: a tie of +0.0 and -0.0, whose input order
-        ``np.sort`` keeps.  The order is decided once per operator and shared
-        with ``von_neumann_entropy`` and the temperature fit.  Like its
-        diagonal, the spectrum of a reduction is checked once, on its pair
-        state.
+        A non-increasing diagonal is reversed rather than sorted; the bits
+        are those of ``np.sort``.  The one exception sorts: a tie of +0.0 and
+        -0.0, whose input order ``np.sort`` keeps.  A reduction of a built
+        state arrives ordered, as its builder vouches; any other operator
+        decides its order once, shared with ``von_neumann_entropy`` and the
+        temperature fit.  Like its diagonal, the spectrum of a reduction is
+        checked once, on its pair state.
         """
         if self._descending():
             return self.diag[::-1].copy()
@@ -347,16 +376,19 @@ def partial_trace(
     fermionic outgoing label takes it from its slot-exchanged horizon
     partner.  The trace window is widened by the state's tail bound.  The
     reduction is checked once, on its pair state: the operator adopts the
-    squares the state summed for completeness, with no second square,
-    copy, sum or sign check.
+    state's read-only squares (a fermionic outgoing side, its own read-only
+    exchanged copy), with no second square, copy, sum or sign check.  It
+    also takes the state's order mark, so a reduction of a built state
+    arrives ordered and never decides its order.
     """
     if keep not in ("out", "hor"):
         raise ValueError(f"keep must be 'out' or 'hor', got {keep!r}")
     weights = state._squares
     if keep == "out" and state.statistics is Statistics.FERMION:
         weights = weights[_SLOT_EXCHANGE]
+        weights.setflags(write=False)
     deficit = TRACE_DEFICIT_DEFAULT + state.tail_bound
-    return DensityOperator._reduced(state.statistics, weights, deficit)
+    return DensityOperator._reduced(state.statistics, weights, deficit, state._order)
 
 
 def von_neumann_entropy(rho: DensityOperator, method: Literal["eigen"] = "eigen") -> float:

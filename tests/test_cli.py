@@ -90,6 +90,20 @@ class TestArgumentErrors:
         assert (code, out) == (2, "")
         assert "eps_tail must not be subnormal" in err
 
+    # A fermion mode needs no truncation, yet its commands refuse a bad
+    # eps_tail as the boson ones do; each of these used to exit 0.
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--mass", "1", "--x", "1", "--stats", "fermion", "--eps-tail", "5"],
+        ["state", "--mass", "1", "--x", "1", "--stats", "fermion", "--eps-tail", "-1"],
+        ["spectrum", "--mass", "1", "--x", "1", "--stats", "fermion", "--eps-tail", "0"],
+        ["sweep", "--mass", "1", "--omega-min", "0.01", "--omega-max", "0.1", "--points", "2",
+         "--stats", "fermion", "--eps-tail", "nan"],
+    ])
+    def test_fermion_commands_refuse_bad_eps_tail(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert f"error: eps_tail must lie in (0, 1e-06], got {float(argv[-1])!r}" in err
+
     # omega = x / (4 pi mass) must be a positive normal float: at the parent
     # the first two printed omega_star = 0 and inf with exit 0, the third
     # printed x = 0.99999999999999989 from a subnormal omega.

@@ -43,9 +43,10 @@ from collapsar.entanglement import (
     report_json_dict,
     temperature_ratio_fit,
 )
+from collapsar.errors import SqueezingOverflowError
 from collapsar.fock import LAMBDA_FLOOR, DensityOperator
-from collapsar.geometry import FOUR_PI
-from collapsar.states import N_CAP
+from collapsar.geometry import FOUR_PI, X_MIN
+from collapsar.states import EPS_TAIL_MAX, N_CAP
 
 B = Statistics.BOSON
 F = Statistics.FERMION
@@ -366,6 +367,16 @@ class TestTemperatureRatio:
             slope = dn[:mid].sum() / (dn * dn).sum()
             assert temperature_ratio_fit(rho, 0.5) == -1.0 / slope, k
 
+    # The prefix fit centres its levels in one fill; every value is an exact
+    # half-integer, so it is arange then -= bit for bit, at every length.
+    def test_centred_levels_fill_once(self):
+        for k in range(2, N_CAP + 1):
+            two_step = np.arange(k, dtype=np.float64)
+            two_step -= (k - 1) / 2
+            one_fill = np.arange(-(k - 1) / 2, (k + 1) / 2)
+            assert one_fill.dtype == np.float64 and one_fill.size == k, k
+            assert one_fill.tobytes() == two_step.tobytes(), k
+
     # A flat spectrum has no temperature; polyfit read a rounding-level slope
     # off range(8) and reported T_ratio = 1.1e17.  A flat fermion spectrum
     # has p(0,1) == p(0,0).
@@ -467,15 +478,27 @@ class TestSpectrumPath:
         assert same_bits(temperature_ratio_fit(rho, 0.5), want_t)
         assert calls["flatnonzero"] == int(scattered)
 
-    # A report decides its operator's order once, whatever it reads of it.
+    # A built state vouches for its order: its report never decides it.  The
+    # same amplitudes through the public constructor leave each reduction to
+    # decide once, whatever it is asked for.
     @pytest.mark.parametrize("statistics", [B, F])
-    def test_report_decides_order_once(self, monkeypatch, statistics):
+    def test_only_public_states_decide_order(self, monkeypatch, statistics):
         calls = {"_descends": 0}
         monkeypatch.setattr(fock, "_descends", counting(calls, "_descends", fock._descends))
         for x in (1.032e-3, 0.02, 0.5, 3.0, 40.0):
             calls["_descends"] = 0
             entropy_report(BlackHoleParams(mass=1.0), ModeChannel(x / FOUR_PI, statistics))
-            assert calls["_descends"] == 1, x
+            assert calls["_descends"] == 0, x
+            sq = SqueezingParams.from_x(statistics, x)
+            built = build_boson_state(sq) if statistics is B else build_fermion_state(sq)
+            public = fock.PureBipartiteState(statistics, built.amplitudes, built.tail_bound)
+            for keep in ("out", "hor"):
+                calls["_descends"] = 0
+                rho = partial_trace(public, keep)
+                rho.eigenvalues()
+                von_neumann_entropy(rho)
+                temperature_ratio_fit(rho, x)
+                assert calls["_descends"] == 1, (x, keep)
 
     # The reduction of every built state is non-increasing: no report, and
     # no spectrum of either side, ever sorts.
@@ -488,6 +511,41 @@ class TestSpectrumPath:
             state = build_boson_state(sq) if statistics is B else build_fermion_state(sq)
             for keep in ("out", "hor"):
                 partial_trace(state, keep).eigenvalues()
+
+
+# The order every builder vouches for, over every admitted input.  No boson
+# mode below x ~ 6.256e-4 fits under the cap, even at EPS_TAIL_MAX; below
+# ~1.032e-3 at the default eps_tail, and a smaller eps_tail refuses more.
+@given(
+    x=st.floats(6.25e-4, 700.0),
+    eps_tail=st.floats(sys.float_info.min, EPS_TAIL_MAX),
+)
+@example(x=6.256037095649462e-4, eps_tail=EPS_TAIL_MAX)
+@example(x=1.032e-3, eps_tail=1e-12)
+@example(x=700.0, eps_tail=sys.float_info.min)
+@example(x=0.0216, eps_tail=sys.float_info.min)
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_built_boson_reductions_descend(x, eps_tail):
+    try:
+        state = build_boson_state(SqueezingParams.from_x(B, x), eps_tail)
+    except SqueezingOverflowError:
+        return
+    for keep in ("out", "hor"):
+        rho = partial_trace(state, keep)
+        assert rho._order is True
+        assert fock._descends(rho.diag), (x, eps_tail, keep)
+
+
+@given(x=st.floats(X_MIN, 700.0))
+@example(x=X_MIN)
+@example(x=700.0)
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_built_fermion_reductions_descend(x):
+    state = build_fermion_state(SqueezingParams.from_x(F, x))
+    for keep in ("out", "hor"):
+        rho = partial_trace(state, keep)
+        assert rho._order is True
+        assert fock._descends(rho.diag), (x, keep)
 
 
 def no_sort(*args, **kwargs):
@@ -516,6 +574,15 @@ class TestEntropyReport:
         assert r.T_ratio == pytest.approx(1.0, abs=1e-6)
         assert r.mean_occ == pytest.approx(1.0 / math.expm1(2.0 * r.x), rel=1e-9)
         assert r.error is None
+
+    # A fermion mode needs no truncation, but refuses what a boson one
+    # refuses; it used to accept any eps_tail.
+    @pytest.mark.parametrize("statistics", [B, F])
+    @pytest.mark.parametrize("eps_tail", [5.0, -1.0, 0.0, math.nan, 1e-320])
+    def test_report_refuses_bad_eps_tail(self, statistics, eps_tail):
+        channel = ModeChannel(omega=1.0 / FOUR_PI, statistics=statistics)
+        with pytest.raises(ValueError, match="eps_tail must"):
+            entropy_report(BlackHoleParams(mass=1.0), channel, eps_tail=eps_tail)
 
     def test_fermion_report_fields(self):
         p = BlackHoleParams(mass=1.0)
@@ -658,6 +725,15 @@ class TestSweep:
     def test_grid_validation(self, omegas):
         with pytest.raises(ValueError):
             sweep(BlackHoleParams(mass=1.0), omegas)
+
+    # eps_tail is refused before the loop, for every statistics: with every
+    # point below the floor, no row is made to carry it.
+    @pytest.mark.parametrize("statistics", ["boson", "fermion"])
+    def test_eps_tail_refused_before_any_point(self, statistics):
+        p = BlackHoleParams(mass=1.0)
+        assert all(r.error for r in sweep(p, [1e-9, 1e-8], statistics=statistics))
+        with pytest.raises(ValueError, match=r"eps_tail must lie in \(0, 1e-06\], got 5.0"):
+            sweep(p, [1e-9, 1e-8], statistics=statistics, eps_tail=5.0)
 
     def test_statistics_validation(self):
         p = BlackHoleParams(mass=1.0)

@@ -422,6 +422,23 @@ class TestPartialTrace:
                 else:
                     assert diag is squares
 
+    # The operator sets no flag of its own: a state's squares are read-only
+    # from the start, and the fermion's exchanged copy is flagged as made.
+    @pytest.mark.parametrize("statistics", [B, F])
+    def test_every_reduction_is_read_only(self, statistics):
+        built = (
+            build_boson_state(SqueezingParams.from_x(B, 0.3))
+            if statistics is B
+            else build_fermion_state(SqueezingParams.from_x(F, 0.3))
+        )
+        public = PureBipartiteState(statistics, built.amplitudes, built.tail_bound)
+        for state in (built, public):
+            for keep in ("out", "hor"):
+                diag = partial_trace(state, keep).diag
+                assert not diag.flags.writeable, (state, keep)
+                with pytest.raises(ValueError):
+                    diag[0] = 0.0
+
     def test_reduction_skips_the_public_checks(self, monkeypatch):
         def public_checks(self):
             raise AssertionError("a reduction was checked a second time")

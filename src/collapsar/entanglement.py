@@ -118,33 +118,19 @@ def temperature_ratio_fit(rho: DensityOperator, x: float) -> float:
     _require_finite_positive("x", x)
     diag = rho.diag
     if rho.statistics is Statistics.BOSON:
-        if rho._descending():
-            # The levels above the floor are a prefix: all of them, or a count.
-            mask = None
-            k = diag.size if diag[-1] > _FIT_FLOOR else np.count_nonzero(diag > _FIT_FLOOR)
-        else:
-            mask = diag > _FIT_FLOOR
-            k = np.count_nonzero(mask)
-            if mask[:k].all():
-                mask = None
+        # The diagonal is non-increasing (see PureBipartiteState._built), so
+        # the levels above the floor are a prefix: all of them, or a count.
+        k = diag.size if diag[-1] > _FIT_FLOOR else np.count_nonzero(diag > _FIT_FLOOR)
         if k < 2:
             return math.nan
-        if mask is None:
-            # The fitted levels are 0..k-1, whose mean is exactly (k - 1) / 2.
-            # One fill of exact half-integers, centred on that mean.
-            dn = np.arange(-(k - 1) / 2, (k + 1) / 2)
-            y = diag[:k]
-            # sum(dn^2) in closed form.  Each term is a half-integer squared
-            # and every partial sum is exact for k below 3e5, so the pairwise
-            # sum is this value, correctly rounded, bit for bit.
-            sxx = k * (k * k - 1) / 12
-        else:
-            # An integer sum over k is the exact mean, correctly rounded.
-            levels = np.flatnonzero(mask)
-            dn = levels - levels.sum() / k
-            y = diag[mask]
-            sxx = (dn * dn).sum()
-        del mask
+        # The fitted levels are 0..k-1, whose mean is exactly (k - 1) / 2.
+        # One fill of exact half-integers, centred on that mean.
+        dn = np.arange(-(k - 1) / 2, (k + 1) / 2)
+        y = diag[:k]
+        # sum(dn^2) in closed form.  Each term is a half-integer squared
+        # and every partial sum is exact for k below 3e5, so the pairwise
+        # sum is this value, correctly rounded, bit for bit.
+        sxx = k * (k * k - 1) / 12
         y = np.log(y)
         y -= y[y.size // 2]
         y *= dn

@@ -10,18 +10,21 @@ leaves an exactly diagonal operator over ``range(d)`` or ``FERMION_BASIS``,
 stored as its diagonal.  Truncation is explicit: ``tail_bound`` bounds the
 squared norm discarded by the cut, and completeness is checked against it
 rather than silently renormalised away.
+
+Neither class takes a caller's numbers: a pair state comes only from the
+builders in ``states``, and an operator only from ``partial_trace``.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Union
 
 import numpy as np
 
-from .geometry import Statistics, _is_real
+from .geometry import Statistics
 
 BasisLabel = Union[int, tuple[int, int]]
 
@@ -35,14 +38,6 @@ _FERMION_NUMBERS.setflags(write=False)
 
 # Completeness window half-width for pure states.
 EPS_NORM = 1e-12
-# Largest tail bound a pair state takes: a cut may not discard more than it keeps.
-_TAIL_MAX = 0.5
-# How negative a probability may be before the operator is rejected.
-PSD_ATOL = 1e-10
-# Default allowance on 1 - trace for a reduced operator.
-TRACE_DEFICIT_DEFAULT = 1e-9
-# Allowance on trace above 1 (pure rounding).
-TRACE_EXCESS = 1e-12
 # Within this distance of a completeness window edge the pairwise sum of
 # squares does not decide; math.fsum does.  Over 20x numpy's pairwise
 # error bound on a sum near 1, even at d = 2e7.
@@ -55,55 +50,18 @@ def _basis(statistics: Statistics, d: int) -> Sequence[BasisLabel]:
     return FERMION_BASIS if statistics is Statistics.FERMION else range(d)
 
 
-def _one_signed_zero(values: np.ndarray) -> bool:
-    """No two zeros of ``values`` differ in sign."""
-    signs = np.signbit(values[values == 0.0])
-    return bool(signs.all() or not signs.any())
-
-
-def _descends(diag: np.ndarray) -> bool:
-    """``diag`` is non-increasing, so that reversed it is ``np.sort(diag)``, bit for bit.
-
-    The one exception is a tie of +0.0 and -0.0, whose input order
-    ``np.sort`` keeps; such a diagonal does not count as descending.
-    """
-    return bool(
-        (diag[1:] <= diag[:-1]).all() and (diag[-1] > 0.0 or _one_signed_zero(diag))
-    )
-
-
-def _real_vector(statistics: Statistics, values: object, what: str) -> np.ndarray:
-    """A float64 copy of ``values``: real numbers, one per basis label."""
-    vec = np.array(values)
-    if vec.dtype.kind not in "iuf":
-        raise ValueError(f"{what} are not real numbers: dtype {vec.dtype}")
-    if vec.ndim != 1:
-        raise ValueError(f"{what} must be a 1-D array, got shape {vec.shape}")
-    if vec.size == 0:
-        raise ValueError(f"no {what}")
-    if statistics is Statistics.FERMION and vec.size != len(FERMION_BASIS):
-        raise ValueError(f"a fermion mode has 4 {what}, got {vec.size}")
-    return vec.astype(np.float64, copy=False)
-
-
-def _require_fraction(name: str, value: object) -> None:
-    if not (_is_real(value) and 0.0 <= value < 1.0):
-        raise ValueError(f"{name} must lie in [0, 1), got {value!r}")
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PureBipartiteState:
     """Pure state of a horizon/outgoing mode pair in a truncated Fock basis.
 
     ``amplitudes`` holds one real amplitude per label pair, in the horizon
     side's basis order, as a read-only float64 array; the pairing follows
-    from ``statistics``.  The constructor copies and checks a caller's
-    amplitudes; a builder's fresh array is adopted with no copy and checked
-    once, for completeness.  The squares that completeness sums are kept
-    beside the amplitudes, read-only, for ``partial_trace`` to hand on, so
-    a state holds two d-vectors.  ``tail_bound`` bounds the squared norm removed
-    by truncation, 0.0 for an exact state, and may not exceed 1/2: a cut
-    never discards more than it keeps.  The analytic bound may overestimate
+    from ``statistics``.  Only ``build_boson_state`` and
+    ``build_fermion_state`` make one, through ``_built``; there is no public
+    constructor.  The squares that completeness sums are kept beside the
+    amplitudes, read-only, for ``partial_trace`` to hand on, so a state
+    holds two d-vectors.  ``tail_bound`` bounds the squared norm removed by
+    truncation, 0.0 for an exact state.  The analytic bound may overestimate
     the discarded mass by up to a factor 1/(1-q), so the retained
     probability plus ``tail_bound`` may exceed 1 by almost ``tail_bound``
     itself.
@@ -116,19 +74,7 @@ class PureBipartiteState:
 
     statistics: Statistics
     amplitudes: np.ndarray
-    tail_bound: float = 0.0
-    # True when both reductions are known to be non-increasing, as a
-    # builder's are (see _built); None leaves each operator to decide.
-    _order = None
-
-    def __post_init__(self) -> None:
-        statistics = Statistics(self.statistics)
-        amps = _real_vector(statistics, self.amplitudes, "amplitudes")
-        with np.errstate(over="ignore"):
-            squares = amps * amps
-            total = float(squares.sum())
-        object.__setattr__(self, "statistics", statistics)
-        self._adopt(amps, squares, total)
+    tail_bound: float
 
     @classmethod
     def _built(
@@ -136,14 +82,15 @@ class PureBipartiteState:
     ) -> PureBipartiteState:
         """Adopt a builder's fresh float64 amplitudes, checked once for completeness.
 
-        A built amplitude lies in [-1, 1], so its square cannot overflow, and
-        the builder fixes the statistics and the length; the copy, the intake
-        and the errstate of the constructor would repeat what it knows.
+        The builder fixes the statistics, the length and a tail bound below
+        1e-6, and its amplitudes lie in [-1, 1], so their squares cannot
+        overflow.  The array is kept with no copy, read-only, beside its
+        squares, which are the diagonal that ``partial_trace`` hands on.
 
         The builder also vouches for the order: the squares, and so both
-        reductions, are non-increasing, with every zero a +0.0 square, so no
-        operator of a built state runs ``_descends``.  Rounding cannot undo
-        the order, because correctly rounded products and squares of
+        reductions, are non-increasing, so the entropy and the temperature
+        fit read every operator as a descending spectrum.  Rounding cannot
+        undo the order, because correctly rounded products and squares of
         non-negative numbers are monotone and each step between neighbours
         is far wider than the rounding of ``exp``:
 
@@ -158,42 +105,23 @@ class PureBipartiteState:
           bits.
         """
         state = object.__new__(cls)
-        object.__setattr__(state, "statistics", statistics)
-        object.__setattr__(state, "tail_bound", tail_bound)
-        object.__setattr__(state, "_order", True)
         squares = amps * amps
-        state._adopt(amps, squares, float(squares.sum()))
-        return state
-
-    def _adopt(self, amps: np.ndarray, squares: np.ndarray, total: float) -> None:
-        """Check the tail bound and completeness on ``total``, the sum of ``squares``.
-
-        Keeps ``amps`` and ``squares`` read-only; the squares are the
-        diagonal that ``partial_trace`` hands on.
-        """
-        # A nan or inf amplitude always makes the sum non-finite.
-        if not math.isfinite(total) and not np.isfinite(amps).all():
-            raise ValueError("non-finite amplitude")
-        tail = self.tail_bound
-        _require_fraction("tail_bound", tail)
-        if tail > _TAIL_MAX:
-            raise ValueError(
-                f"tail_bound must not exceed {_TAIL_MAX!r}: a cut may not "
-                f"discard more than it keeps, got {tail!r}"
-            )
         amps.setflags(write=False)
         squares.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "_squares", squares)
-        total += tail
-        upper = 1.0 + EPS_NORM + tail
+        object.__setattr__(state, "statistics", statistics)
+        object.__setattr__(state, "amplitudes", amps)
+        object.__setattr__(state, "tail_bound", tail_bound)
+        object.__setattr__(state, "_squares", squares)
+        total = float(squares.sum()) + tail_bound
+        upper = 1.0 + EPS_NORM + tail_bound
         if not 1.0 - EPS_NORM + _EDGE_SLACK < total < upper - _EDGE_SLACK:
             # At an edge, or failing: decide and report on the exact sum.
-            total = self.norm_squared() + tail
+            total = state.norm_squared() + tail_bound
             if not 1.0 - EPS_NORM <= total <= upper:
                 raise ValueError(
                     f"state not complete: |amplitudes|^2 + tail_bound = {total!r}"
                 )
+        return state
 
     @property
     def coefficients(self) -> Mapping[tuple[BasisLabel, BasisLabel], float]:
@@ -201,11 +129,8 @@ class PureBipartiteState:
         return _Coefficients(self)
 
     def norm_squared(self) -> float:
-        """Exactly rounded sum of the squared amplitudes; inf past the float range."""
-        try:
-            return math.fsum(self._squares.tolist())
-        except OverflowError:
-            return math.inf
+        """Exactly rounded sum of the squared amplitudes."""
+        return math.fsum(self._squares.tolist())
 
     def hor_labels(self) -> tuple[BasisLabel, ...]:
         return tuple(_basis(self.statistics, self.amplitudes.size))
@@ -265,67 +190,32 @@ class _Coefficients(Mapping):
         return self._amps[i].item()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DensityOperator:
-    """Positive trace-near-one operator, diagonal in the basis its statistics fixes.
+    """Reduction of a pair state to one side, diagonal in the basis its statistics fixes.
 
     ``diag`` holds the probabilities in ``basis`` order, as a read-only
-    float64 array.  ``max_trace_deficit`` widens the lower trace window for
-    operators that descend from truncated states; it is a validation
-    allowance, not data.  The constructor checks a caller's probabilities;
-    a reduction from ``partial_trace`` is checked once, on its pair state.
+    float64 array, non-increasing as the state's builder vouches (see
+    ``PureBipartiteState._built``), so it is the spectrum read backwards.
+    Only ``partial_trace`` makes one, through ``_reduced``; there is no
+    public constructor.
     """
 
     statistics: Statistics
     diag: np.ndarray
-    max_trace_deficit: float = field(default=TRACE_DEFICIT_DEFAULT, repr=False)
-    # Whether diag is non-increasing: True from the start for a reduction of
-    # a built state, else None until _descending() decides it.
-    _order = None
-
-    def __post_init__(self) -> None:
-        statistics = Statistics(self.statistics)
-        diag = _real_vector(statistics, self.diag, "probabilities")
-        with np.errstate(over="ignore", invalid="ignore"):
-            tr = float(diag.sum())
-        # A nan or inf entry always makes the trace non-finite.
-        if not math.isfinite(tr) and not np.isfinite(diag).all():
-            raise ValueError("non-finite diagonal entries")
-        deficit = self.max_trace_deficit
-        _require_fraction("max_trace_deficit", deficit)
-        if float(diag.min()) < -PSD_ATOL:
-            raise ValueError(f"negative diagonal entry {float(diag.min())!r}")
-        if not (1.0 - deficit - 1e-15 <= tr <= 1.0 + TRACE_EXCESS):
-            raise ValueError(f"trace {tr!r} outside allowed window")
-
-        diag.setflags(write=False)
-        object.__setattr__(self, "statistics", statistics)
-        object.__setattr__(self, "diag", diag)
 
     @classmethod
-    def _reduced(
-        cls,
-        statistics: Statistics,
-        diag: np.ndarray,
-        max_trace_deficit: float,
-        order: bool | None = None,
-    ) -> DensityOperator:
-        """Adopt, unchecked and uncopied, a diagonal that a validated pair state fixed.
+    def _reduced(cls, statistics: Statistics, diag: np.ndarray) -> DensityOperator:
+        """Adopt, unchecked and uncopied, a diagonal that a built pair state fixed.
 
         The squares of finite amplitudes are finite and non-negative, and
-        their sum is the one the state accepted, so the constructor's checks
-        would repeat the state's.  The windows differ only at one edge: a
-        sum whose exact total sits on the state's upper edge may lie an ulp
-        above the trace window.  The diagonal arrives read-only, so no flag
-        is set here.  ``order`` is the state's mark: True when a builder
-        vouched that the diagonal is non-increasing, None to leave the order
-        to be decided once.
+        their sum is the one the state accepted, so a check here would
+        repeat the state's.  The diagonal arrives read-only, so no flag is
+        set here.
         """
         rho = object.__new__(cls)
         object.__setattr__(rho, "statistics", statistics)
         object.__setattr__(rho, "diag", diag)
-        object.__setattr__(rho, "max_trace_deficit", max_trace_deficit)
-        object.__setattr__(rho, "_order", order)
         return rho
 
     @property
@@ -336,27 +226,6 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.diag.size
-
-    def _descending(self) -> bool:
-        """Whether the diagonal is non-increasing: vouched for, or decided once and kept."""
-        if self._order is None:
-            object.__setattr__(self, "_order", _descends(self.diag))
-        return self._order
-
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending real spectrum: the sorted diagonal, as a fresh contiguous array.
-
-        A non-increasing diagonal is reversed rather than sorted; the bits
-        are those of ``np.sort``.  The one exception sorts: a tie of +0.0 and
-        -0.0, whose input order ``np.sort`` keeps.  A reduction of a built
-        state arrives ordered, as its builder vouches; any other operator
-        decides its order once, shared with ``von_neumann_entropy`` and the
-        temperature fit.  Like its diagonal, the spectrum of a reduction is
-        checked once, on its pair state.
-        """
-        if self._descending():
-            return self.diag[::-1].copy()
-        return np.sort(self.diag)
 
     def to_json_dict(self) -> dict:
         """Serialisable view: basis labels, diagonal, and off-diagonal weight (always 0)."""
@@ -374,12 +243,11 @@ def partial_trace(
 
     Each kept label carries the weight amplitude^2 of its single pair; a
     fermionic outgoing label takes it from its slot-exchanged horizon
-    partner.  The trace window is widened by the state's tail bound.  The
-    reduction is checked once, on its pair state: the operator adopts the
-    state's read-only squares (a fermionic outgoing side, its own read-only
-    exchanged copy), with no second square, copy, sum or sign check.  It
-    also takes the state's order mark, so a reduction of a built state
-    arrives ordered and never decides its order.
+    partner.  The reduction is checked once, on its pair state: the
+    operator adopts the state's read-only squares (a fermionic outgoing
+    side, its own read-only exchanged copy), with no second square, copy,
+    sum, sign or order check.  This is the only way to make a
+    ``DensityOperator``.
     """
     if keep not in ("out", "hor"):
         raise ValueError(f"keep must be 'out' or 'hor', got {keep!r}")
@@ -387,37 +255,26 @@ def partial_trace(
     if keep == "out" and state.statistics is Statistics.FERMION:
         weights = weights[_SLOT_EXCHANGE]
         weights.setflags(write=False)
-    deficit = TRACE_DEFICIT_DEFAULT + state.tail_bound
-    return DensityOperator._reduced(state.statistics, weights, deficit, state._order)
+    return DensityOperator._reduced(state.statistics, weights)
 
 
 def von_neumann_entropy(rho: DensityOperator, method: Literal["eigen"] = "eigen") -> float:
     """Entropy -tr(rho log2 rho) in bits, summed over the ascending spectrum.
 
     ``method`` accepts only "eigen".  Eigenvalues at or below LAMBDA_FLOOR
-    count as exact zeros.  A non-increasing diagonal is its spectrum read
+    count as exact zeros.  The non-increasing diagonal is its spectrum read
     backwards: the logarithms run over it as it lies, in contiguous memory
     (numpy's ``log2`` may round a strided view differently), and only the
     pairwise sum reads the terms in reverse, so no spectrum is copied.
-    Any other diagonal is sorted.
     """
     if method != "eigen":
         raise ValueError(f"unknown method {method!r}")
-    descending = rho._descending()
-    if descending:
-        p = rho.diag
-        if p[-1] <= LAMBDA_FLOOR:
-            p = p[: np.count_nonzero(p > LAMBDA_FLOOR)]
-    else:
-        p = np.sort(rho.diag)
-        if p[0] <= LAMBDA_FLOOR:
-            p = p[np.searchsorted(p, LAMBDA_FLOOR, side="right") :]
-    if p.size == 0:
-        return 0.0
+    p = rho.diag
+    if p[-1] <= LAMBDA_FLOOR:
+        p = p[: np.count_nonzero(p > LAMBDA_FLOOR)]
     t = np.log2(p)
     t *= p
-    if descending:
-        t = t[::-1]
+    t = t[::-1]
     return max(0.0, -float(t.sum()))
 
 

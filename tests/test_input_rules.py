@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from collapsar import (
@@ -19,7 +18,6 @@ from collapsar import (
 )
 from collapsar.cli import main
 from collapsar.entanglement import temperature_ratio_fit
-from collapsar.fock import DensityOperator, PureBipartiteState
 
 B = Statistics.BOSON
 F = Statistics.FERMION
@@ -78,40 +76,3 @@ def test_statistics_rule(call, given):
     with pytest.raises(ValueError) as info:
         call(SqueezingParams(given, 1.0))
     assert str(info.value) == f"expected {expected.value} squeezing, got {given.value}"
-
-
-# Each would be a complete state and a valid diagonal as numbers; only its type is wrong.
-@pytest.mark.parametrize(
-    "values",
-    [
-        ["1", "0"],
-        [True, False],
-        np.array([1.0, 0.0], dtype=object),
-        np.array([1.0, 0.0j]),
-    ],
-    ids=["strings", "bools", "object", "complex"],
-)
-@pytest.mark.parametrize(
-    ("make", "what"),
-    [(PureBipartiteState, "amplitudes"), (DensityOperator, "probabilities")],
-    ids=["PureBipartiteState", "DensityOperator"],
-)
-def test_real_number_rule(make, what, values):
-    with pytest.raises(ValueError) as info:
-        make(B, values)
-    assert str(info.value) == f"{what} are not real numbers: dtype {np.array(values).dtype}"
-
-
-@pytest.mark.parametrize("value", [-1e-3, 1.0, math.nan, True, "x", None])
-@pytest.mark.parametrize(
-    ("name", "make"),
-    [
-        ("tail_bound", lambda v: PureBipartiteState(B, [1.0], tail_bound=v)),
-        ("max_trace_deficit", lambda v: DensityOperator(B, [1.0], max_trace_deficit=v)),
-    ],
-    ids=["tail_bound", "max_trace_deficit"],
-)
-def test_fraction_rule(name, make, value):
-    with pytest.raises(ValueError) as info:
-        make(value)
-    assert str(info.value) == f"{name} must lie in [0, 1), got {value!r}"

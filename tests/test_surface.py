@@ -1,32 +1,39 @@
-"""Each module's public functions and classes, pinned by name.
+"""Each module's public functions, classes and constants, pinned by name.
 
 A helper that only tests call belongs in the tests; adding or removing a
-public name in a module must show up as a diff of SURFACE.  Likewise a new
-constructor argument of a public dataclass must show up as a diff of
-INIT_FIELDS.
+public name in a module must show up as a diff of SURFACE.  A constant
+counts when the module's own top level assigns an UPPER_CASE name; one it
+imports belongs to the module that assigns it.  Likewise a new field of a
+public dataclass must show up as a diff of INIT_FIELDS.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
 
 SURFACE = {
     "geometry": [
-        "BlackHoleParams", "ModeChannel", "SqueezingParams", "Statistics",
+        "BlackHoleParams", "FOUR_PI", "ModeChannel", "SqueezingParams", "Statistics", "X_MIN",
         "dimensionless_x", "squeezing_for",
     ],
     "fock": [
-        "DensityOperator", "PureBipartiteState", "mean_occupation", "partial_trace",
-        "von_neumann_entropy",
+        "DensityOperator", "EPS_NORM", "FERMION_BASIS", "LAMBDA_FLOOR", "PureBipartiteState",
+        "mean_occupation", "partial_trace", "von_neumann_entropy",
     ],
-    "states": ["build_boson_state", "build_fermion_state"],
+    "states": [
+        "EPS_TAIL_DEFAULT", "EPS_TAIL_MAX", "N_CAP", "build_boson_state", "build_fermion_state",
+    ],
     "entanglement": [
-        "CrossoverResult", "EntropyReport", "boson_entropy", "crossover", "entropy_report",
-        "fermion_entropy", "format_float", "report_csv_row", "report_json_dict", "sweep",
-        "temperature_ratio_fit",
+        "CROSSOVER_BRACKET", "CSV_HEADER", "CrossoverResult", "EntropyReport", "boson_entropy",
+        "crossover", "entropy_report", "fermion_entropy", "format_float", "report_csv_row",
+        "report_json_dict", "sweep", "temperature_ratio_fit",
     ],
     "errors": ["SqueezingOverflowError"],
-    "cli": ["build_parser", "cmd_crossover", "cmd_entropy", "cmd_reduced", "cmd_sweep", "main"],
+    "cli": [
+        "MAX_SWEEP_POINTS", "build_parser", "cmd_crossover", "cmd_entropy", "cmd_reduced",
+        "cmd_sweep", "main",
+    ],
 }
 
 INIT_FIELDS = {
@@ -34,7 +41,7 @@ INIT_FIELDS = {
     "geometry.ModeChannel": ["omega", "statistics"],
     "geometry.SqueezingParams": ["statistics", "x"],
     "fock.PureBipartiteState": ["statistics", "amplitudes", "tail_bound"],
-    "fock.DensityOperator": ["statistics", "diag", "max_trace_deficit"],
+    "fock.DensityOperator": ["statistics", "diag"],
     "entanglement.EntropyReport": [
         "x", "omega", "mass", "statistics", "S_closed", "S_numeric", "gap", "mean_occ",
         "T_ratio", "error",
@@ -43,16 +50,30 @@ INIT_FIELDS = {
 }
 
 
+def public_constants(module):
+    """The public UPPER_CASE names that the module's own top level assigns."""
+    names = []
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if name.isupper() and not name.startswith("_")]
+
+
 def test_module_surface_is_pinned():
     found = {}
     for name in SURFACE:
         module = importlib.import_module(f"collapsar.{name}")
         found[name] = sorted(
-            attr
-            for attr, value in vars(module).items()
-            if not attr.startswith("_")
-            and (inspect.isfunction(value) or inspect.isclass(value))
-            and value.__module__ == module.__name__
+            [
+                attr
+                for attr, value in vars(module).items()
+                if not attr.startswith("_")
+                and (inspect.isfunction(value) or inspect.isclass(value))
+                and value.__module__ == module.__name__
+            ]
+            + public_constants(module)
         )
     assert found == SURFACE
 

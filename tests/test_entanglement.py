@@ -474,6 +474,32 @@ class TestSpectrumPath:
             assert same_bits(von_neumann_entropy(rho), want_s)
             assert same_bits(temperature_ratio_fit(rho, 0.5), want_t)
 
+    # An unordered diagonal has no way in.  In the order a builder gives it,
+    # the fit's levels above its floor are a prefix even where the unordered
+    # ones were scattered, and the entropy keeps the bits of the sorted
+    # route over the unordered diagonal, and the fit those of the masked sums.
+    @pytest.mark.parametrize(
+        "diag, scattered",
+        [
+            ([0.2, 0.5, 0.3], False),
+            ([0.3, 0.5, 0.0, 0.2], True),
+            ([0.4, 1e-16, 0.35, 0.25, 0.0], True),
+            ([0.25, 0.25, 0.5, LAMBDA_FLOOR], False),
+        ],
+    )
+    def test_unordered_operator_sorts_and_masks(self, diag, scattered):
+        diag = np.array(diag)
+        assert not descends(diag)
+        levels = np.flatnonzero(diag > _FIT_FLOOR)
+        assert bool((levels != np.arange(levels.size)).any()) == scattered
+        rho = reduced(B, np.sort(diag)[::-1])
+        assert (np.flatnonzero(rho.diag > _FIT_FLOOR) == np.arange(levels.size)).all()
+        want_s, want_t = entropy_oracle(diag), fit_oracle(rho, 0.5)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(np, "sort", no_sort)
+            assert same_bits(von_neumann_entropy(rho), want_s)
+            assert same_bits(temperature_ratio_fit(rho, 0.5), want_t)
+
 
 # The order every builder vouches for, over every admitted input.  No boson
 # mode below x ~ 6.256e-4 fits under the cap, even at EPS_TAIL_MAX; below

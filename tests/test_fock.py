@@ -161,6 +161,27 @@ class TestPureBipartiteState:
         with pytest.raises(ValueError, match=r"not complete: .* = (nan|inf)$"):
             built(statistics, amps)
 
+    # A state's statistics is its squeezing's, which refuses anything else.
+    @pytest.mark.parametrize("statistics", ["photon", None, True])
+    def test_rejects_unknown_statistics(self, statistics):
+        with pytest.raises(ValueError, match="not a valid Statistics"):
+            SqueezingParams(statistics, 1.0)
+
+    # A state's tail bound is the eps_tail its builder was given, and the
+    # builder refuses a bad one.  A bool is not a number here, and neither is
+    # a string.
+    @pytest.mark.parametrize("tail", [-1e-3, 1.0, math.nan, False, True, "0", None])
+    def test_rejects_bad_tail(self, tail):
+        with pytest.raises(ValueError, match="eps_tail must lie"):
+            build_boson_state(SqueezingParams(B, 1.0), tail)
+
+    # The cap a public constructor once set at 0.5 is now EPS_TAIL_MAX.
+    @pytest.mark.parametrize("tail", [0.5 + 2**-53, 0.75, 1.0 - 1e-13])
+    def test_rejects_tail_above_half(self, tail):
+        with pytest.raises(ValueError) as info:
+            build_boson_state(SqueezingParams(B, 1.0), tail)
+        assert str(info.value) == f"eps_tail must lie in (0, {EPS_TAIL_MAX!r}], got {tail!r}"
+
     def test_coefficients_view(self):
         view = built(F, FERMION_AMPS).coefficients
         assert len(view) == 4
@@ -240,6 +261,42 @@ class TestCompleteness:
                 build_boson_state(sq, eps_tail) if statistics is B else build_fermion_state(sq)
             except SqueezingOverflowError:
                 pass
+
+
+class TestBuiltState:
+    """A builder's array is adopted, and checked once: for completeness.
+
+    What the public constructor used to refuse still has no way in: wrong
+    numbers fail ``_built``'s completeness check, and a wrong tail bound
+    fails the builder's ``eps_tail`` rule before any amplitude is made.
+    """
+
+    @pytest.mark.parametrize(
+        "statistics, amps, tail",
+        [
+            (B, [0.9], 0.0),
+            (B, [1.0, 1e-5], 0.0),
+            (F, [0.5, -0.5, 0.5, -0.5 + 1e-6], 0.0),
+            (B, [math.nan, 0.0], 0.0),
+            (F, [1.0, 0.0, -math.inf, 0.0], 0.0),
+            (B, [1.0], -1e-3),
+            (B, [1.0], 1.0),
+            (B, [1.0], math.nan),
+            (B, [1.0], True),
+            (B, [0.0], 0.75),
+        ],
+        ids=[
+            "short", "excess", "fermion-excess", "nan", "fermion-inf",
+            "negative-tail", "unit-tail", "nan-tail", "bool-tail", "tail-above-half",
+        ],
+    )
+    def test_refuses_as_the_constructor_does(self, statistics, amps, tail):
+        if tail is True or tail != 0.0:
+            with pytest.raises(ValueError, match="^eps_tail must lie in "):
+                build_boson_state(SqueezingParams(statistics, 1.0), tail)
+        else:
+            with pytest.raises(ValueError, match="^state not complete: "):
+                built(statistics, amps, tail)
 
 
 # The fermion pairing, written out here rather than imported: each horizon
@@ -420,6 +477,36 @@ class TestDensityOperator:
     def test_basis_follows_statistics(self):
         assert reduced(B, [0.5, 0.3, 0.2]).basis == range(3)
         assert reduced(F, [0.4, 0.3, 0.2, 0.1]).basis == FERMION_BASIS
+
+    # No operator sorts: a reduction's diagonal is non-increasing, so its
+    # spectrum is the diagonal reversed.
+    def test_eigenvalues_are_sorted_diagonal(self):
+        state = built(B, [math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2)])
+        rho = partial_trace(state)
+        assert rho.diag.dtype == np.float64 and rho.diag.shape == (3,)
+        np.testing.assert_array_equal(rho.diag, state.amplitudes**2)
+        np.testing.assert_array_equal(rho.diag[::-1], np.sort(rho.diag))
+
+    # Over every admitted boson and fermion mode, both kept sides: the
+    # reversed diagonal is np.sort's spectrum, bit for bit.
+    @given(
+        statistics=st.sampled_from([B, F]),
+        x=st.floats(6.25e-4, 700.0),
+        eps_tail=st.floats(sys.float_info.min, EPS_TAIL_MAX),
+    )
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_eigenvalues_are_np_sort_bit_for_bit(self, statistics, x, eps_tail):
+        if statistics is F:
+            assume(x >= X_MIN)
+            state = build_fermion_state(SqueezingParams.from_x(F, x))
+        else:
+            try:
+                state = build_boson_state(SqueezingParams.from_x(B, x), eps_tail)
+            except SqueezingOverflowError:
+                return
+        for keep in ("out", "hor"):
+            diag = partial_trace(state, keep).diag
+            assert diag[::-1].tobytes() == np.sort(diag).tobytes(), (x, eps_tail, keep)
 
     def test_json_round_trip(self):
         rho = reduced(F, [0.4, 0.3, 0.2, 0.1])

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from collapsar import (
@@ -18,6 +19,8 @@ from collapsar import (
 )
 from collapsar.cli import main
 from collapsar.entanglement import temperature_ratio_fit
+from collapsar.fock import DensityOperator, PureBipartiteState
+from collapsar.states import EPS_TAIL_MAX
 
 B = Statistics.BOSON
 F = Statistics.FERMION
@@ -76,3 +79,37 @@ def test_statistics_rule(call, given):
     with pytest.raises(ValueError) as info:
         call(SqueezingParams(given, 1.0))
     assert str(info.value) == f"expected {expected.value} squeezing, got {given.value}"
+
+
+# Each would be a complete state and a valid diagonal as numbers; only its type
+# is wrong.  Neither class takes a caller's values, so none of them gets in.
+@pytest.mark.parametrize(
+    "values",
+    [
+        ["1", "0"],
+        [True, False],
+        np.array([1.0, 0.0], dtype=object),
+        np.array([1.0, 0.0j]),
+    ],
+    ids=["strings", "bools", "object", "complex"],
+)
+@pytest.mark.parametrize(
+    "make", [PureBipartiteState, DensityOperator], ids=["PureBipartiteState", "DensityOperator"]
+)
+def test_real_number_rule(make, values):
+    with pytest.raises(TypeError):
+        make(B, values)
+
+
+# A state's tail bound is the eps_tail its builder was given, so the builder
+# applies the rule, before any amplitude is made.
+@pytest.mark.parametrize("value", [-1e-3, 1.0, math.nan, True, "x", None])
+@pytest.mark.parametrize(
+    ("name", "make"),
+    [("eps_tail", lambda v: build_boson_state(SqueezingParams(B, 1.0), v))],
+    ids=["tail_bound"],
+)
+def test_fraction_rule(name, make, value):
+    with pytest.raises(ValueError) as info:
+        make(value)
+    assert str(info.value) == f"{name} must lie in (0, {EPS_TAIL_MAX!r}], got {value!r}"

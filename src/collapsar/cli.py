@@ -21,6 +21,7 @@ from .entanglement import (
     CSV_HEADER,
     EntropyReport,
     _json_number,
+    _reduction,
     crossover,
     entropy_report,
     format_float,
@@ -39,12 +40,8 @@ from .geometry import (
     _require_finite_positive,
     squeezing_for,
 )
-from .states import (
-    EPS_TAIL_DEFAULT,
-    _validate_eps_tail,
-    build_boson_state,
-    build_fermion_state,
-)
+# Not called here: bench/tracer.py rebinds partial_trace (above) and these two builders here.
+from .states import EPS_TAIL_DEFAULT, build_boson_state, build_fermion_state
 
 # Largest sweep grid.  A point at the truncation cap costs ~0.3-0.4 ms for
 # both statistics, so a sweep with every point there takes about 5-8 s
@@ -157,12 +154,7 @@ def cmd_reduced(args: argparse.Namespace) -> int:
     params = BlackHoleParams(mass=args.mass)
     channel = ModeChannel(omega=_channel_omega(args), statistics=Statistics(args.stats))
     sq = squeezing_for(params, channel)
-    if sq.statistics is Statistics.BOSON:
-        state = build_boson_state(sq, eps_tail=args.eps_tail)
-    else:
-        _validate_eps_tail(args.eps_tail)
-        state = build_fermion_state(sq)
-    rho = partial_trace(state)
+    rho = _reduction(sq, args.eps_tail)
     doc = {"squeezing": sq.to_json_dict(), **rho.to_json_dict()}
     if args.spectrum:
         doc["mean_occ"] = _json_number(mean_occupation(rho))

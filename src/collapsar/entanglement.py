@@ -153,27 +153,18 @@ def entropy_report(
 ) -> EntropyReport:
     """Closed-form and numerical entropies for one mode, with thermality checks.
 
-    The numerical column always goes the long way: build the truncated pair
-    state, trace out the horizon side, and sum over the spectrum of the
-    diagonal reduction.  ``mean_occ`` is the particle-sector occupation of
-    the outgoing side and ``T_ratio`` the fitted-to-Hawking temperature ratio.
+    The numerical column always goes the long way, through ``_reduction``:
+    build the truncated pair state, trace out the horizon side, and sum over
+    the spectrum of the diagonal reduction.  ``mean_occ`` is the
+    particle-sector occupation of the outgoing side and ``T_ratio`` the
+    fitted-to-Hawking temperature ratio.
 
     Raises SqueezingOverflowError when the mode cannot be represented;
-    sweep() converts that into an in-band error row instead.  A fermion
-    mode needs no truncation, but refuses a bad ``eps_tail`` as a boson
-    one does.
+    sweep() converts that into an in-band error row instead.
     """
     sq = squeezing_for(params, channel)
-    if sq.statistics is Statistics.BOSON:
-        s_closed = boson_entropy(sq)
-        state = build_boson_state(sq, eps_tail=eps_tail)
-    else:
-        _validate_eps_tail(eps_tail)
-        s_closed = fermion_entropy(sq)
-        state = build_fermion_state(sq)
-    rho = partial_trace(state)
-    # The operator keeps the squares it needs; the amplitudes can go.
-    del state
+    s_closed = _closed_form_entropy(sq)
+    rho = _reduction(sq, eps_tail)
     s_numeric = von_neumann_entropy(rho, method="eigen")
     return EntropyReport(
         x=sq.x,
@@ -188,11 +179,24 @@ def entropy_report(
     )
 
 
-def _closed_form_entropy(statistics: Statistics, x: float) -> float:
-    sq = SqueezingParams(statistics, x)
-    if statistics is Statistics.BOSON:
+def _closed_form_entropy(sq: SqueezingParams) -> float:
+    """The closed route: the one place that picks a closed form by statistics."""
+    if sq.statistics is Statistics.BOSON:
         return boson_entropy(sq)
     return fermion_entropy(sq)
+
+
+def _reduction(sq: SqueezingParams, eps_tail: float) -> DensityOperator:
+    """The numeric route: build the pair state of ``sq`` and trace out the horizon side.
+
+    A fermion mode needs no truncation, but refuses a bad ``eps_tail`` as a
+    boson one does.  The builders and ``partial_trace`` are read from this
+    module's globals, which ``bench/tracer.py`` rebinds.
+    """
+    if sq.statistics is Statistics.FERMION:
+        _validate_eps_tail(eps_tail)
+        return partial_trace(build_fermion_state(sq))
+    return partial_trace(build_boson_state(sq, eps_tail=eps_tail))
 
 
 @dataclass(frozen=True)
@@ -214,9 +218,8 @@ def crossover() -> CrossoverResult:
     """
 
     def f(x: float) -> float:
-        return _closed_form_entropy(Statistics.FERMION, x) - _closed_form_entropy(
-            Statistics.BOSON, x
-        )
+        s_f, s_b = (_closed_form_entropy(SqueezingParams(st, x)) for st in ("fermion", "boson"))
+        return s_f - s_b
 
     a, b = CROSSOVER_BRACKET
     fa, fb = f(a), f(b)
@@ -247,11 +250,12 @@ def sweep(
     that point carries the closed-form entropy (nan when x is not a finite
     positive float), nan numerics, and the error message in band.
     """
-    oms = [float(o) for o in omegas]
+    oms = list(omegas)
     if not oms:
         raise ValueError("empty frequency grid")
     for o in oms:
         _require_finite_positive("omega", o)
+    oms = [float(o) for o in oms]
     if any(b <= a for a, b in zip(oms, oms[1:])):
         raise ValueError("frequency grid must be strictly increasing")
     if isinstance(statistics, (Statistics, str)):
@@ -271,13 +275,14 @@ def sweep(
                 reports.append(entropy_report(params, channel, eps_tail=eps_tail))
             except SqueezingOverflowError as exc:
                 x = dimensionless_x(params, channel)
+                sq = SqueezingParams(st, x) if 0.0 < x < math.inf else None
                 reports.append(
                     EntropyReport(
                         x=x,
                         omega=om,
                         mass=float(params.mass),
                         statistics=st,
-                        S_closed=_closed_form_entropy(st, x) if 0.0 < x < math.inf else math.nan,
+                        S_closed=math.nan if sq is None else _closed_form_entropy(sq),
                         S_numeric=math.nan,
                         gap=math.nan,
                         mean_occ=math.nan,

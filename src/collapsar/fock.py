@@ -5,11 +5,13 @@ A bosonic state of d amplitudes pairs number level ``n`` on the horizon side
 with the same level outside, ``n < d``.  A fermionic state holds four
 amplitudes over pair labels ``(n_particle, n_antiparticle)``:
 ``FERMION_BASIS[i]`` on the horizon side pairs with its slot-exchanged
-partner outside.  Each label appears once per side, so tracing out a side
-leaves an exactly diagonal operator over ``range(d)`` or ``FERMION_BASIS``,
-stored as its diagonal.  Truncation is explicit: ``tail_bound`` bounds the
-squared norm discarded by the cut, and completeness is checked against it
-rather than silently renormalised away.
+partner outside.  Each label appears once per side, and a built state
+weighs exchanged labels alike, so tracing out either side leaves the same
+diagonal operator over ``range(d)`` or ``FERMION_BASIS``: the state's
+squares.  The crossed pairing shows only in ``coefficients``.  Truncation
+is explicit: ``tail_bound`` bounds the squared norm discarded by the cut,
+and completeness is checked against it rather than silently renormalised
+away.
 
 Neither class takes a caller's numbers: a pair state comes only from the
 builders in ``states``, and an operator only from ``partial_trace``.
@@ -29,9 +31,6 @@ from .geometry import Statistics
 BasisLabel = Union[int, tuple[int, int]]
 
 FERMION_BASIS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
-# Index in FERMION_BASIS of each label's slot-exchanged partner; its own inverse.
-_SLOT_EXCHANGE = np.array([0, 2, 1, 3], dtype=np.intp)
-_SLOT_EXCHANGE.setflags(write=False)
 # Particle number of each FERMION_BASIS label: its first slot.
 _FERMION_NUMBERS = np.array([lab[0] for lab in FERMION_BASIS], dtype=np.float64)
 _FERMION_NUMBERS.setflags(write=False)
@@ -57,8 +56,8 @@ class PureBipartiteState:
     ``amplitudes`` holds one real amplitude per label pair, in the horizon
     side's basis order, as a read-only float64 array; the pairing follows
     from ``statistics``.  Only ``build_boson_state`` and
-    ``build_fermion_state`` make one, through ``_built``; there is no public
-    constructor.  The squares that completeness sums are kept beside the
+    ``build_fermion_state`` make one, through ``_built``; calling the class
+    raises TypeError.  The squares that completeness sums are kept beside the
     amplitudes, read-only, for ``partial_trace`` to hand on, so a state
     holds two d-vectors.  ``tail_bound`` bounds the squared norm removed by
     truncation, 0.0 for an exact state.  The analytic bound may overestimate
@@ -75,6 +74,9 @@ class PureBipartiteState:
     statistics: Statistics
     amplitudes: np.ndarray
     tail_bound: float
+
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("PureBipartiteState: use build_boson_state or build_fermion_state")
 
     @classmethod
     def _built(
@@ -101,8 +103,8 @@ class PureBipartiteState:
           in ``exp``; scaling by c and squaring keep the order.
         - fermion: r = atan(e^(-x)) < pi/4 for x >= X_MIN, so c > s by about
           7e-7, far more than an ulp, and (c c)^2 >= (s c)^2 >= (s s)^2.  The
-          slot exchange of the outgoing side swaps two entries with the same
-          bits.
+          exchanged labels (0, 1) and (1, 0) carry -(s c) and s c, whose
+          squares have the same bits, so both sides reduce to these squares.
         """
         state = object.__new__(cls)
         squares = amps * amps
@@ -159,7 +161,7 @@ class _Coefficients(Mapping):
         self._hor = self._out = _basis(state.statistics, self._amps.size)
         self._pairs = state.statistics is Statistics.FERMION
         if self._pairs:
-            self._out = tuple(FERMION_BASIS[i] for i in _SLOT_EXCHANGE)
+            self._out = tuple((a, p) for p, a in FERMION_BASIS)
 
     def _is_label(self, value: object) -> bool:
         if self._pairs:
@@ -197,12 +199,15 @@ class DensityOperator:
     ``diag`` holds the probabilities in ``basis`` order, as a read-only
     float64 array, non-increasing as the state's builder vouches (see
     ``PureBipartiteState._built``), so it is the spectrum read backwards.
-    Only ``partial_trace`` makes one, through ``_reduced``; there is no
-    public constructor.
+    Only ``partial_trace`` makes one, through ``_reduced``; calling the
+    class raises TypeError.
     """
 
     statistics: Statistics
     diag: np.ndarray
+
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("DensityOperator: use partial_trace")
 
     @classmethod
     def _reduced(cls, statistics: Statistics, diag: np.ndarray) -> DensityOperator:
@@ -243,19 +248,15 @@ def partial_trace(
 
     Each kept label carries the weight amplitude^2 of its single pair; a
     fermionic outgoing label takes it from its slot-exchanged horizon
-    partner.  The reduction is checked once, on its pair state: the
-    operator adopts the state's read-only squares (a fermionic outgoing
-    side, its own read-only exchanged copy), with no second square, copy,
-    sum, sign or order check.  This is the only way to make a
+    partner, which a built state weighs the same (see ``_built``).  So the
+    operator adopts the state's read-only squares for either ``keep``: the
+    reduction is checked once, on its pair state, with no second square,
+    copy, sum, sign or order check.  This is the only way to make a
     ``DensityOperator``.
     """
     if keep not in ("out", "hor"):
         raise ValueError(f"keep must be 'out' or 'hor', got {keep!r}")
-    weights = state._squares
-    if keep == "out" and state.statistics is Statistics.FERMION:
-        weights = weights[_SLOT_EXCHANGE]
-        weights.setflags(write=False)
-    return DensityOperator._reduced(state.statistics, weights)
+    return DensityOperator._reduced(state.statistics, state._squares)
 
 
 def von_neumann_entropy(rho: DensityOperator, method: Literal["eigen"] = "eigen") -> float:

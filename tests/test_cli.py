@@ -1,8 +1,14 @@
-"""End-to-end CLI tests driven through main(), asserting on captured bytes."""
+"""End-to-end CLI tests driven through main(), asserting on captured bytes.
+
+A few corpus rows also run in a fresh interpreter, as a user runs the command.
+"""
 
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -445,6 +451,43 @@ def test_corpus_matches_golden_bytes(capsys, case):
     # Captured before the crossover bracket and the infrared floor became
     # constants; never regenerate it to make this pass.
     assert run(capsys, case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
+# One corpus row per command and exit code, run as a user runs the command:
+# in a fresh interpreter, with every warning an error.
+FRESH_ROWS = {
+    "sweep --mass 1 --omega-min 0.01 --omega-max 1 --points 7",
+    "sweep --mass 1 --omega-min 0.2 --omega-max 0.1 --points 5",
+    "entropy --mass 1 --x 1",
+    "entropy --mass 1 --x 1e-7",
+    "state --mass 1 --x 1 --stats boson",
+    "state --mass 1 --x 1 --stats fermion",
+    "spectrum --mass 1 --x 1 --stats boson",
+    "spectrum --mass 1 --x 1 --stats fermion",
+    "crossover --mass 1",
+}
+FRESH_CASES = [c for c in CORPUS if " ".join(c["argv"]) in FRESH_ROWS]
+
+
+@pytest.mark.parametrize("case", FRESH_CASES, ids=[" ".join(c["argv"]) for c in FRESH_CASES])
+def test_corpus_row_in_a_fresh_interpreter(case):
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    entry = "import sys; from collapsar.cli import main; sys.exit(main())"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", entry, *case["argv"]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        case["code"], case["stdout"], case["stderr"]
+    )
+
+
+def test_fresh_rows_cover_every_command_and_exit_code():
+    assert len(FRESH_CASES) == len(FRESH_ROWS)
+    assert {c["argv"][0] for c in FRESH_CASES} == set(OPTIONS)
+    assert {c["code"] for c in FRESH_CASES} == {0, 2, 3}
 
 
 def test_format_float_examples():

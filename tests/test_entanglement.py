@@ -702,6 +702,27 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(BlackHoleParams(mass=1.0), omegas)
 
+    # Each omega is checked as it came, as ModeChannel checks it, before
+    # float() could turn a string, a bool or a numpy integer into a number.
+    @pytest.mark.parametrize(
+        "omegas",
+        [["0.1", True, np.int64(2)], ["0.1"], [True], [np.int64(2)], [np.float32(0.5)]],
+        ids=["mixed", "str", "bool", "int64", "float32"],
+    )
+    def test_raw_omegas_are_checked_before_conversion(self, omegas):
+        with pytest.raises(ValueError, match="^omega must be a finite positive real, got "):
+            ModeChannel(omega=omegas[0], statistics=F)
+        with pytest.raises(ValueError, match="^omega must be a finite positive real, got "):
+            sweep(BlackHoleParams(mass=1.0), omegas, statistics="fermion")
+
+    def test_float64_and_int_grids_are_accepted(self):
+        p = BlackHoleParams(mass=1.0)
+        omegas = np.geomspace(0.01, 0.1, 3)
+        reports = sweep(p, omegas, statistics="fermion")
+        assert [r.omega for r in reports] == omegas.tolist()
+        assert all(type(r.omega) is float for r in reports)
+        assert [r.omega for r in sweep(p, [1, 2], statistics="fermion")] == [1.0, 2.0]
+
     # eps_tail is refused before the loop, for every statistics: with every
     # point below the floor, no row is made to carry it.
     @pytest.mark.parametrize("statistics", ["boson", "fermion"])

@@ -3,8 +3,9 @@
 A pair state comes only from a builder and an operator only from
 ``partial_trace``.  Tests that need a chosen amplitude vector or diagonal go
 through the same private entry points, ``PureBipartiteState._built`` and
-``DensityOperator._reduced``; a chosen diagonal is non-increasing, as every
-builder's is.
+``DensityOperator._reduced``; a chosen diagonal is non-increasing, and a
+chosen fermion vector weighs its exchanged labels (0, 1) and (1, 0) alike,
+as every builder's does.
 """
 
 import math
@@ -67,11 +68,14 @@ def bell_pair():
         lambda: PureBipartiteState(B, [1.0]),
         lambda: PureBipartiteState(F, FERMION_AMPS, 0.0),
         lambda: DensityOperator(B, [1.0]),
+        lambda: PureBipartiteState(),
+        lambda: DensityOperator(),
     ],
-    ids=["boson-state", "fermion-state", "operator"],
+    ids=["boson-state", "fermion-state", "operator", "empty-state", "empty-operator"],
 )
 def test_direct_construction_is_refused(make):
-    with pytest.raises(TypeError):
+    # The message names the one way in, with or without arguments.
+    with pytest.raises(TypeError, match="use (build_boson_state|partial_trace)"):
         make()
 
 
@@ -319,16 +323,25 @@ def dict_reduction(pairing, keep):
     return labels, np.array([weights[lab] for lab in labels], dtype=np.float64)
 
 
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp).filter(lambda x: lo <= x <= hi)
+
+
 @st.composite
 def real_states(draw):
-    """A statistics and a normalised real amplitude vector of a length it allows."""
-    statistics = draw(st.sampled_from([B, F]))
-    d = 4 if statistics is F else draw(st.integers(1, 64))
+    """A boson state of drawn normalised amplitudes, or a built fermion state.
+
+    A fermion state comes only from its builder, which weighs the two
+    exchanged labels alike; a drawn four-vector need not.
+    """
+    if draw(st.booleans()):
+        return build_fermion_state(SqueezingParams.from_x(F, draw(log_uniform(X_MIN, 745.0))))
+    d = draw(st.integers(1, 64))
     part = st.floats(-1.0, 1.0, allow_nan=False)
     amps = np.array(draw(st.lists(part, min_size=d, max_size=d)))
     norm = np.linalg.norm(amps)
     assume(norm > 1e-3)
-    return statistics, amps / norm
+    return built(B, amps / norm)
 
 
 class TestPartialTrace:
@@ -341,13 +354,16 @@ class TestPartialTrace:
 
     def test_crossed_pairing_keeps_each_weight_on_its_label(self):
         # |01>_hor|10>_out and |10>_hor|01>_out: the out side's (0, 1) carries
-        # the weight of the horizon's (1, 0).
-        amps = np.array([0.1, 0.3, 0.5, 0.0])
-        amps[3] = math.sqrt(1.0 - (amps * amps).sum())
-        state = built(F, amps)
-        w = amps * amps
-        np.testing.assert_array_equal(partial_trace(state, "hor").diag, w)
-        np.testing.assert_array_equal(partial_trace(state, "out").diag, w[[0, 2, 1, 3]])
+        # the weight of the horizon's (1, 0), which the builder gives the
+        # same bits as the horizon's own (0, 1).
+        for x in (X_MIN, 1e-3, 0.3, 1.0, 19.0, 300.0, 745.0):
+            state = build_fermion_state(SqueezingParams.from_x(F, x))
+            pairing = state.coefficients
+            assert list(pairing) == [(h, exchanged(h)) for h in PAIR_LABELS]
+            for keep, side in (("hor", 0), ("out", 1)):
+                diag = partial_trace(state, keep).diag
+                for key, amp in pairing.items():
+                    assert diag[FERMION_BASIS.index(key[side])] == amp * amp, (x, keep, key)
 
     def test_pair_labels(self):
         state = built(F, [INV_SQRT2, 0.0, 0.0, -INV_SQRT2])
@@ -367,9 +383,9 @@ class TestPartialTrace:
     @given(drawn=real_states())
     @settings(derandomize=True, max_examples=200, deadline=None)
     def test_matches_dict_reduction(self, drawn):
-        statistics, amps = drawn
-        state = built(statistics, amps)
-        if statistics is F:
+        state = drawn
+        amps = state.amplitudes
+        if state.statistics is F:
             pairs = [(h, exchanged(h)) for h in PAIR_LABELS]
         else:
             pairs = [(n, n) for n in range(amps.size)]
@@ -404,9 +420,8 @@ class TestPartialTrace:
             assert rho.statistics is statistics
             assert (rho.diag[1:] <= rho.diag[:-1]).all()
 
-    # The squares a state sums for completeness are its reduction's diagonal:
-    # formed once, never squared again.  Only the fermion's outgoing side,
-    # a slot exchange, takes a permuted copy.
+    # The squares a built state sums for completeness are the diagonal of
+    # both its reductions: formed once, never squared or copied again.
     def test_reduction_is_the_array_the_state_summed(self, monkeypatch):
         summed = []
         array_sum = np.ndarray.sum
@@ -416,46 +431,65 @@ class TestPartialTrace:
                 summed.append(self)
                 return array_sum(self, *args, **kwargs)
 
-        def spied(amps):
-            return np.asarray(amps, dtype=np.float64).view(Spied)
+        adopt = PureBipartiteState._built.__func__
 
+        def spied(cls, statistics, amps, tail_bound):
+            return adopt(cls, statistics, amps.view(Spied), tail_bound)
+
+        monkeypatch.setattr(PureBipartiteState, "_built", classmethod(spied))
         states = [
-            PureBipartiteState._built(B, spied(BELL), 0.0),
-            PureBipartiteState._built(F, spied(FERMION_AMPS), 0.0),
-        ]
-        assert len(summed) == len(states)
-        states += [
             build_boson_state(SqueezingParams.from_x(B, 0.02)),
             build_fermion_state(SqueezingParams.from_x(F, 0.5)),
         ]
-        summed += [state._squares for state in states[2:]]
+        assert len(summed) == len(states)
         for state, squares in zip(states, summed):
             assert state._squares is squares
             assert squares.tobytes() == (state.amplitudes * state.amplitudes).tobytes()
             for keep in ("out", "hor"):
-                diag = partial_trace(state, keep).diag
-                if state.statistics is F and keep == "out":
-                    assert not np.shares_memory(diag, squares)
-                    np.testing.assert_array_equal(diag, squares[[0, 2, 1, 3]])
-                else:
-                    assert diag is squares
+                assert partial_trace(state, keep).diag is squares
 
-    # The operator sets no flag of its own: a state's squares are read-only
-    # from the start, and the fermion's exchanged copy is flagged as made.
+    # The operator sets no flag of its own: a built state's squares are
+    # read-only from the start.
     @pytest.mark.parametrize("statistics", [B, F])
     def test_every_reduction_is_read_only(self, statistics):
-        states = (
-            build_boson_state(SqueezingParams.from_x(B, 0.3))
-            if statistics is B
-            else build_fermion_state(SqueezingParams.from_x(F, 0.3)),
-            built(statistics, BELL if statistics is B else FERMION_AMPS),
-        )
+        build = build_boson_state if statistics is B else build_fermion_state
+        states = [build(SqueezingParams.from_x(statistics, x)) for x in (0.02, 0.3, 5.0)]
         for state in states:
             for keep in ("out", "hor"):
                 diag = partial_trace(state, keep).diag
                 assert not diag.flags.writeable, (state, keep)
                 with pytest.raises(ValueError):
                     diag[0] = 0.0
+
+    # Over built states of both statistics, both eps_tail ends: the two
+    # sides' diagonals are the same bytes, and each is the dict reduction
+    # read through the pairing that ``coefficients`` shows.
+    @given(
+        statistics=st.sampled_from([B, F]),
+        data=st.data(),
+        eps_tail=st.sampled_from([sys.float_info.min, EPS_TAIL_MAX]),
+    )
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_both_sides_are_one_array(self, statistics, data, eps_tail):
+        if statistics is F:
+            x = data.draw(log_uniform(X_MIN, 745.0))
+            state = build_fermion_state(SqueezingParams.from_x(F, x))
+        else:
+            x = data.draw(log_uniform(1.032e-3, 700.0))
+            sq = SqueezingParams.from_x(B, x)
+            try:
+                state = build_boson_state(sq, eps_tail)
+            except SqueezingOverflowError:
+                return
+        pairing = dict(state.coefficients)
+        diags = {}
+        for keep in ("out", "hor"):
+            rho = partial_trace(state, keep)
+            labels, weights = dict_reduction(pairing, keep)
+            assert tuple(rho.basis) == labels
+            assert rho.diag.tobytes() == weights.tobytes(), (x, eps_tail, keep)
+            diags[keep] = rho.diag.tobytes()
+        assert diags["out"] == diags["hor"]
 
     def test_state_at_the_upper_edge_reduces(self):
         # fsum(a^2) is exactly 1 + EPS_NORM, which the state accepts; the

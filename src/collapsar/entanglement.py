@@ -97,6 +97,34 @@ class EntropyReport:
     T_ratio: float
     error: str | None = None
 
+    @classmethod
+    def _measured(
+        cls,
+        x: float,
+        omega: float,
+        mass: float,
+        statistics: Statistics,
+        S_closed: float,
+        S_numeric: float,
+        mean_occ: float,
+        T_ratio: float,
+    ) -> EntropyReport:
+        """The report ``entropy_report`` returns, filled in one step; error is None."""
+        report = object.__new__(cls)
+        report.__dict__.update(
+            x=x,
+            omega=omega,
+            mass=mass,
+            statistics=statistics,
+            S_closed=S_closed,
+            S_numeric=S_numeric,
+            gap=abs(S_closed - S_numeric),
+            mean_occ=mean_occ,
+            T_ratio=T_ratio,
+            error=None,
+        )
+        return report
+
 
 CSV_HEADER = tuple(f.name for f in fields(EntropyReport))
 
@@ -120,21 +148,23 @@ def temperature_ratio_fit(rho: DensityOperator, x: float) -> float:
     if rho.statistics is Statistics.BOSON:
         # The diagonal is non-increasing (see PureBipartiteState._built), so
         # the levels above the floor are a prefix: all of them, or a count.
-        k = diag.size if diag[-1] > _FIT_FLOOR else np.count_nonzero(diag > _FIT_FLOOR)
+        # k is a Python int, so k^3 below cannot wrap as an int64 would.
+        k = diag.size if diag[-1] > _FIT_FLOOR else int(np.count_nonzero(diag > _FIT_FLOOR))
         if k < 2:
             return math.nan
         # The fitted levels are 0..k-1, whose mean is exactly (k - 1) / 2.
         # One fill of exact half-integers, centred on that mean.
         dn = np.arange(-(k - 1) / 2, (k + 1) / 2)
         y = diag[:k]
-        # sum(dn^2) in closed form.  Each term is a half-integer squared
-        # and every partial sum is exact for k below 3e5, so the pairwise
-        # sum is this value, correctly rounded, bit for bit.
+        # sum(dn^2) in closed form: the exact integer quotient, correctly
+        # rounded.  Each term is a half-integer squared, and for k below 3e5
+        # every partial sum is exact, so a pairwise sum gives these bits too;
+        # above that the pairwise sum rounds and may differ by an ulp.
         sxx = k * (k * k - 1) / 12
         y = np.log(y)
         y -= y[y.size // 2]
         y *= dn
-        slope = float(y.sum() / sxx)
+        slope = float(np.add.reduce(y) / sxx)
         if not (math.isfinite(slope) and slope < 0.0):
             return math.nan
         return -2.0 * x / slope
@@ -165,17 +195,15 @@ def entropy_report(
     sq = squeezing_for(params, channel)
     s_closed = _closed_form_entropy(sq)
     rho = _reduction(sq, eps_tail)
-    s_numeric = von_neumann_entropy(rho, method="eigen")
-    return EntropyReport(
-        x=sq.x,
-        omega=float(channel.omega),
-        mass=float(params.mass),
-        statistics=sq.statistics,
-        S_closed=s_closed,
-        S_numeric=s_numeric,
-        gap=abs(s_closed - s_numeric),
-        mean_occ=mean_occupation(rho),
-        T_ratio=temperature_ratio_fit(rho, sq.x),
+    return EntropyReport._measured(
+        sq.x,
+        float(channel.omega),
+        float(params.mass),
+        sq.statistics,
+        s_closed,
+        von_neumann_entropy(rho, method="eigen"),
+        mean_occupation(rho),
+        temperature_ratio_fit(rho, sq.x),
     )
 
 
@@ -270,7 +298,7 @@ def sweep(
     reports: list[EntropyReport] = []
     for om in oms:
         for st in stats:
-            channel = ModeChannel(omega=om, statistics=st)
+            channel = ModeChannel(om, st)
             try:
                 reports.append(entropy_report(params, channel, eps_tail=eps_tail))
             except SqueezingOverflowError as exc:
@@ -298,20 +326,23 @@ def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
+# CSV_HEADER's columns up to the error, each float as format_float renders
+# it.  No rendered float or statistics value holds a space.
+_ROW_FORMAT = " ".join(["{:.17g}"] * 3 + ["{}"] + ["{:.17g}"] * 5)
+
+
 def report_csv_row(report: EntropyReport) -> list[str]:
     """Row for csv.writer, in CSV_HEADER order; error renders as empty string."""
-    return [
-        format_float(report.x),
-        format_float(report.omega),
-        format_float(report.mass),
+    row = _ROW_FORMAT.format(
+        *map(float, (report.x, report.omega, report.mass)),
         report.statistics.value,
-        format_float(report.S_closed),
-        format_float(report.S_numeric),
-        format_float(report.gap),
-        format_float(report.mean_occ),
-        format_float(report.T_ratio),
-        report.error or "",
-    ]
+        *map(
+            float,
+            (report.S_closed, report.S_numeric, report.gap, report.mean_occ, report.T_ratio),
+        ),
+    ).split(" ")
+    row.append(report.error or "")
+    return row
 
 
 def _json_number(value: float):

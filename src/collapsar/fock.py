@@ -31,9 +31,6 @@ from .geometry import Statistics
 BasisLabel = Union[int, tuple[int, int]]
 
 FERMION_BASIS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
-# Particle number of each FERMION_BASIS label: its first slot.
-_FERMION_NUMBERS = np.array([lab[0] for lab in FERMION_BASIS], dtype=np.float64)
-_FERMION_NUMBERS.setflags(write=False)
 
 # Completeness window half-width for pure states.
 EPS_NORM = 1e-12
@@ -105,16 +102,17 @@ class PureBipartiteState:
           7e-7, far more than an ulp, and (c c)^2 >= (s c)^2 >= (s s)^2.  The
           exchanged labels (0, 1) and (1, 0) carry -(s c) and s c, whose
           squares have the same bits, so both sides reduce to these squares.
+          A fermion vector whose exchanged squares differ is refused.
         """
-        state = object.__new__(cls)
         squares = amps * amps
         amps.setflags(write=False)
         squares.setflags(write=False)
-        object.__setattr__(state, "statistics", statistics)
-        object.__setattr__(state, "amplitudes", amps)
-        object.__setattr__(state, "tail_bound", tail_bound)
-        object.__setattr__(state, "_squares", squares)
-        total = float(squares.sum()) + tail_bound
+        state = object.__new__(cls)
+        # Frozen: every field goes straight into the instance, in one step.
+        state.__dict__.update(
+            statistics=statistics, amplitudes=amps, tail_bound=tail_bound, _squares=squares
+        )
+        total = float(np.add.reduce(squares)) + tail_bound
         upper = 1.0 + EPS_NORM + tail_bound
         if not 1.0 - EPS_NORM + _EDGE_SLACK < total < upper - _EDGE_SLACK:
             # At an edge, or failing: decide and report on the exact sum.
@@ -123,6 +121,11 @@ class PureBipartiteState:
                 raise ValueError(
                     f"state not complete: |amplitudes|^2 + tail_bound = {total!r}"
                 )
+        if statistics is Statistics.FERMION and squares[1] != squares[2]:
+            raise ValueError(
+                "exchanged labels (0, 1) and (1, 0) must carry equal weights, got "
+                f"{squares[1].item()!r} and {squares[2].item()!r}"
+            )
         return state
 
     @property
@@ -219,8 +222,7 @@ class DensityOperator:
         set here.
         """
         rho = object.__new__(cls)
-        object.__setattr__(rho, "statistics", statistics)
-        object.__setattr__(rho, "diag", diag)
+        rho.__dict__.update(statistics=statistics, diag=diag)
         return rho
 
     @property
@@ -275,22 +277,23 @@ def von_neumann_entropy(rho: DensityOperator, method: Literal["eigen"] = "eigen"
         p = p[: np.count_nonzero(p > LAMBDA_FLOOR)]
     t = np.log2(p)
     t *= p
-    t = t[::-1]
-    return max(0.0, -float(t.sum()))
+    return max(0.0, -float(np.add.reduce(t[::-1])))
 
 
 def mean_occupation(rho: DensityOperator, which: Literal["particle"] = "particle") -> float:
     """Expected particle number; "particle" is the only sector ``which`` accepts.
 
-    Boson level n holds n particles; a fermion pair label holds the count in
-    its first slot.  numpy's pairwise sum, unlike a BLAS dot, adds in an
-    order that no thread count changes, so the printed digits are
-    reproducible.
+    Boson level n holds n particles; numpy's pairwise sum, unlike a BLAS
+    dot, adds in an order that no thread count changes, so the printed
+    digits are reproducible.  A fermion pair label holds the count in its
+    first slot, so only (1, 0) and (1, 1) count: one addition, with the bits
+    of the four-term sum, whose other two terms are exact zeros.
     """
     if which != "particle":
         raise ValueError(f"unknown sector {which!r}")
+    diag = rho.diag
     if rho.statistics is Statistics.FERMION:
-        return float((rho.diag * _FERMION_NUMBERS).sum())
-    numbers = np.arange(rho.dim, dtype=np.float64)
-    numbers *= rho.diag
-    return float(numbers.sum())
+        return float(diag[2] + diag[3])
+    numbers = np.arange(diag.size, dtype=np.float64)
+    numbers *= diag
+    return float(np.add.reduce(numbers))

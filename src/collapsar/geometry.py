@@ -31,7 +31,13 @@ def _is_real(value: object) -> bool:
 
 
 def _require_finite_positive(name: str, value: object) -> None:
-    """Refuse anything but a finite positive real."""
+    """Refuse anything but a finite positive real.
+
+    An exact float takes one comparison chain, which accepts and refuses
+    what the general rule does (nan fails both comparisons).
+    """
+    if type(value) is float and 0.0 < value < math.inf:
+        return
     if not (_is_real(value) and math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be a finite positive real, got {value!r}")
 
@@ -93,9 +99,8 @@ class SqueezingParams:
             r = math.inf if w == 1.0 else math.atanh(w)
         else:
             r = math.atan(w)
-        object.__setattr__(self, "x", float(x))
-        object.__setattr__(self, "boltzmann_weight", w)
-        object.__setattr__(self, "r", r)
+        # Frozen: the derived fields go straight into the instance, in one step.
+        self.__dict__.update(x=float(x), boltzmann_weight=w, r=r)
 
     def to_json_dict(self) -> dict:
         """Serialisable header identifying the squeezing: statistics, r, x."""

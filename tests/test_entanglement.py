@@ -7,9 +7,11 @@ The live mpmath and sympy checks below re-derive the same quantities at
 high precision on every run.
 """
 
+import dataclasses
 import math
 import sys
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -38,12 +40,13 @@ from collapsar import (
 from collapsar.entanglement import (
     CROSSOVER_BRACKET,
     _FIT_FLOOR,
+    EntropyReport,
     format_float,
     report_json_dict,
     temperature_ratio_fit,
 )
 from collapsar.errors import SqueezingOverflowError
-from collapsar.fock import LAMBDA_FLOOR, DensityOperator
+from collapsar.fock import LAMBDA_FLOOR, DensityOperator, PureBipartiteState
 from collapsar.geometry import FOUR_PI, X_MIN
 from collapsar.states import EPS_TAIL_MAX, N_CAP
 
@@ -373,6 +376,9 @@ class TestTemperatureRatio:
     # The prefix path takes sum(dn^2) in closed form.  With log p exactly 1
     # below the middle level and 0 from it on, every other step of the fit
     # is exact, so the fitted ratio carries the bits of the pairwise sum.
+    # That holds for every k below 3e5, N_CAP's range included; above it the
+    # closed form is the correctly rounded exact sum, which a pairwise sum
+    # need not be (see test_fit_past_the_int64_cube).
     def test_prefix_fit_sxx_is_the_pairwise_sum(self):
         assert np.log(math.e) == 1.0
         n = np.arange(N_CAP, dtype=np.float64)
@@ -384,6 +390,26 @@ class TestTemperatureRatio:
             rho = DensityOperator._reduced(B, diag)
             slope = dn[:mid].sum() / (dn * dn).sum()
             assert temperature_ratio_fit(rho, 0.5) == -1.0 / slope, k
+
+    # Past k = 2,097,151, k^3 no longer fits an int64: a numpy count made
+    # k (k k - 1) wrap, with an overflow warning and a nan or wrong ratio.
+    # The fit takes k as a Python int, so the closed form stays exact.  A
+    # geometric ladder at x = 4e-6 keeps 2,850,338 of 3,000,000 levels.
+    def test_fit_past_the_int64_cube(self):
+        x = 4e-6
+        amps = np.arange(3_000_000, dtype=np.float64)
+        amps *= -x
+        np.exp(amps, out=amps)
+        amps *= math.sqrt(-math.expm1(-2.0 * x))
+        diag = amps * amps
+        diag.setflags(write=False)
+        k = int(np.count_nonzero(diag > _FIT_FLOOR))
+        assert 2_097_151 < k < diag.size
+        rho = DensityOperator._reduced(B, diag)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t_ratio = temperature_ratio_fit(rho, x)
+        assert abs(t_ratio - 1.0) <= 1e-12
 
     # The prefix fit centres its levels in one fill; every value is an exact
     # half-integer, so it is arange then -= bit for bit, at every length.
@@ -754,6 +780,66 @@ class TestSweep:
         signs = [math.copysign(1.0, d) for d in diff if d != 0.0]
         changes = sum(1 for a, b_ in zip(signs, signs[1:]) if a != b_)
         assert changes == 1
+
+
+def per_field(cls, **values):
+    """An instance filled one object.__setattr__ at a time, as a frozen __init__ fills it."""
+    record = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(record, name, value)
+    return record
+
+
+def assert_frozen(record):
+    for name in vars(record):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, None)
+
+
+class TestOneStepRecords:
+    """Records filled in one step are the records a field-by-field fill makes."""
+
+    @pytest.mark.parametrize("statistics", [B, F])
+    @pytest.mark.parametrize("x", [X_MIN, 0.3, 5.0, 745.0])
+    def test_squeezing(self, statistics, x):
+        got = SqueezingParams(statistics, x)
+        w = math.exp(-x)
+        r = math.atanh(w) if statistics is B else math.atan(w)
+        want = per_field(SqueezingParams, statistics=statistics, x=x, boltzmann_weight=w, r=r)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert list(vars(got)) == list(vars(want))
+        assert_frozen(got)
+
+    # The state and its operator compare by identity (eq=False), so the
+    # check is on the instance dict: the same names, in order, holding the
+    # same objects.
+    @pytest.mark.parametrize("statistics", [B, F])
+    def test_state_and_operator(self, statistics):
+        sq = SqueezingParams(statistics, 0.7)
+        state = build_boson_state(sq) if statistics is B else build_fermion_state(sq)
+        rho = partial_trace(state)
+        for got, want in (
+            (state, per_field(PureBipartiteState, statistics=statistics,
+                              amplitudes=state.amplitudes, tail_bound=state.tail_bound,
+                              _squares=state._squares)),
+            (rho, per_field(DensityOperator, statistics=statistics, diag=rho.diag)),
+        ):
+            assert repr(got) == repr(want)
+            assert list(vars(got)) == list(vars(want))
+            assert all(vars(got)[k] is v for k, v in vars(want).items())
+            assert_frozen(got)
+
+    @pytest.mark.parametrize("statistics", [B, F])
+    @pytest.mark.parametrize("x", [1.5e-3, 0.3, 40.0])
+    def test_report(self, statistics, x):
+        params = BlackHoleParams(mass=0.7)
+        got = entropy_report(params, ModeChannel(x / (FOUR_PI * 0.7), statistics))
+        public = {f.name: getattr(got, f.name) for f in dataclasses.fields(EntropyReport)}
+        want = EntropyReport(**public)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert list(vars(got)) == list(vars(want))
+        assert got.error is None and got.gap == abs(got.S_closed - got.S_numeric)
+        assert_frozen(got)
 
 
 class TestSerialisation:

@@ -150,6 +150,27 @@ class TestPureBipartiteState:
             with pytest.raises(KeyError):
                 state.coefficients[(h, o)]
 
+    # partial_trace hands the horizon side's squares to the outgoing side,
+    # which holds only if the exchanged labels weigh alike.  A complete
+    # vector that breaks this, by a lot or by one ulp, is refused.
+    @pytest.mark.parametrize(
+        "amps",
+        [
+            (0.5, -math.sqrt(0.3), math.sqrt(0.2), -0.5),
+            (0.5, -0.5, math.nextafter(0.5, 1.0), -0.5),
+        ],
+        ids=["asymmetric", "one-ulp"],
+    )
+    def test_rejects_unequal_exchanged_weights(self, amps):
+        a01, a10 = amps[1], amps[2]
+        assert a01 * a01 != a10 * a10
+        with pytest.raises(ValueError) as info:
+            built(F, amps)
+        assert str(info.value) == (
+            "exchanged labels (0, 1) and (1, 0) must carry equal weights, "
+            f"got {a01 * a01!r} and {a10 * a10!r}"
+        )
+
     # A nan or inf amplitude makes the exact sum nan or inf: never complete.
     @pytest.mark.parametrize(
         "statistics, amps",
@@ -225,6 +246,9 @@ class TestCompleteness:
             # starts from the first square drops them, fsum does not.
             amps = np.full(n, math.sqrt(rng.uniform(1e-18, 6e-17)))
             amps[0] = 1.0
+        if statistics is F:
+            # Exchanged labels weigh alike, or _built refuses the vector.
+            amps[2] = -amps[1]
         assume(np.any(amps))
         # Rescale so that fsum(a^2) + tail lands within 8 ulp of an edge.
         edge = 1.0 + EPS_NORM + tail if upper else 1.0 - EPS_NORM
@@ -421,15 +445,19 @@ class TestPartialTrace:
             assert (rho.diag[1:] <= rho.diag[:-1]).all()
 
     # The squares a built state sums for completeness are the diagonal of
-    # both its reductions: formed once, never squared or copied again.
+    # both its reductions: formed once, never squared or copied again.  The
+    # spied amplitudes pass their subclass on to the squares, and every
+    # np.add.reduce over a spied array is logged.
     def test_reduction_is_the_array_the_state_summed(self, monkeypatch):
         summed = []
-        array_sum = np.ndarray.sum
 
         class Spied(np.ndarray):
-            def sum(self, *args, **kwargs):
-                summed.append(self)
-                return array_sum(self, *args, **kwargs)
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.add and method == "reduce":
+                    summed.append(inputs[0])
+                plain = [a.view(np.ndarray) if isinstance(a, Spied) else a for a in inputs]
+                result = getattr(ufunc, method)(*plain, **kwargs)
+                return result.view(Spied) if isinstance(result, np.ndarray) else result
 
         adopt = PureBipartiteState._built.__func__
 
@@ -603,6 +631,21 @@ class TestPurityAndOccupation:
     def test_mean_occupation_pair_labels(self):
         rho = reduced(F, diag=[0.4, 0.3, 0.2, 0.1])
         assert mean_occupation(rho) == pytest.approx(0.3, abs=1e-15)
+
+    # A fermion's occupation adds the two labels with a particle; the other
+    # two terms of the weighted sum are exact zeros, so the bits are the
+    # four-term sum's, kept here as the oracle.
+    @given(x=st.floats(X_MIN, 700.0))
+    @example(x=X_MIN)
+    @example(x=700.0)
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_fermion_occupation_is_the_weighted_sum(self, x):
+        rho = partial_trace(build_fermion_state(SqueezingParams.from_x(F, x)))
+        numbers = np.array([lab[0] for lab in FERMION_BASIS], dtype=np.float64)
+        want = float((rho.diag * numbers).sum())
+        got = mean_occupation(rho)
+        assert type(got) is float
+        assert got.hex() == want.hex(), x
 
     def test_mean_occupation_bad_sector(self):
         for which in ("holes", "total", "antiparticle"):

@@ -1,6 +1,7 @@
 """Each input rule, once: every entry point that applies it gives one message."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from collapsar import (
     sweep,
 )
 from collapsar.cli import main
+from collapsar.errors import SqueezingOverflowError
 from collapsar.entanglement import temperature_ratio_fit
 from collapsar.fock import DensityOperator, PureBipartiteState
 from collapsar.states import EPS_TAIL_MAX
@@ -62,6 +64,34 @@ def test_finite_positive_rule(capsys, entry, value):
     with pytest.raises(ValueError) as info:
         call(value)
     assert str(info.value) == message
+
+
+# Finite positive values at the edges, and values the exact-float fast path
+# hands on to the general rule.  Each entry accepts them: it may refuse
+# them later, under another rule, but not under this one.
+ACCEPTED = [5e-324, sys.float_info.max, np.float64(0.5), 3]
+
+
+@pytest.mark.parametrize(
+    ("entry", "value"),
+    [
+        (e, v)
+        for e in FINITE_POSITIVE
+        for v in ACCEPTED
+        if e not in FLOATS_ONLY or type(v) is float
+    ],
+)
+def test_finite_positive_rule_accepts(capsys, entry, value):
+    name, call = FINITE_POSITIVE[entry]
+    refusal = f"{name} must be a finite positive real"
+    if call is None:
+        main(["entropy", "--mass", "1", f"--x={value!r}"])
+        assert refusal not in capsys.readouterr().err
+        return
+    try:
+        call(value)
+    except (ValueError, SqueezingOverflowError) as exc:
+        assert refusal not in str(exc)
 
 
 @pytest.mark.parametrize(

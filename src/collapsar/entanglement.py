@@ -326,21 +326,25 @@ def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-# CSV_HEADER's columns up to the error, each float as format_float renders
-# it.  No rendered float or statistics value holds a space.
-_ROW_FORMAT = " ".join(["{:.17g}"] * 3 + ["{}"] + ["{:.17g}"] * 5)
+# The eight float columns of a CSV row, each as format_float renders it:
+# printf's %.17g is format()'s .17g.  No rendered float holds a space.
+_FLOATS_FORMAT = " ".join(["%.17g"] * 8)
 
 
 def report_csv_row(report: EntropyReport) -> list[str]:
     """Row for csv.writer, in CSV_HEADER order; error renders as empty string."""
-    row = _ROW_FORMAT.format(
-        *map(float, (report.x, report.omega, report.mass)),
-        report.statistics.value,
-        *map(
-            float,
-            (report.S_closed, report.S_numeric, report.gap, report.mean_occ, report.T_ratio),
-        ),
-    ).split(" ")
+    floats = (
+        report.x,
+        report.omega,
+        report.mass,
+        report.S_closed,
+        report.S_numeric,
+        report.gap,
+        report.mean_occ,
+        report.T_ratio,
+    )
+    row = (_FLOATS_FORMAT % tuple(map(float, floats))).split(" ")
+    row.insert(3, report.statistics.value)
     row.append(report.error or "")
     return row
 

@@ -872,6 +872,35 @@ class TestSerialisation:
         assert row[9] == ""
         assert row[0] == format_float(r.x)
 
+    # report_csv_row renders its eight floats in one printf-style call;
+    # format_float, field by field, is the oracle, for any float and for
+    # the ints, numpy scalars and numeric strings a public record may hold.
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.integers(-(2**70), 2**70),
+                st.floats(width=32).map(np.float32),
+                st.floats().map(np.float64),
+                st.sampled_from(["0.25", "1e300", "-inf"]),
+            ),
+            min_size=8,
+            max_size=8,
+        ),
+        statistics=st.sampled_from([B, F]),
+        error=st.sampled_from([None, "", "x = 1e-07 below floor 1e-06, a b"]),
+    )
+    @example(values=[0.0, -0.0, 5e-324, 1.7976931348623157e308, -math.inf, math.nan, 1e16, 0.1],
+             statistics=B, error=None)
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    def test_csv_row_is_format_float_per_field(self, values, statistics, error):
+        x, omega, mass, *rest = values
+        report = EntropyReport(x, omega, mass, statistics, *rest, error=error)
+        want = [format_float(v) for v in values]
+        want.insert(3, statistics.value)
+        want.append(error or "")
+        assert report_csv_row(report) == want
+
     def test_error_row_rendering(self):
         p = BlackHoleParams(mass=1.0)
         bad = sweep(p, [1e-9], statistics=B)[0]

@@ -97,34 +97,6 @@ class EntropyReport:
     T_ratio: float
     error: str | None = None
 
-    @classmethod
-    def _measured(
-        cls,
-        x: float,
-        omega: float,
-        mass: float,
-        statistics: Statistics,
-        S_closed: float,
-        S_numeric: float,
-        mean_occ: float,
-        T_ratio: float,
-    ) -> EntropyReport:
-        """The report ``entropy_report`` returns, filled in one step; error is None."""
-        report = object.__new__(cls)
-        report.__dict__.update(
-            x=x,
-            omega=omega,
-            mass=mass,
-            statistics=statistics,
-            S_closed=S_closed,
-            S_numeric=S_numeric,
-            gap=abs(S_closed - S_numeric),
-            mean_occ=mean_occ,
-            T_ratio=T_ratio,
-            error=None,
-        )
-        return report
-
 
 CSV_HEADER = tuple(f.name for f in fields(EntropyReport))
 
@@ -195,13 +167,18 @@ def entropy_report(
     sq = squeezing_for(params, channel)
     s_closed = _closed_form_entropy(sq)
     rho = _reduction(sq, eps_tail)
-    return EntropyReport._measured(
+    s_numeric = von_neumann_entropy(rho, method="eigen")
+    # Positional, through the generated __init__: callers keep reports by
+    # the thousand, and filling the instance dict in one update would
+    # materialise a dict per report (about 160 B more each).
+    return EntropyReport(
         sq.x,
         float(channel.omega),
         float(params.mass),
         sq.statistics,
         s_closed,
-        von_neumann_entropy(rho, method="eigen"),
+        s_numeric,
+        abs(s_closed - s_numeric),
         mean_occupation(rho),
         temperature_ratio_fit(rho, sq.x),
     )
@@ -326,27 +303,20 @@ def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-# The eight float columns of a CSV row, each as format_float renders it:
-# printf's %.17g is format()'s .17g.  No rendered float holds a space.
-_FLOATS_FORMAT = " ".join(["%.17g"] * 8)
-
-
 def report_csv_row(report: EntropyReport) -> list[str]:
     """Row for csv.writer, in CSV_HEADER order; error renders as empty string."""
-    floats = (
-        report.x,
-        report.omega,
-        report.mass,
-        report.S_closed,
-        report.S_numeric,
-        report.gap,
-        report.mean_occ,
-        report.T_ratio,
-    )
-    row = (_FLOATS_FORMAT % tuple(map(float, floats))).split(" ")
-    row.insert(3, report.statistics.value)
-    row.append(report.error or "")
-    return row
+    return [
+        format_float(report.x),
+        format_float(report.omega),
+        format_float(report.mass),
+        report.statistics.value,
+        format_float(report.S_closed),
+        format_float(report.S_numeric),
+        format_float(report.gap),
+        format_float(report.mean_occ),
+        format_float(report.T_ratio),
+        report.error or "",
+    ]
 
 
 def _json_number(value: float):

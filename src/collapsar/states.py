@@ -26,6 +26,10 @@ EPS_TAIL_MAX = 1e-6
 
 
 def _validate_eps_tail(eps_tail: float) -> None:
+    # An exact float takes one comparison chain, which accepts what the
+    # two rules below accept together (nan fails both comparisons).
+    if type(eps_tail) is float and sys.float_info.min <= eps_tail <= EPS_TAIL_MAX:
+        return
     if not (_is_real(eps_tail) and 0.0 < eps_tail <= EPS_TAIL_MAX):
         raise ValueError(
             f"eps_tail must lie in (0, {EPS_TAIL_MAX!r}], got {eps_tail!r}"

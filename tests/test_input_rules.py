@@ -143,3 +143,19 @@ def test_fraction_rule(name, make, value):
     with pytest.raises(ValueError) as info:
         make(value)
     assert str(info.value) == f"{name} must lie in (0, {EPS_TAIL_MAX!r}], got {value!r}"
+
+
+# The edges of the admitted range, and values the exact-float fast path
+# hands on to the general rules; just below the smallest normal is refused.
+@pytest.mark.parametrize(
+    "value", [sys.float_info.min, EPS_TAIL_MAX, np.float64(1e-9), math.nextafter(1e-9, 0.0)]
+)
+def test_fraction_rule_accepts(value):
+    build_boson_state(SqueezingParams(B, 1.0), value)
+    sweep(BlackHoleParams(mass=1.0), [0.1], eps_tail=value)
+
+
+def test_fraction_rule_refuses_subnormal():
+    value = math.nextafter(sys.float_info.min, 0.0)
+    with pytest.raises(ValueError, match="must not be subnormal"):
+        build_boson_state(SqueezingParams(B, 1.0), value)

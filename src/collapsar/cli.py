@@ -1,7 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 argument or validation errors, 3 numerical
-failures (overflowing squeezing).  All output is byte deterministic for a
+failures (unrepresentable squeezing).  ``entropy`` and ``sweep`` keep
+going past modes they cannot represent, with the error in the row, and
+exit 3 only when every row failed.  All output is byte deterministic for a
 fixed argument list: CSV floats are rendered at 17 significant digits,
 JSON documents with a fixed key order.
 """
@@ -9,8 +11,8 @@ JSON documents with a fixed key order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import sys
@@ -19,7 +21,6 @@ import numpy as np
 
 from .entanglement import (
     CSV_HEADER,
-    EntropyReport,
     _json_number,
     _reduction,
     crossover,
@@ -40,8 +41,14 @@ from .geometry import (
     _require_finite_positive,
     squeezing_for,
 )
-# Not called here: bench/tracer.py rebinds partial_trace (above) and these two builders here.
-from .states import EPS_TAIL_DEFAULT, build_boson_state, build_fermion_state
+# Not called here: bench/tracer.py rebinds entropy_report and partial_trace
+# (above) and the two builders (below).
+from .states import (
+    EPS_TAIL_DEFAULT,
+    _validate_eps_tail,
+    build_boson_state,
+    build_fermion_state,
+)
 
 # Largest sweep grid.  A point at the truncation cap costs ~0.3-0.4 ms for
 # both statistics, so a sweep with every point there takes about 5-8 s
@@ -49,12 +56,11 @@ from .states import EPS_TAIL_DEFAULT, build_boson_state, build_fermion_state
 MAX_SWEEP_POINTS = 20_000
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _output(args: argparse.Namespace) -> contextlib.AbstractContextManager:
+    """The handle every command writes to: the --output file, or stdout left open."""
     if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(args.output, "w", newline="")
+    return contextlib.nullcontext(sys.stdout)
 
 
 def _omega_from_x(x: float, mass: float) -> float:
@@ -81,30 +87,26 @@ def _stats_list(value: str) -> tuple[Statistics, ...]:
     return (Statistics(value),)
 
 
-def _reports_text(args: argparse.Namespace, reports: list[EntropyReport]) -> str:
-    if args.format == "json":
-        return json.dumps([report_json_dict(r) for r in reports], indent=2) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in reports:
-        writer.writerow(report_csv_row(r))
-    return buf.getvalue()
+def _write_rows(
+    args: argparse.Namespace, params: BlackHoleParams, omegas: list[float]
+) -> int:
+    """Sweep the grid, then write one row per report; exit 3 only if every row failed."""
+    reports = sweep(
+        params, omegas, statistics=_stats_list(args.stats), eps_tail=args.eps_tail
+    )
+    with _output(args) as fh:
+        if args.format == "json":
+            fh.write(json.dumps([report_json_dict(r) for r in reports], indent=2) + "\n")
+        else:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(CSV_HEADER)
+            writer.writerows(map(report_csv_row, reports))
+    return 3 if all(r.error is not None for r in reports) else 0
 
 
 def cmd_entropy(args: argparse.Namespace) -> int:
     params = BlackHoleParams(mass=args.mass)
-    omega = _channel_omega(args)
-    reports = [
-        entropy_report(
-            params,
-            ModeChannel(omega=omega, statistics=st),
-            eps_tail=args.eps_tail,
-        )
-        for st in _stats_list(args.stats)
-    ]
-    _emit(args, _reports_text(args, reports))
-    return 0
+    return _write_rows(args, params, [_channel_omega(args)])
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -120,20 +122,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # Past the ordering check only +inf is left to refuse, before numpy
     # spaces a grid over it.
     _require_finite_positive("omega-max", args.omega_max)
-    if args.grid == "log":
-        omegas = np.geomspace(args.omega_min, args.omega_max, args.points)
-    else:
-        omegas = np.linspace(args.omega_min, args.omega_max, args.points)
-    reports = sweep(
-        params,
-        [float(o) for o in omegas],
-        statistics=_stats_list(args.stats),
-        eps_tail=args.eps_tail,
+    space = np.geomspace if args.grid == "log" else np.linspace
+    return _write_rows(
+        args, params, space(args.omega_min, args.omega_max, args.points).tolist()
     )
-    _emit(args, _reports_text(args, reports))
-    if all(r.error is not None for r in reports):
-        return 3
-    return 0
 
 
 def cmd_crossover(args: argparse.Namespace) -> int:
@@ -146,20 +138,24 @@ def cmd_crossover(args: argparse.Namespace) -> int:
         f"residual = {format_float(result.residual)}",
         f"iterations = {result.iterations}",
     ]
-    _emit(args, "\n".join(lines) + "\n")
+    with _output(args) as fh:
+        fh.write("\n".join(lines) + "\n")
     return 0
 
 
 def cmd_reduced(args: argparse.Namespace) -> int:
     params = BlackHoleParams(mass=args.mass)
     channel = ModeChannel(omega=_channel_omega(args), statistics=Statistics(args.stats))
+    # Before the mode: a bad --eps-tail exits 2 even where the mode cannot be represented.
+    _validate_eps_tail(args.eps_tail)
     sq = squeezing_for(params, channel)
     rho = _reduction(sq, args.eps_tail)
     doc = {"squeezing": sq.to_json_dict(), **rho.to_json_dict()}
     if args.spectrum:
         doc["mean_occ"] = _json_number(mean_occupation(rho))
         doc["T_ratio"] = _json_number(temperature_ratio_fit(rho, sq.x))
-    _emit(args, json.dumps(doc, indent=2) + "\n")
+    with _output(args) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
     return 0
 
 

@@ -18,7 +18,8 @@ import pytest
 
 from collapsar import CSV_HEADER
 from collapsar.cli import MAX_SWEEP_POINTS, build_parser, main
-from collapsar.entanglement import format_float
+from collapsar.entanglement import format_float, sweep
+from collapsar.geometry import BlackHoleParams
 
 HEADER_LINE = ",".join(CSV_HEADER)
 DATA = Path(__file__).parent / "data"
@@ -110,6 +111,19 @@ class TestArgumentErrors:
         assert (code, out) == (2, "")
         assert f"error: eps_tail must lie in (0, 1e-06], got {float(argv[-1])!r}" in err
 
+    # A bad --eps-tail is an argument error even where the mode itself
+    # cannot be represented (below the floor, or x = inf).
+    @pytest.mark.parametrize("command", ["entropy", "state", "spectrum"])
+    @pytest.mark.parametrize("mode", [
+        ["--mass", "1", "--x", "1e-7"],
+        ["--mass", "1e300", "--omega", "1e10"],
+    ])
+    def test_eps_tail_is_checked_before_the_mode(self, capsys, command, mode):
+        argv = [command, *mode, "--stats", "fermion", "--eps-tail", "5"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: eps_tail must lie in (0, 1e-06], got 5.0\n"
+
     # omega = x / (4 pi mass) must be a positive normal float: at the parent
     # the first two printed omega_star = 0 and inf with exit 0, the third
     # printed x = 0.99999999999999989 from a subnormal omega.
@@ -176,9 +190,12 @@ class TestArgumentErrors:
 class TestNumericalFailures:
     def test_infrared_mode_exits_3(self, capsys):
         code, out, err = run(capsys, ["entropy", "--mass", "1", "--x", "1e-9"])
-        assert code == 3
-        assert out == ""
-        assert "below floor" in err
+        assert code == 3 and err == ""
+        lines = out.strip().split("\n")
+        # Both rows fail, and both are still emitted, as a sweep's would be.
+        assert lines[0] == HEADER_LINE
+        assert len(lines) == 3
+        assert all("below floor" in li for li in lines[1:])
 
     def test_sweep_with_no_representable_mode_exits_3(self, capsys):
         code, out, _ = run(
@@ -195,9 +212,13 @@ class TestNumericalFailures:
 
     def test_entropy_with_overflowing_x_exits_3(self, capsys):
         code, out, err = run(capsys, ["entropy", "--mass", "1e300", "--omega", "1e10"])
-        assert code == 3
-        assert out == ""
-        assert "x = inf is not a finite positive float" in err
+        assert code == 3 and err == ""
+        rows = [li.split(",") for li in out.strip().split("\n")[1:]]
+        assert len(rows) == 2
+        for r in rows:
+            assert r[0] == "inf"
+            assert r[4:9] == ["nan"] * 5
+            assert r[-1] == "x = inf is not a finite positive float"
 
     def test_sweep_keeps_rows_past_overflowing_x(self, capsys):
         code, out, err = run(
@@ -286,6 +307,17 @@ class TestEntropyCommand:
         assert code == 0 and out == ""
         assert target.read_text() == stdout_text
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--mass", "1", "--omega-min", "0.1", "--omega-max", "0.2", "--points", "1"],
+        ["entropy", "--mass", "1", "--x", "-1"],
+    ])
+    def test_failing_command_creates_no_file(self, capsys, tmp_path, argv):
+        # The rows are computed before the output handle opens.
+        target = tmp_path / "rows.csv"
+        code, out, _ = run(capsys, argv + ["--output", str(target)])
+        assert (code, out) == (2, "")
+        assert not target.exists()
+
     def test_unwritable_output_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -319,6 +351,31 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert "below floor" in lines[0]
         assert lines[-1].split(",")[-1] == ""
+
+    def test_csv_rows_are_not_held_as_text(self, tmp_path):
+        # Rows go to the handle one at a time: beyond what the library sweep
+        # holds, writing the file may cost only a fraction of its size.  The
+        # fixed costs (argparse, and csv.writer's 128 KiB record buffer) come
+        # to ~160 KB, so the file must be large for a quarter of it to clear them.
+        lo, hi, points = 0.08, 2.0, 4000
+        target = tmp_path / "sweep.csv"
+        argv = ["sweep", "--mass", "1", "--omega-min", repr(lo), "--omega-max", repr(hi),
+                "--points", str(points), "--output", str(target)]
+        build_parser().parse_args(argv)  # argparse compiles its patterns on first use
+        peaks = []
+        for call in (
+            lambda: sweep(BlackHoleParams(mass=1.0), np.geomspace(lo, hi, points).tolist()),
+            lambda: main(argv),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        size = target.stat().st_size
+        assert size > 1_000_000
+        assert peaks[1] - peaks[0] < size / 4
 
     def test_linear_grid(self, capsys):
         code, out, _ = run(
@@ -460,6 +517,7 @@ FRESH_ROWS = {
     "sweep --mass 1 --omega-min 0.2 --omega-max 0.1 --points 5",
     "entropy --mass 1 --x 1",
     "entropy --mass 1 --x 1e-7",
+    "entropy --mass 1 --x 5e-4",
     "state --mass 1 --x 1 --stats boson",
     "state --mass 1 --x 1 --stats fermion",
     "spectrum --mass 1 --x 1 --stats boson",

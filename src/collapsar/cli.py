@@ -45,15 +45,18 @@ from .geometry import (
 # (above) and the two builders (below).
 from .states import (
     EPS_TAIL_DEFAULT,
+    _truncation_level,
     _validate_eps_tail,
     build_boson_state,
     build_fermion_state,
 )
 
-# Largest sweep grid.  A point at the truncation cap costs ~0.3-0.4 ms for
-# both statistics, so a sweep with every point there takes about 5-8 s
-# (2-CPU host, one BLAS thread).
+# Largest sweep grid, checked before numpy spaces it; MAX_ROW_LEVELS bounds the work.
 MAX_SWEEP_POINTS = 20_000
+# Most boson levels, summed over its modes, that one entropy or sweep command builds.
+MAX_ROW_LEVELS = 1_000_000_000
+# Most levels of a state or spectrum document, which is rendered whole in memory.
+MAX_DOCUMENT_LEVELS = 200_000
 
 
 def _output(args: argparse.Namespace) -> contextlib.AbstractContextManager:
@@ -87,10 +90,29 @@ def _stats_list(value: str) -> tuple[Statistics, ...]:
     return (Statistics(value),)
 
 
+def _require_levels(
+    args: argparse.Namespace, params: BlackHoleParams, omegas: list[float], limit: int
+) -> None:
+    """Exit 2, before any mode is represented, on a bad eps_tail or over ``limit`` boson levels.
+
+    Each mode that squeezing_for admits counts the builder's own cut, at q = w*w.
+    """
+    _validate_eps_tail(args.eps_tail)
+    levels = 0
+    if Statistics.BOSON in _stats_list(args.stats):
+        for om in omegas:
+            with contextlib.suppress(SqueezingOverflowError):
+                w = squeezing_for(params, ModeChannel(om, Statistics.BOSON)).boltzmann_weight
+                levels += _truncation_level(w * w, args.eps_tail) + 1
+    if levels > limit:
+        raise ValueError(f"the boson states need {levels} levels, over the limit of {limit}")
+
+
 def _write_rows(
     args: argparse.Namespace, params: BlackHoleParams, omegas: list[float]
 ) -> int:
     """Sweep the grid, then write one row per report; exit 3 only if every row failed."""
+    _require_levels(args, params, omegas, MAX_ROW_LEVELS)
     reports = sweep(
         params, omegas, statistics=_stats_list(args.stats), eps_tail=args.eps_tail
     )
@@ -146,8 +168,7 @@ def cmd_crossover(args: argparse.Namespace) -> int:
 def cmd_reduced(args: argparse.Namespace) -> int:
     params = BlackHoleParams(mass=args.mass)
     channel = ModeChannel(omega=_channel_omega(args), statistics=Statistics(args.stats))
-    # Before the mode: a bad --eps-tail exits 2 even where the mode cannot be represented.
-    _validate_eps_tail(args.eps_tail)
+    _require_levels(args, params, [channel.omega], MAX_DOCUMENT_LEVELS)
     sq = squeezing_for(params, channel)
     rho = _reduction(sq, args.eps_tail)
     doc = {"squeezing": sq.to_json_dict(), **rho.to_json_dict()}
@@ -176,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--eps-tail",
         type=float,
         default=EPS_TAIL_DEFAULT,
-        help="ceiling on the truncated tail bound, a normal float <= 1e-6 (default %(default)g)",
+        help="ceiling on the truncated tail bound, from 1e-16 to 1e-6 (default %(default)g)",
     )
 
     fmt = argparse.ArgumentParser(add_help=False)

@@ -36,7 +36,7 @@ FERMION_BASIS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 EPS_NORM = 1e-12
 # Within this distance of a completeness window edge the pairwise sum of
 # squares does not decide; math.fsum does.  Over 20x numpy's pairwise
-# error bound on a sum near 1, even at d = 2e7.
+# error bound on a sum near 1, even at d = 2.5e7.
 _EDGE_SLACK = 1e-13
 # Eigenvalues at or below this floor are treated as exact zeros in entropies.
 LAMBDA_FLOOR = 1e-30
@@ -95,9 +95,9 @@ class PureBipartiteState:
 
         - boson: level n is exp(-x n) c with c = sqrt(-expm1(-2x)).  The
           arguments -x n are exact to a relative 2^-53 and step by x, and
-          neighbouring exps differ by the factor e^(-x) <= e^(-6.2e-4) (no
-          admitted x is smaller at any eps_tail), against a few ulp of error
-          in ``exp``; scaling by c and squaring keep the order.
+          neighbouring exps differ by the factor e^(-x) <= e^(-1e-6) (the
+          builder refuses x below X_MIN), a step of 1e-6 against a few ulp
+          of error in ``exp``; scaling by c and squaring keep the order.
         - fermion: r = atan(e^(-x)) < pi/4 for x >= X_MIN, so c > s by about
           7e-7, far more than an ulp, and (c c)^2 >= (s c)^2 >= (s s)^2.  The
           exchanged labels (0, 1) and (1, 0) carry -(s c) and s c, whose

@@ -17,11 +17,8 @@ from .errors import SqueezingOverflowError
 
 FOUR_PI = 4.0 * math.pi
 
-# Infrared floor on x, fixed.  It does not guard the boson truncation:
-# N_CAP in states already refuses every boson x below 1.03e-3 at the
-# default eps_tail (below 6.3e-4 at EPS_TAIL_MAX).  The floor decides only
-# which error a boson mode below it gets, and whether a fermion mode is
-# admitted.
+# Infrared floor on x, fixed: the one limit for both statistics.  With
+# states.EPS_TAIL_MIN it bounds a boson state at 24,981,863 levels.
 X_MIN = 1e-6
 
 
@@ -146,17 +143,8 @@ def dimensionless_x(params: BlackHoleParams, channel: ModeChannel) -> float:
     return (FOUR_PI * params.mass) * channel.omega
 
 
-def squeezing_for(params: BlackHoleParams, channel: ModeChannel) -> SqueezingParams:
-    """Squeezing parameters of the pair state produced in ``channel``.
-
-    Modes with x below the infrared floor ``X_MIN`` raise
-    SqueezingOverflowError.  For bosons the truncation cap refuses a far
-    wider range anyway, so the floor only picks the message; for fermions,
-    which need no truncation, it decides admission.  An x that overflows to
-    inf also raises SqueezingOverflowError (one that underflows to 0 is
-    below the floor).
-    """
-    x = dimensionless_x(params, channel)
+def _require_representable(x: float) -> None:
+    """Refuse an x below the infrared floor X_MIN (0 included), or x = inf."""
     if x < X_MIN:
         raise SqueezingOverflowError(
             f"x = {x!r} below floor {X_MIN!r}: mode too soft for a faithful "
@@ -164,4 +152,14 @@ def squeezing_for(params: BlackHoleParams, channel: ModeChannel) -> SqueezingPar
         )
     if x == math.inf:
         raise SqueezingOverflowError(f"x = {x!r} is not a finite positive float")
+
+
+def squeezing_for(params: BlackHoleParams, channel: ModeChannel) -> SqueezingParams:
+    """Squeezing parameters of the pair state produced in ``channel``.
+
+    Raises SqueezingOverflowError, for either statistics, when x is below the
+    infrared floor ``X_MIN`` or is inf; ``build_boson_state`` has the same floor.
+    """
+    x = dimensionless_x(params, channel)
+    _require_representable(x)
     return SqueezingParams(channel.statistics, x)

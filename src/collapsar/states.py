@@ -10,61 +10,43 @@ and the amplitudes; ``fock`` fixes which labels each amplitude pairs.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
-from .errors import SqueezingOverflowError
 from .fock import PureBipartiteState
-from .geometry import Statistics, SqueezingParams, _is_real, _require_statistics
-
-# Hard cap on the truncated dimension n_max + 1 of a bosonic pair state.
-N_CAP = 16384
+from .geometry import (
+    Statistics, SqueezingParams, _is_real, _require_representable, _require_statistics,
+)
 
 EPS_TAIL_DEFAULT = 1e-12
 EPS_TAIL_MAX = 1e-6
+# Floor on eps_tail.  With x >= X_MIN it caps a boson state at 24,981,863
+# levels, and it keeps eps_tail * (1 - q) in _truncation_level normal.
+EPS_TAIL_MIN = 1e-16
 
 
 def _validate_eps_tail(eps_tail: float) -> None:
     # An exact float takes one comparison chain, which accepts what the
     # two rules below accept together (nan fails both comparisons).
-    if type(eps_tail) is float and sys.float_info.min <= eps_tail <= EPS_TAIL_MAX:
+    if type(eps_tail) is float and EPS_TAIL_MIN <= eps_tail <= EPS_TAIL_MAX:
         return
     if not (_is_real(eps_tail) and 0.0 < eps_tail <= EPS_TAIL_MAX):
-        raise ValueError(
-            f"eps_tail must lie in (0, {EPS_TAIL_MAX!r}], got {eps_tail!r}"
-        )
-    # A subnormal eps_tail lets eps_tail * (1 - q) underflow to 0 in
-    # _truncation_level, whose log and settle loops need it positive.
-    if eps_tail < sys.float_info.min:
-        raise ValueError(
-            f"eps_tail must not be subnormal (below {sys.float_info.min!r}), got {eps_tail!r}"
-        )
+        raise ValueError(f"eps_tail must lie in (0, {EPS_TAIL_MAX!r}], got {eps_tail!r}")
+    if eps_tail < EPS_TAIL_MIN:
+        raise ValueError(f"eps_tail must not be below {EPS_TAIL_MIN!r}, got {eps_tail!r}")
 
 
 def _truncation_level(q: float, eps_tail: float) -> int:
-    """Minimal n_max with q^(n_max+1)/(1-q) < eps_tail.
-
-    Raises SqueezingOverflowError when that requires a dimension above N_CAP.
-    """
+    """Minimal n_max with q^(n_max+1)/(1-q) < eps_tail, for 0 <= q < 1."""
     if q == 0.0:
         return 0
     target = eps_tail * (1.0 - q)
-    estimate = math.log(target) / math.log(q)
-    if estimate > N_CAP + 2:
-        raise SqueezingOverflowError(
-            f"truncation needs about {estimate:.0f} levels, cap is {N_CAP}"
-        )
-    n_plus_1 = max(1, math.ceil(estimate))
+    n_plus_1 = max(1, math.ceil(math.log(target) / math.log(q)))
     # The log estimate can land one level off; settle it exactly.
     while q**n_plus_1 >= target:
         n_plus_1 += 1
     while n_plus_1 > 1 and q ** (n_plus_1 - 1) < target:
         n_plus_1 -= 1
-    if n_plus_1 > N_CAP:
-        raise SqueezingOverflowError(
-            f"truncation needs {n_plus_1} levels, cap is {N_CAP}"
-        )
     return n_plus_1 - 1
 
 
@@ -86,16 +68,16 @@ def build_boson_state(
     eps_tail:
         Ceiling on the tail bound q^(n_max+1)/(1-q) of the discarded mass.
 
-    Raises SqueezingOverflowError when the cut needs more than N_CAP levels,
-    which holds for every x below about 1e-3.
+    Raises SqueezingOverflowError for x below the infrared floor X_MIN, as
+    squeezing_for does.  Every other mode is built, at 16 bytes a level: at
+    most 24,981,863 levels (400 MB), at X_MIN with eps_tail = EPS_TAIL_MIN.
     """
     _require_statistics(squeezing, Statistics.BOSON)
     _validate_eps_tail(eps_tail)
     x = squeezing.x
+    _require_representable(x)
     w = squeezing.boltzmann_weight
     q = w * w
-    if q >= 1.0:
-        raise SqueezingOverflowError("maximal squeezing cannot be truncated")
     n_max = _truncation_level(q, eps_tail)
     # One d-vector, filled in place from x: the rounding of w is never raised
     # to the n-th power, and 1 - q keeps its digits as q -> 1.

@@ -16,10 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collapsar import CSV_HEADER
+from collapsar import CSV_HEADER, SqueezingOverflowError, build_boson_state
+from collapsar import cli
 from collapsar.cli import MAX_SWEEP_POINTS, build_parser, main
 from collapsar.entanglement import format_float, sweep
-from collapsar.geometry import BlackHoleParams
+from collapsar.geometry import BlackHoleParams, ModeChannel, squeezing_for
+from collapsar.states import EPS_TAIL_MIN
 
 HEADER_LINE = ",".join(CSV_HEADER)
 DATA = Path(__file__).parent / "data"
@@ -93,9 +95,13 @@ class TestArgumentErrors:
         ["sweep", "--mass", "1", "--omega-min", "0.1", "--omega-max", "1", "--points", "3"],
     ])
     def test_subnormal_eps_tail_is_validation_error(self, capsys, argv):
-        code, out, err = run(capsys, argv + ["--eps-tail", "1e-320"])
-        assert (code, out) == (2, "")
-        assert "eps_tail must not be subnormal" in err
+        # Below the floor EPS_TAIL_MIN, subnormal or not, is refused; the floor runs.
+        for value in (1e-320, math.nextafter(EPS_TAIL_MIN, 0.0)):
+            code, out, err = run(capsys, argv + ["--eps-tail", repr(value)])
+            assert (code, out) == (2, "")
+            assert err == f"error: eps_tail must not be below 1e-16, got {value!r}\n"
+        code, out, err = run(capsys, argv + ["--eps-tail", repr(EPS_TAIL_MIN)])
+        assert (code, err) == (0, "")
 
     # A fermion mode needs no truncation, yet its commands refuse a bad
     # eps_tail as the boson ones do; each of these used to exit 0.
@@ -307,9 +313,12 @@ class TestEntropyCommand:
         assert code == 0 and out == ""
         assert target.read_text() == stdout_text
 
+    # The last sweep's boson states would need 1.95e10 levels, over
+    # MAX_ROW_LEVELS; it is refused before any state is built.
     @pytest.mark.parametrize("argv", [
         ["sweep", "--mass", "1", "--omega-min", "0.1", "--omega-max", "0.2", "--points", "1"],
         ["entropy", "--mass", "1", "--x", "-1"],
+        ["sweep", "--mass", "1", "--omega-min", "1e-7", "--omega-max", "1", "--points", "20000"],
     ])
     def test_failing_command_creates_no_file(self, capsys, tmp_path, argv):
         # The rows are computed before the output handle opens.
@@ -431,7 +440,44 @@ class TestCrossoverCommand:
         assert float(f1["omega_star"]) == 2.0 * float(f2["omega_star"])
 
 
+# The work bounds at their edge, lowered to a small command's own count: a
+# command whose boson states hold exactly the limit runs, and one level
+# more than the limit is refused before the output file is created.  The
+# first mode of the sweep lies below the floor and builds nothing.
+@pytest.mark.parametrize("limit, argv, omegas", [
+    ("MAX_ROW_LEVELS",
+     ["sweep", "--mass", "1", "--omega-min", "1e-8", "--omega-max", "0.1", "--points", "3"],
+     np.geomspace(1e-8, 0.1, 3).tolist()),
+    ("MAX_DOCUMENT_LEVELS",
+     ["spectrum", "--mass", "1", "--omega", "0.08", "--stats", "boson"], [0.08]),
+])
+def test_level_limit_edge(capsys, tmp_path, monkeypatch, limit, argv, omegas):
+    levels = 0
+    for om in omegas:
+        try:
+            sq = squeezing_for(BlackHoleParams(mass=1.0), ModeChannel(om, "boson"))
+        except SqueezingOverflowError:
+            continue
+        levels += build_boson_state(sq).amplitudes.size
+    monkeypatch.setattr(cli, limit, levels)
+    code, _, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(cli, limit, levels - 1)
+    target = tmp_path / "out"
+    code, out, err = run(capsys, argv + ["--output", str(target)])
+    assert (code, out) == (2, "")
+    assert err == f"error: the boson states need {levels} levels, over the limit of {levels - 1}\n"
+    assert not target.exists()
+
+
 class TestStateAndSpectrum:
+    # The document is rendered whole, so a state or spectrum command stops
+    # at MAX_DOCUMENT_LEVELS; x = 1e-5 needs 1,922,541 levels.
+    def test_state_over_the_document_ceiling_exits_2(self, capsys):
+        code, out, err = run(capsys, ["state", "--mass", "1", "--x", "1e-5", "--stats", "boson"])
+        assert (code, out) == (2, "")
+        assert err == "error: the boson states need 1922541 levels, over the limit of 200000\n"
+
     def test_boson_state_document(self, capsys):
         code, out, _ = run(
             capsys, ["state", "--mass", "1", "--x", "1", "--stats", "boson"]

@@ -10,6 +10,7 @@ high precision on every run.
 import dataclasses
 import math
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -45,10 +46,9 @@ from collapsar.entanglement import (
     report_json_dict,
     temperature_ratio_fit,
 )
-from collapsar.errors import SqueezingOverflowError
 from collapsar.fock import LAMBDA_FLOOR, DensityOperator, PureBipartiteState
 from collapsar.geometry import FOUR_PI, X_MIN
-from collapsar.states import EPS_TAIL_MAX, N_CAP
+from collapsar.states import EPS_TAIL_DEFAULT, EPS_TAIL_MAX, EPS_TAIL_MIN
 
 B = Statistics.BOSON
 F = Statistics.FERMION
@@ -74,6 +74,9 @@ FERMION_ENTROPY_TABLE = {
 # Root of S_fermion - S_boson, frozen from mpmath.findroot at 30 digits.
 X_STAR = 0.40671361302244355
 X_STAR_TOL = 4.0 * math.ulp(X_STAR)
+# Ladder length of the fit and spectrum tests: the 16,384 levels that
+# x = 1.032e-3 keeps at the default eps_tail.
+LEVELS = 16384
 
 
 def mp_boson_entropy(x):
@@ -308,7 +311,7 @@ class TestTemperatureRatio:
             temperature_ratio_fit(thermal_boson_rho(1.0), True)
 
     # The fit's slope against a 40-digit least-squares slope of the same
-    # points, over the boson-deep range and beyond, and at d = N_CAP.
+    # points, over the boson-deep range and beyond, and at d = LEVELS.
     @pytest.mark.parametrize(
         "x", [*np.geomspace(0.015, 40.0, 24).tolist(), 1.032e-3]
     )
@@ -376,17 +379,17 @@ class TestTemperatureRatio:
     # The prefix path takes sum(dn^2) in closed form.  With log p exactly 1
     # below the middle level and 0 from it on, every other step of the fit
     # is exact, so the fitted ratio carries the bits of the pairwise sum.
-    # That holds for every k below 3e5, N_CAP's range included; above it the
+    # That holds for every k below 3e5, LEVELS included; above it the
     # closed form is the correctly rounded exact sum, which a pairwise sum
     # need not be (see test_fit_past_the_int64_cube).
     def test_prefix_fit_sxx_is_the_pairwise_sum(self):
         assert np.log(math.e) == 1.0
-        n = np.arange(N_CAP, dtype=np.float64)
-        steps = np.repeat([math.e, 1.0], N_CAP)
-        for k in range(2, N_CAP + 1):
+        n = np.arange(LEVELS, dtype=np.float64)
+        steps = np.repeat([math.e, 1.0], LEVELS)
+        for k in range(2, LEVELS + 1):
             mid = k // 2
             dn = n[:k] - (k - 1) / 2
-            diag = steps[N_CAP - mid : N_CAP - mid + k]
+            diag = steps[LEVELS - mid : LEVELS - mid + k]
             rho = DensityOperator._reduced(B, diag)
             slope = dn[:mid].sum() / (dn * dn).sum()
             assert temperature_ratio_fit(rho, 0.5) == -1.0 / slope, k
@@ -414,7 +417,7 @@ class TestTemperatureRatio:
     # The prefix fit centres its levels in one fill; every value is an exact
     # half-integer, so it is arange then -= bit for bit, at every length.
     def test_centred_levels_fill_once(self):
-        for k in range(2, N_CAP + 1):
+        for k in range(2, LEVELS + 1):
             two_step = np.arange(k, dtype=np.float64)
             two_step -= (k - 1) / 2
             one_fill = np.arange(-(k - 1) / 2, (k + 1) / 2)
@@ -468,9 +471,9 @@ def descending_diagonals(draw):
     """A non-increasing unit-trace diagonal: a thermal or random head and a drawn tail.
 
     The sizes include both sides of numpy's 8192-element pairwise blocks
-    and N_CAP; the tail takes entries across LAMBDA_FLOOR and the fit floor.
+    and LEVELS; the tail takes entries across LAMBDA_FLOOR and the fit floor.
     """
-    d = draw(st.sampled_from([2, 4, 8191, 8192, 8193, N_CAP]))
+    d = draw(st.sampled_from([2, 4, 8191, 8192, 8193, LEVELS]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         x = draw(st.floats(1e-3, 20.0))
@@ -527,23 +530,22 @@ class TestSpectrumPath:
             assert same_bits(temperature_ratio_fit(rho, 0.5), want_t)
 
 
-# The order every builder vouches for, over every admitted input.  No boson
-# mode below x ~ 6.256e-4 fits under the cap, even at EPS_TAIL_MAX; below
-# ~1.032e-3 at the default eps_tail, and a smaller eps_tail refuses more.
+# The order every builder vouches for, over every admitted input: X_MIN
+# bounds x and EPS_TAIL_MIN bounds eps_tail, so every draw is built, down
+# to the largest state at X_MIN (the x range stops at 6.25e-4 for time).
 @given(
     x=st.floats(6.25e-4, 700.0),
-    eps_tail=st.floats(sys.float_info.min, EPS_TAIL_MAX),
+    eps_tail=st.floats(EPS_TAIL_MIN, EPS_TAIL_MAX),
 )
 @example(x=6.256037095649462e-4, eps_tail=EPS_TAIL_MAX)
 @example(x=1.032e-3, eps_tail=1e-12)
-@example(x=700.0, eps_tail=sys.float_info.min)
-@example(x=0.0216, eps_tail=sys.float_info.min)
+@example(x=700.0, eps_tail=EPS_TAIL_MIN)
+@example(x=0.0216, eps_tail=EPS_TAIL_MIN)
+@example(x=X_MIN, eps_tail=EPS_TAIL_MIN)
+@example(x=X_MIN, eps_tail=EPS_TAIL_DEFAULT)
 @settings(derandomize=True, max_examples=300, deadline=None)
 def test_built_boson_reductions_descend(x, eps_tail):
-    try:
-        state = build_boson_state(SqueezingParams.from_x(B, x), eps_tail)
-    except SqueezingOverflowError:
-        return
+    state = build_boson_state(SqueezingParams.from_x(B, x), eps_tail)
     for keep in ("out", "hor"):
         assert descends(partial_trace(state, keep).diag), (x, eps_tail, keep)
 
@@ -596,11 +598,12 @@ class TestEntropyReport:
             1.0 / (math.exp(2.0 * r.x) + 1.0), rel=1e-9
         )
 
+    # x = 1e-4 truncates at 180,742 levels, where a dense complex d x d
+    # operator would take 523 GB; the bounds below hold per level.
     def test_largest_admitted_dimension_in_bounded_memory(self):
-        # x = 1.032e-3 truncates at exactly N_CAP levels, where a dense
-        # complex d x d operator would take 4.3 GB.
-        x = 1.032e-3
-        assert partial_trace(build_boson_state(SqueezingParams.from_x(B, x))).dim == N_CAP
+        x = 1e-4
+        d = partial_trace(build_boson_state(SqueezingParams.from_x(B, x))).dim
+        assert d == 180_742
         tracemalloc.start()
         try:
             r = entropy_report(BlackHoleParams(mass=1.0), ModeChannel(x / FOUR_PI, B))
@@ -615,8 +618,8 @@ class TestEntropyReport:
         # operator's diagonal, and is dropped once reduced.  The entropy's
         # terms, the occupation's numbers and the fit's two vectors then
         # come and go beside the diagonal: at most three float64 vectors of
-        # N_CAP entries (384 KiB) at any one time.
-        p, c = BlackHoleParams(mass=1.0), ModeChannel(1.032e-3 / FOUR_PI, B)
+        # d entries at any one time.
+        p, c = BlackHoleParams(mass=1.0), ModeChannel(1e-4 / FOUR_PI, B)
         entropy_report(p, c)
         tracemalloc.start()
         try:
@@ -625,17 +628,53 @@ class TestEntropyReport:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 8 * N_CAP
+        assert peak <= 3 * 8 * 180_742
 
     # Built from x, the amplitudes are a geometric ladder to within a few
-    # ulp, and the fit over all N_CAP levels reads the Hawking temperature
-    # to 2 ulp.  Amplitudes built as w^n carry the rounding of w n-fold and
-    # read it 5.4e-14 off.
+    # ulp, and the fit over the 130,000 levels above its floor reads the
+    # Hawking temperature to 2 ulp.  Amplitudes built as w^n carry the
+    # rounding of w n-fold and read it 5.4e-14 off at 16,384 levels.
     def test_report_at_cap_fits_the_hawking_temperature(self):
-        x = 1.032e-3
+        x = 1e-4
         r = entropy_report(BlackHoleParams(mass=1.0), ModeChannel(x / FOUR_PI, B))
-        assert partial_trace(build_boson_state(SqueezingParams.from_x(B, r.x))).dim == N_CAP
+        assert partial_trace(build_boson_state(SqueezingParams.from_x(B, r.x))).dim == 180_742
         assert abs(r.T_ratio - 1.0) <= 2 * sys.float_info.epsilon
+
+    # The infrared floor, at the default eps_tail: 20,376,693 levels.  The
+    # peak is the fit's, 8 d + 16 k with k ~ 0.53 d levels above its floor.
+    # S_closed carries the error of 1 - q formed from a rounded q, 3.8e-13
+    # (relative) here, and the gap shows it; S_numeric is held to the exact
+    # entropy of the truncated state, -sum (1-q) q^n log2((1-q) q^n) over
+    # n < d, which differs from the untruncated one by under 1e-17 (relative).
+    def test_boson_report_at_the_infrared_floor(self):
+        p, c = BlackHoleParams(mass=1.0), ModeChannel(X_MIN / FOUR_PI, B)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tracemalloc.start()
+            try:
+                start = time.perf_counter()
+                r = entropy_report(p, c)
+                elapsed = time.perf_counter() - start
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert r.error is None and r.x == X_MIN
+        d = partial_trace(build_boson_state(SqueezingParams.from_x(B, r.x))).dim
+        assert d == 20_376_693
+        assert elapsed <= 5.0
+        assert peak <= 16 * d + 8 * 2**20
+        assert abs(r.T_ratio - 1.0) <= 1e-12
+        with mpmath.workdps(50):
+            two_x = 2 * mpmath.mpf(r.x)
+            q, one_q = mpmath.exp(-two_x), -mpmath.expm1(-two_x)
+            n = d - 1
+            # sum p_n and sum n p_n over n < d, with p_n = (1 - q) q^n.
+            mass = 1 - q**d
+            occ = q * (1 - d * q**n + n * q**d) / one_q
+            s_exact = -(mass * mpmath.log(one_q) + occ * mpmath.log(q)) / mpmath.log(2)
+            assert abs(r.S_numeric - s_exact) <= 1e-14 * s_exact
+            assert abs(r.mean_occ - occ) <= 1e-12 * occ
+        assert r.gap <= 1e-12 * r.S_closed
 
     def test_overflow_propagates(self):
         from collapsar import SqueezingOverflowError

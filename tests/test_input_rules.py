@@ -22,7 +22,7 @@ from collapsar.cli import main
 from collapsar.errors import SqueezingOverflowError
 from collapsar.entanglement import temperature_ratio_fit
 from collapsar.fock import DensityOperator, PureBipartiteState
-from collapsar.states import EPS_TAIL_MAX
+from collapsar.states import EPS_TAIL_MAX, EPS_TAIL_MIN
 
 B = Statistics.BOSON
 F = Statistics.FERMION
@@ -146,16 +146,19 @@ def test_fraction_rule(name, make, value):
 
 
 # The edges of the admitted range, and values the exact-float fast path
-# hands on to the general rules; just below the smallest normal is refused.
+# hands on to the general rules; just below EPS_TAIL_MIN is refused.
 @pytest.mark.parametrize(
-    "value", [sys.float_info.min, EPS_TAIL_MAX, np.float64(1e-9), math.nextafter(1e-9, 0.0)]
+    "value", [EPS_TAIL_MIN, EPS_TAIL_MAX, np.float64(1e-9), math.nextafter(1e-9, 0.0)]
 )
 def test_fraction_rule_accepts(value):
     build_boson_state(SqueezingParams(B, 1.0), value)
     sweep(BlackHoleParams(mass=1.0), [0.1], eps_tail=value)
 
 
+# Subnormal or normal, a positive eps_tail below the floor gets its own
+# message, from either path through the rule.
 def test_fraction_rule_refuses_subnormal():
-    value = math.nextafter(sys.float_info.min, 0.0)
-    with pytest.raises(ValueError, match="must not be subnormal"):
-        build_boson_state(SqueezingParams(B, 1.0), value)
+    for value in (math.nextafter(EPS_TAIL_MIN, 0.0), 1e-320, np.float64(1e-17)):
+        with pytest.raises(ValueError) as info:
+            build_boson_state(SqueezingParams(B, 1.0), value)
+        assert str(info.value) == f"eps_tail must not be below 1e-16, got {value!r}"

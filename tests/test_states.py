@@ -17,7 +17,7 @@ from collapsar import (
     partial_trace,
 )
 from collapsar.fock import FERMION_BASIS, PureBipartiteState
-from collapsar.states import EPS_TAIL_DEFAULT, N_CAP, _truncation_level
+from collapsar.states import EPS_TAIL_DEFAULT, _truncation_level
 
 
 def boson_sq(x):
@@ -79,10 +79,12 @@ class TestBosonBuilder:
         assert dict(state.coefficients) == {(0, 0): 1.0}
         assert state.tail_bound == 0.0
 
+    # x = 1e-4 truncates at 180,742 levels, eleven times the 16,384 that
+    # x = 1.032e-3 keeps; the bounds below hold per level.
     def test_state_at_cap_retains_little_memory(self):
-        # x = 1.032e-3 truncates at exactly N_CAP levels.  The state keeps
-        # one float64 amplitude per level (128 KiB) and no per-label objects.
-        sq = boson_sq(1.032e-3)
+        # The state keeps one float64 amplitude and one square per level
+        # (16 B) and no per-label objects.
+        sq = boson_sq(1e-4)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -90,52 +92,59 @@ class TestBosonBuilder:
             live = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert len(state.coefficients) == N_CAP
-        assert live <= 512 * 2**10
+        d = len(state.coefficients)
+        assert d == 180_742
+        assert live <= 32 * d
 
     def test_state_at_cap_peaks_at_two_level_vectors(self):
-        # Building and checking the state at N_CAP levels allocates no
-        # per-level Python objects and no copy: the amplitudes, filled in
-        # place, and their squares for the completeness sum.  The peak stays
-        # within 2.25 float64 vectors of N_CAP entries (288 KiB).
-        sq = boson_sq(1.032e-3)
+        # Building and checking the state allocates no per-level Python
+        # objects and no copy: the amplitudes, filled in place, and their
+        # squares for the completeness sum.  The peak stays within 2.25
+        # float64 vectors of d entries.
+        sq = boson_sq(1e-4)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            build_boson_state(sq)
+            state = build_boson_state(sq)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * 8 * N_CAP
+        assert peak <= 2.25 * 8 * state.amplitudes.size
 
     # Level n carries tanh^n r / cosh r = e^(-x n) sqrt(1 - e^(-2x)).  Built
     # from x, an amplitude's relative error is the rounding of x n, which
     # exp carries over, plus a few roundings: (4 + x n) units of 2^-53.
     # Built as sqrt(1 - q) w^n, the rounding of w grows n-fold, to 7,800
-    # units at N_CAP levels.
-    @pytest.mark.parametrize("x", [1.032e-3, 0.02, 3.0])
+    # units at 16,384 levels.
+    # The reference ladder runs in 160-bit fixed point from 40-digit mpmath
+    # constants.  Over 180,742 levels it stays within 1e-30 (relative) of
+    # the exact amplitudes: the constants' error grows n-fold to 2e-35, and
+    # each step truncates by at most 2^-160, against amplitudes above 1e-10.
+    @pytest.mark.parametrize("x", [1e-4, 0.02, 3.0])
     def test_amplitudes_match_mpmath(self, x):
         amps = build_boson_state(boson_sq(x)).amplitudes
-        assert amps.size == N_CAP or x > 1.032e-3
+        assert amps.size == 180_742 or x > 1e-4
+        bits = 160
         with mpmath.workdps(40):
             X = mpmath.mpf(x)
-            w = mpmath.exp(-X)
-            ref = mpmath.sqrt(-mpmath.expm1(-2 * X))
-            for n, a in enumerate(amps.tolist()):
-                err = abs(mpmath.mpf(a) - ref) / ref
-                assert err <= (4 + x * n) * 2.0**-53, (n, a)
-                ref *= w
+            w = int(mpmath.ldexp(mpmath.exp(-X), bits))
+            ref = int(mpmath.ldexp(mpmath.sqrt(-mpmath.expm1(-2 * X)), bits))
+        for n, a in enumerate(amps.tolist()):
+            err = abs(int(math.ldexp(a, bits)) - ref) / ref
+            assert err <= (4 + x * n) * 2.0**-53, (n, a)
+            ref = ref * w >> bits
 
     def test_infrared_floor(self):
-        with pytest.raises(SqueezingOverflowError):
+        with pytest.raises(SqueezingOverflowError, match="below floor"):
             build_boson_state(boson_sq(1e-7))
 
-    def test_cap_exceeded_below_floor_override(self):
-        # x passes the infrared floor but the cut would need ~2e6 levels.
-        with pytest.raises(SqueezingOverflowError, match="cap"):
-            build_boson_state(boson_sq(1e-5))
+    def test_deep_infrared_mode_builds_in_full(self):
+        # Nothing but X_MIN bounds the cut: x = 1e-5 builds every level it needs.
+        state = build_boson_state(boson_sq(1e-5))
+        assert state.amplitudes.size == 1_922_541
+        assert state.tail_bound < EPS_TAIL_DEFAULT
 
-    # 1e-320 is subnormal: eps_tail * (1 - q) would underflow to 0.
+    # 1e-320 lies below EPS_TAIL_MIN, the floor that bounds the cut.
     @pytest.mark.parametrize("eps", [0.0, -1e-9, 2e-6, math.nan, 1e-320])
     def test_eps_tail_validation(self, eps):
         with pytest.raises(ValueError):

@@ -22,7 +22,8 @@ SURFACE = {
         "mean_occupation", "partial_trace", "von_neumann_entropy",
     ],
     "states": [
-        "EPS_TAIL_DEFAULT", "EPS_TAIL_MAX", "N_CAP", "build_boson_state", "build_fermion_state",
+        "EPS_TAIL_DEFAULT", "EPS_TAIL_MAX", "EPS_TAIL_MIN", "build_boson_state",
+        "build_fermion_state",
     ],
     "entanglement": [
         "CROSSOVER_BRACKET", "CSV_HEADER", "CrossoverResult", "EntropyReport", "boson_entropy",
@@ -31,8 +32,8 @@ SURFACE = {
     ],
     "errors": ["SqueezingOverflowError"],
     "cli": [
-        "MAX_SWEEP_POINTS", "build_parser", "cmd_crossover", "cmd_entropy", "cmd_reduced",
-        "cmd_sweep", "main",
+        "MAX_DOCUMENT_LEVELS", "MAX_ROW_LEVELS", "MAX_SWEEP_POINTS", "build_parser",
+        "cmd_crossover", "cmd_entropy", "cmd_reduced", "cmd_sweep", "main",
     ],
 }
 

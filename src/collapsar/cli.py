@@ -111,14 +111,24 @@ def _require_levels(
 def _write_rows(
     args: argparse.Namespace, params: BlackHoleParams, omegas: list[float]
 ) -> int:
-    """Sweep the grid, then write one row per report; exit 3 only if every row failed."""
+    """Sweep the grid, then write one row per report; exit 3 only if every row failed.
+
+    A JSON document is json.dumps's indent-2 layout of the list of reports,
+    written one report's object at a time: one write each, no whole text.
+    """
     _require_levels(args, params, omegas, MAX_ROW_LEVELS)
     reports = sweep(
         params, omegas, statistics=_stats_list(args.stats), eps_tail=args.eps_tail
     )
     with _output(args) as fh:
         if args.format == "json":
-            fh.write(json.dumps([report_json_dict(r) for r in reports], indent=2) + "\n")
+            # A sweep holds at least one report.  A rendered string holds no
+            # raw newline, so each line of an object gains the list's indent.
+            sep = "[\n  "
+            for r in reports:
+                fh.write(sep + json.dumps(report_json_dict(r), indent=2).replace("\n", "\n  "))
+                sep = ",\n  "
+            fh.write("\n]\n")
         else:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_HEADER)

@@ -38,6 +38,8 @@ _LN2 = math.log(2.0)
 # Occupation probabilities below this carry no usable information for the
 # log-linear temperature fit.
 _FIT_FLOOR = 1e-15
+# Levels per block of the fit's centred-level fill: 512 KiB of float64.
+_FIT_BLOCK = 1 << 16
 
 # Bracket on which crossover() bisects S_f - S_b.  The tests check that
 # S_f - S_b changes sign exactly once on a log grid over [1e-3, 100], and
@@ -121,28 +123,35 @@ def temperature_ratio_fit(rho: DensityOperator, x: float) -> float:
         # The diagonal is non-increasing (see PureBipartiteState._built), so
         # the levels above the floor are a prefix: all of them, or a count.
         # k is a Python int, so k^3 below cannot wrap as an int64 would.
-        k = diag.size if diag[-1] > _FIT_FLOOR else int(np.count_nonzero(diag > _FIT_FLOOR))
+        k = diag.size if diag.item(-1) > _FIT_FLOOR else int(np.count_nonzero(diag > _FIT_FLOOR))
         if k < 2:
             return math.nan
-        # The fitted levels are 0..k-1, whose mean is exactly (k - 1) / 2.
-        # One fill of exact half-integers, centred on that mean.
-        dn = np.arange(-(k - 1) / 2, (k + 1) / 2)
-        y = diag[:k]
+        y = np.log(diag if k == diag.size else diag[:k])
         # sum(dn^2) in closed form: the exact integer quotient, correctly
         # rounded.  Each term is a half-integer squared, and for k below 3e5
         # every partial sum is exact, so a pairwise sum gives these bits too;
         # above that the pairwise sum rounds and may differ by an ulp.
         sxx = k * (k * k - 1) / 12
-        y = np.log(y)
-        y -= y[y.size // 2]
-        y *= dn
-        slope = float(np.add.reduce(y) / sxx)
+        y -= y.item(k // 2)
+        # The fitted levels are 0..k-1, whose mean is exactly (k - 1) / 2.
+        # Each block of y takes its centred levels dn, exact half-integers,
+        # from one fill; an elementwise product does not depend on the
+        # blocking, so the fit holds y and one block, not a second k-vector.
+        # A fit of at most one block multiplies y itself, with no view.
+        half = (k - 1) / 2
+        if k <= _FIT_BLOCK:
+            y *= np.arange(-half, k - half)
+        else:
+            for start in range(0, k, _FIT_BLOCK):
+                block = y[start : start + _FIT_BLOCK]
+                block *= np.arange(start - half, start - half + block.size)
+        slope = np.add.reduce(y).item() / sxx
         if not (math.isfinite(slope) and slope < 0.0):
             return math.nan
         return -2.0 * x / slope
     # FERMION_BASIS starts with (0, 0), (0, 1).
-    p00 = float(diag[0])
-    p01 = float(diag[1])
+    p00 = diag.item(0)
+    p01 = diag.item(1)
     if p00 < sys.float_info.min or p01 < sys.float_info.min or p00 == p01:
         return math.nan
     return -2.0 * x / math.log(p01 / p00)
@@ -298,23 +307,31 @@ def sweep(
     return reports
 
 
+# 17 significant digits round-trip every double.
+_FLOAT_SPEC = ".17g"
+
+
 def format_float(value: float) -> str:
     """Canonical 17-significant-digit rendering used by all CSV output."""
-    return format(float(value), ".17g")
+    return format(float(value), _FLOAT_SPEC)
 
 
 def report_csv_row(report: EntropyReport) -> list[str]:
-    """Row for csv.writer, in CSV_HEADER order; error renders as empty string."""
+    """Row for csv.writer, in CSV_HEADER order; error renders as empty string.
+
+    The numbers of a report from entropy_report or sweep are Python floats,
+    so each is formatted in place, as format_float renders it.
+    """
     return [
-        format_float(report.x),
-        format_float(report.omega),
-        format_float(report.mass),
+        format(report.x, _FLOAT_SPEC),
+        format(report.omega, _FLOAT_SPEC),
+        format(report.mass, _FLOAT_SPEC),
         report.statistics.value,
-        format_float(report.S_closed),
-        format_float(report.S_numeric),
-        format_float(report.gap),
-        format_float(report.mean_occ),
-        format_float(report.T_ratio),
+        format(report.S_closed, _FLOAT_SPEC),
+        format(report.S_numeric, _FLOAT_SPEC),
+        format(report.gap, _FLOAT_SPEC),
+        format(report.mean_occ, _FLOAT_SPEC),
+        format(report.T_ratio, _FLOAT_SPEC),
         report.error or "",
     ]
 

@@ -121,10 +121,10 @@ class PureBipartiteState:
                 raise ValueError(
                     f"state not complete: |amplitudes|^2 + tail_bound = {total!r}"
                 )
-        if statistics is Statistics.FERMION and squares[1] != squares[2]:
+        if statistics is Statistics.FERMION and squares.item(1) != squares.item(2):
             raise ValueError(
                 "exchanged labels (0, 1) and (1, 0) must carry equal weights, got "
-                f"{squares[1].item()!r} and {squares[2].item()!r}"
+                f"{squares.item(1)!r} and {squares.item(2)!r}"
             )
         return state
 
@@ -192,7 +192,7 @@ class _Coefficients(Mapping):
             raise KeyError(key) from None
         if self._out[i] != o:
             raise KeyError(key)
-        return self._amps[i].item()
+        return self._amps.item(i)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -273,7 +273,7 @@ def von_neumann_entropy(rho: DensityOperator, method: Literal["eigen"] = "eigen"
     if method != "eigen":
         raise ValueError(f"unknown method {method!r}")
     p = rho.diag
-    if p[-1] <= LAMBDA_FLOOR:
+    if p.item(-1) <= LAMBDA_FLOOR:
         p = p[: np.count_nonzero(p > LAMBDA_FLOOR)]
     t = np.log2(p)
     t *= p
@@ -293,7 +293,7 @@ def mean_occupation(rho: DensityOperator, which: Literal["particle"] = "particle
         raise ValueError(f"unknown sector {which!r}")
     diag = rho.diag
     if rho.statistics is Statistics.FERMION:
-        return float(diag[2] + diag[3])
+        return diag.item(2) + diag.item(3)
     numbers = np.arange(diag.size, dtype=np.float64)
     numbers *= diag
     return float(np.add.reduce(numbers))

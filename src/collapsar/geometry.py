@@ -28,14 +28,18 @@ def _is_real(value: object) -> bool:
 
 
 def _require_finite_positive(name: str, value: object) -> None:
-    """Refuse anything but a finite positive real.
+    """Refuse anything but a finite positive real that a float can hold.
 
     An exact float takes one comparison chain, which accepts and refuses
     what the general rule does (nan fails both comparisons).
     """
     if type(value) is float and 0.0 < value < math.inf:
         return
-    if not (_is_real(value) and math.isfinite(value) and value > 0.0):
+    try:
+        ok = _is_real(value) and math.isfinite(value) and value > 0.0
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
         raise ValueError(f"{name} must be a finite positive real, got {value!r}")
 
 
@@ -46,30 +50,39 @@ class Statistics(str, Enum):
     FERMION = "fermion"
 
 
-@dataclass(frozen=True)
+# The frozen records below write their own __init__: each input is checked
+# once and each field stored once, by one object.__setattr__, as the
+# generated frozen __init__ stores it.  The decorator keeps eq, hash, repr,
+# FrozenInstanceError and dataclasses.replace.
+
+
+@dataclass(frozen=True, init=False)
 class BlackHoleParams:
     """Collapsing shell of mass ``mass``, the only geometric input to x."""
 
     mass: float
 
-    def __post_init__(self) -> None:
-        _require_finite_positive("mass", self.mass)
+    def __init__(self, mass: float) -> None:
+        _require_finite_positive("mass", mass)
+        object.__setattr__(self, "mass", mass)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModeChannel:
     """One radiated field mode: frequency ``omega`` and its exchange statistics."""
 
     omega: float
     statistics: Statistics
 
-    def __post_init__(self) -> None:
-        _require_finite_positive("omega", self.omega)
-        if not isinstance(self.statistics, Statistics):
-            object.__setattr__(self, "statistics", Statistics(self.statistics))
+    def __init__(self, omega: float, statistics: Statistics | str) -> None:
+        _require_finite_positive("omega", omega)
+        if not isinstance(statistics, Statistics):
+            statistics = Statistics(statistics)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "statistics", statistics)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SqueezingParams:
     """Two-mode squeezing of one horizon/outgoing mode pair, fixed by x alone.
 
@@ -86,18 +99,19 @@ class SqueezingParams:
     boltzmann_weight: float = field(init=False)
     r: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.statistics, Statistics):
-            object.__setattr__(self, "statistics", Statistics(self.statistics))
-        x = self.x
+    def __init__(self, statistics: Statistics | str, x: float) -> None:
+        if not isinstance(statistics, Statistics):
+            statistics = Statistics(statistics)
         _require_finite_positive("x", x)
         w = math.exp(-x)
-        if self.statistics is Statistics.BOSON:
+        if statistics is Statistics.BOSON:
             r = math.inf if w == 1.0 else math.atanh(w)
         else:
             r = math.atan(w)
-        # Frozen: the derived fields go straight into the instance, in one step.
-        self.__dict__.update(x=float(x), boltzmann_weight=w, r=r)
+        object.__setattr__(self, "statistics", statistics)
+        object.__setattr__(self, "x", float(x))
+        object.__setattr__(self, "boltzmann_weight", w)
+        object.__setattr__(self, "r", r)
 
     def to_json_dict(self) -> dict:
         """Serialisable header identifying the squeezing: statistics, r, x."""

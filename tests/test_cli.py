@@ -386,6 +386,32 @@ class TestSweepCommand:
         assert size > 1_000_000
         assert peaks[1] - peaks[0] < size / 4
 
+    # The JSON twin: each report's object is rendered and written alone, so
+    # the document text is never held whole.  A JSON report takes about twice
+    # the bytes of a CSV row, so 2,000 points make a 1.2 MB file; writing it
+    # costs ~130 KB beyond the sweep, where the whole text cost 9 MB.
+    def test_json_rows_are_not_held_as_text(self, tmp_path):
+        lo, hi, points = 0.08, 2.0, 2000
+        target = tmp_path / "sweep.json"
+        argv = ["sweep", "--mass", "1", "--omega-min", repr(lo), "--omega-max", repr(hi),
+                "--points", str(points), "--format", "json", "--output", str(target)]
+        build_parser().parse_args(argv)  # argparse compiles its patterns on first use
+        peaks = []
+        for call in (
+            lambda: sweep(BlackHoleParams(mass=1.0), np.geomspace(lo, hi, points).tolist()),
+            lambda: main(argv),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        size = target.stat().st_size
+        assert size > 1_000_000
+        assert peaks[1] - peaks[0] < size / 4
+        assert len(json.loads(target.read_text())) == 2 * points
+
     def test_linear_grid(self, capsys):
         code, out, _ = run(
             capsys,

@@ -40,6 +40,7 @@ from collapsar import (
 )
 from collapsar.entanglement import (
     CROSSOVER_BRACKET,
+    _FIT_BLOCK,
     _FIT_FLOOR,
     EntropyReport,
     format_float,
@@ -414,6 +415,39 @@ class TestTemperatureRatio:
             t_ratio = temperature_ratio_fit(rho, x)
         assert abs(t_ratio - 1.0) <= 1e-12
 
+    # The product is elementwise, so a fit in blocks keeps the bits of one
+    # full centred-level vector, at and across the block edges.
+    @pytest.mark.parametrize(
+        "k", [_FIT_BLOCK - 1, _FIT_BLOCK, _FIT_BLOCK + 1, 3 * _FIT_BLOCK + 7]
+    )
+    def test_blocked_fit_keeps_the_one_vector_bits(self, k):
+        x = 2e-5
+        diag = -math.expm1(-2.0 * x) * np.exp(-2.0 * x * np.arange(k))
+        assert diag[-1] > _FIT_FLOOR
+        dn = np.arange(-(k - 1) / 2, (k + 1) / 2)
+        y = np.log(diag)
+        y -= y[k // 2]
+        want = -2.0 * x / float(np.add.reduce(y * dn) / (k * (k * k - 1) / 12))
+        assert same_bits(temperature_ratio_fit(reduced(B, diag), x), want)
+
+    # The fit holds log y over its k levels and one block of centred levels,
+    # not a second k-vector: at eps_tail = 1e-6, x = 6e-6 keeps 1,934,014 of
+    # 2,095,511 levels above the floor, and a full centred-level vector
+    # beside log y would peak 7.7 MiB over this bound.
+    def test_fit_holds_one_level_vector_and_a_block(self):
+        x = 6e-6
+        rho = partial_trace(build_boson_state(SqueezingParams.from_x(B, x), eps_tail=1e-6))
+        k = int(np.count_nonzero(rho.diag > _FIT_FLOOR))
+        assert rho.dim == 2_095_511 and k == 1_934_014
+        tracemalloc.start()
+        try:
+            t_ratio = temperature_ratio_fit(rho, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * k + 2**20
+        assert abs(t_ratio - 1.0) <= 1e-12
+
     # The prefix fit centres its levels in one fill; every value is an exact
     # half-integer, so it is arange then -= bit for bit, at every length.
     def test_centred_levels_fill_once(self):
@@ -616,9 +650,9 @@ class TestEntropyReport:
     def test_report_at_cap_peaks_at_three_level_vectors(self):
         # The state holds its amplitudes and their squares, which become the
         # operator's diagonal, and is dropped once reduced.  The entropy's
-        # terms, the occupation's numbers and the fit's two vectors then
-        # come and go beside the diagonal: at most three float64 vectors of
-        # d entries at any one time.
+        # terms, the occupation's numbers and the fit's log levels (with one
+        # block of centred levels) then come and go beside the diagonal: at
+        # most three float64 vectors of d entries at any one time.
         p, c = BlackHoleParams(mass=1.0), ModeChannel(1e-4 / FOUR_PI, B)
         entropy_report(p, c)
         tracemalloc.start()
@@ -641,7 +675,8 @@ class TestEntropyReport:
         assert abs(r.T_ratio - 1.0) <= 2 * sys.float_info.epsilon
 
     # The infrared floor, at the default eps_tail: 20,376,693 levels.  The
-    # peak is the fit's, 8 d + 16 k with k ~ 0.53 d levels above its floor.
+    # peak is the state's 16 d; the fit holds 8 d + 8 k and one 512 KiB
+    # block, with k ~ 0.53 d levels above its floor.
     # S_closed carries the error of 1 - q formed from a rounded q, 3.8e-13
     # (relative) here, and the gap shows it; S_numeric is held to the exact
     # entropy of the truncated state, -sum (1-q) q^n log2((1-q) q^n) over
@@ -853,6 +888,51 @@ class TestOneStepRecords:
         assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
         assert list(vars(got)) == list(vars(want))
         assert_frozen(got)
+
+    # The three geometry records write their own __init__, which checks each
+    # input once and stores each field once.  Each must give the record that
+    # the __init__ @dataclass(frozen=True) generates gives from the same
+    # (converted) inputs, with the derived fields stored after.
+    @pytest.mark.parametrize(
+        ("cls", "args", "converted", "derived"),
+        [
+            (BlackHoleParams, (0.7,), (0.7,), {}),
+            (BlackHoleParams, (3,), (3,), {}),
+            (BlackHoleParams, (np.float64(2.5),), (np.float64(2.5),), {}),
+            (ModeChannel, (0.25, B), (0.25, B), {}),
+            (ModeChannel, (0.25, "fermion"), (0.25, F), {}),
+            (ModeChannel, (np.float64(1e-3), "boson"), (np.float64(1e-3), B), {}),
+            (SqueezingParams, ("boson", 0.3), (B, 0.3),
+             {"boltzmann_weight": math.exp(-0.3), "r": math.atanh(math.exp(-0.3))}),
+            (SqueezingParams, (F, 2), (F, 2.0),
+             {"boltzmann_weight": math.exp(-2), "r": math.atan(math.exp(-2))}),
+        ],
+        ids=["mass", "int-mass", "np-mass", "channel", "str-channel", "np-channel",
+             "str-squeezing", "int-x"],
+    )
+    def test_constructor_matches_generated_init(self, cls, args, converted, derived):
+        got = cls(*args)
+        generated = dataclasses.make_dataclass(
+            cls.__name__,
+            [(f.name, f.type, dataclasses.field(init=f.init)) for f in dataclasses.fields(cls)],
+            frozen=True,
+        ).__init__
+        want = object.__new__(cls)
+        generated(want, *converted)
+        for name, value in derived.items():
+            object.__setattr__(want, name, value)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert list(vars(got)) == list(vars(want))
+        assert all(type(vars(got)[k]) is type(v) for k, v in vars(want).items())
+        assert_frozen(got)
+        # replace goes through the same constructor, its checks and conversion.
+        assert dataclasses.replace(got) == got
+        number = {BlackHoleParams: "mass", ModeChannel: "omega", SqueezingParams: "x"}[cls]
+        message = f"^{number} must be a finite positive real, got -1.0$"
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(got, **{number: -1.0})
+        if cls is not BlackHoleParams:
+            assert dataclasses.replace(got, statistics="fermion").statistics is F
 
     # The state and its operator compare by identity (eq=False), so the
     # check is on the instance dict: the same names, in order, holding the

@@ -47,12 +47,20 @@ FINITE_POSITIVE = {
 NOT_POSITIVE = [0.0, -0.0, -1.5, math.inf, -math.inf, math.nan]
 NOT_NUMBERS = [True, False, "1.0", None, 1j]
 FLOATS_ONLY = ("sweep", "cli entropy --x")
+# Ints that no float holds.  argparse reads them as inf, so the CLI is left out.
+BEYOND_FLOAT = {"10**400": 10**400, "-10**400": -(10**400)}
 
 
 @pytest.mark.parametrize(
     ("entry", "value"),
     [(e, v) for e in FINITE_POSITIVE for v in NOT_POSITIVE]
-    + [(e, v) for e in FINITE_POSITIVE if e not in FLOATS_ONLY for v in NOT_NUMBERS],
+    + [(e, v) for e in FINITE_POSITIVE if e not in FLOATS_ONLY for v in NOT_NUMBERS]
+    + [
+        pytest.param(e, v, id=f"{e}-{i}")
+        for e in FINITE_POSITIVE
+        if e != "cli entropy --x"
+        for i, v in BEYOND_FLOAT.items()
+    ],
 )
 def test_finite_positive_rule(capsys, entry, value):
     name, call = FINITE_POSITIVE[entry]

@@ -145,7 +145,7 @@ def temperature_ratio_fit(rho: DensityOperator, x: float) -> float:
             for start in range(0, k, _FIT_BLOCK):
                 block = y[start : start + _FIT_BLOCK]
                 block *= np.arange(start - half, start - half + block.size)
-        slope = np.add.reduce(y).item() / sxx
+        slope = float(np.add.reduce(y)) / sxx
         if not (math.isfinite(slope) and slope < 0.0):
             return math.nan
         return -2.0 * x / slope

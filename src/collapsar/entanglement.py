@@ -127,11 +127,6 @@ def temperature_ratio_fit(rho: DensityOperator, x: float) -> float:
         if k < 2:
             return math.nan
         y = np.log(diag if k == diag.size else diag[:k])
-        # sum(dn^2) in closed form: the exact integer quotient, correctly
-        # rounded.  Each term is a half-integer squared, and for k below 3e5
-        # every partial sum is exact, so a pairwise sum gives these bits too;
-        # above that the pairwise sum rounds and may differ by an ulp.
-        sxx = k * (k * k - 1) / 12
         y -= y.item(k // 2)
         # The fitted levels are 0..k-1, whose mean is exactly (k - 1) / 2.
         # Each block of y takes its centred levels dn, exact half-integers,
@@ -145,6 +140,11 @@ def temperature_ratio_fit(rho: DensityOperator, x: float) -> float:
             for start in range(0, k, _FIT_BLOCK):
                 block = y[start : start + _FIT_BLOCK]
                 block *= np.arange(start - half, start - half + block.size)
+        # sum(dn^2) in closed form: the exact integer quotient, correctly
+        # rounded.  Each term is a half-integer squared, and for k below 3e5
+        # every partial sum is exact, so a pairwise sum gives these bits too;
+        # above that the pairwise sum rounds and may differ by an ulp.
+        sxx = k * (k * k - 1) / 12
         slope = float(np.add.reduce(y)) / sxx
         if not (math.isfinite(slope) and slope < 0.0):
             return math.nan

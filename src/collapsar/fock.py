@@ -26,7 +26,7 @@ from typing import Literal, Union
 
 import numpy as np
 
-from .geometry import Statistics
+from .geometry import _FERMION, Statistics
 
 BasisLabel = Union[int, tuple[int, int]]
 
@@ -43,7 +43,7 @@ LAMBDA_FLOOR = 1e-30
 
 
 def _basis(statistics: Statistics, d: int) -> Sequence[BasisLabel]:
-    return FERMION_BASIS if statistics is Statistics.FERMION else range(d)
+    return FERMION_BASIS if statistics is _FERMION else range(d)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -121,7 +121,7 @@ class PureBipartiteState:
                 raise ValueError(
                     f"state not complete: |amplitudes|^2 + tail_bound = {total!r}"
                 )
-        if statistics is Statistics.FERMION and squares.item(1) != squares.item(2):
+        if statistics is _FERMION and squares.item(1) != squares.item(2):
             raise ValueError(
                 "exchanged labels (0, 1) and (1, 0) must carry equal weights, got "
                 f"{squares.item(1)!r} and {squares.item(2)!r}"
@@ -162,7 +162,7 @@ class _Coefficients(Mapping):
     def __init__(self, state: PureBipartiteState) -> None:
         self._amps = state.amplitudes
         self._hor = self._out = _basis(state.statistics, self._amps.size)
-        self._pairs = state.statistics is Statistics.FERMION
+        self._pairs = state.statistics is _FERMION
         if self._pairs:
             self._out = tuple((a, p) for p, a in FERMION_BASIS)
 
@@ -292,7 +292,7 @@ def mean_occupation(rho: DensityOperator, which: Literal["particle"] = "particle
     if which != "particle":
         raise ValueError(f"unknown sector {which!r}")
     diag = rho.diag
-    if rho.statistics is Statistics.FERMION:
+    if rho.statistics is _FERMION:
         return diag.item(2) + diag.item(3)
     numbers = np.arange(diag.size, dtype=np.float64)
     numbers *= diag

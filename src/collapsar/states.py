@@ -15,7 +15,7 @@ import numpy as np
 
 from .fock import PureBipartiteState
 from .geometry import (
-    Statistics, SqueezingParams, _is_real, _require_representable, _require_statistics,
+    SqueezingParams, _BOSON, _FERMION, _is_real, _require_representable, _require_statistics,
 )
 
 EPS_TAIL_DEFAULT = 1e-12
@@ -72,7 +72,7 @@ def build_boson_state(
     squeezing_for does.  Every other mode is built, at 16 bytes a level: at
     most 24,981,863 levels (400 MB), at X_MIN with eps_tail = EPS_TAIL_MIN.
     """
-    _require_statistics(squeezing, Statistics.BOSON)
+    _require_statistics(squeezing, _BOSON)
     _validate_eps_tail(eps_tail)
     x = squeezing.x
     _require_representable(x)
@@ -86,7 +86,7 @@ def build_boson_state(
     np.exp(amps, out=amps)
     amps *= math.sqrt(-math.expm1(-2.0 * x))
     tail_bound = q ** (n_max + 1) / (1.0 - q)
-    return PureBipartiteState._built(Statistics.BOSON, amps, tail_bound)
+    return PureBipartiteState._built(_BOSON, amps, tail_bound)
 
 
 def build_fermion_state(squeezing: SqueezingParams) -> PureBipartiteState:
@@ -98,8 +98,8 @@ def build_fermion_state(squeezing: SqueezingParams) -> PureBipartiteState:
 
         cos^2 r |00,00> - sin r cos r |01,10> + sin r cos r |10,01> - sin^2 r |11,11>
     """
-    _require_statistics(squeezing, Statistics.FERMION)
+    _require_statistics(squeezing, _FERMION)
     c = math.cos(squeezing.r)
     s = math.sin(squeezing.r)
     amps = np.array([c * c, -(s * c), s * c, -(s * s)])
-    return PureBipartiteState._built(Statistics.FERMION, amps, 0.0)
+    return PureBipartiteState._built(_FERMION, amps, 0.0)

@@ -386,10 +386,10 @@ class TestSweepCommand:
         assert size > 1_000_000
         assert peaks[1] - peaks[0] < size / 4
 
-    # The JSON twin: each report's object is rendered and written alone, so
-    # the document text is never held whole.  A JSON report takes about twice
-    # the bytes of a CSV row, so 2,000 points make a 1.2 MB file; writing it
-    # costs ~130 KB beyond the sweep, where the whole text cost 9 MB.
+    # The JSON twin: reports are rendered and written cli._JSON_BATCH at a
+    # time, so the document text is never held whole.  A JSON report takes
+    # about twice the bytes of a CSV row, so 2,000 points make a 1.2 MB file;
+    # writing it costs ~220 KB beyond the sweep, where the whole text cost 9 MB.
     def test_json_rows_are_not_held_as_text(self, tmp_path):
         lo, hi, points = 0.08, 2.0, 2000
         target = tmp_path / "sweep.json"
@@ -432,6 +432,29 @@ class TestSweepCommand:
         _, second, _ = run(capsys, argv)
         assert first == second
         assert len(json.loads(first)) == 14
+
+    # A JSON sweep is written cli._JSON_BATCH reports at a time.  Filling a
+    # batch, crossing into a second and filling two must each give the
+    # document json.dumps renders for the whole list; its floats round-trip,
+    # so re-rendering the parsed document reproduces that text.
+    @pytest.mark.parametrize(
+        "points, stats",
+        [
+            (cli._JSON_BATCH // 2, "both"),
+            (cli._JSON_BATCH // 2 + 1, "both"),
+            (cli._JSON_BATCH + 1, "boson"),
+            (2 * cli._JSON_BATCH, "fermion"),
+        ],
+    )
+    def test_json_batches_make_the_whole_document(self, capsys, points, stats):
+        argv = [
+            "sweep", "--mass", "1", "--omega-min", "0.005", "--omega-max", "0.5",
+            "--points", str(points), "--stats", stats, "--format", "json",
+        ]
+        _, out, _ = run(capsys, argv)
+        doc = json.loads(out)
+        assert len(doc) == points * (2 if stats == "both" else 1)
+        assert out == json.dumps(doc, indent=2) + "\n"
 
 
 class TestCrossoverCommand:

@@ -123,9 +123,12 @@ def temperature_ratio_fit(rho: DensityOperator, x: float) -> float:
     diag = rho.diag
     if rho.statistics is _BOSON:
         # The diagonal is non-increasing (see PureBipartiteState._built), so
-        # the levels above the floor are a prefix: all of them, or a count.
+        # the levels above the floor are a prefix: all of them, or as many
+        # as a binary search of the reversed diagonal leaves above the floor.
         # k is a Python int, so k^3 below cannot wrap as an int64 would.
-        k = diag.size if diag.item(-1) > _FIT_FLOOR else int(np.count_nonzero(diag > _FIT_FLOOR))
+        k = diag.size
+        if diag.item(-1) <= _FIT_FLOOR:
+            k -= int(np.searchsorted(diag[::-1], _FIT_FLOOR, side="right"))
         if k < 2:
             return math.nan
         y = np.log(diag if k == diag.size else diag[:k])

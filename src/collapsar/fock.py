@@ -265,16 +265,17 @@ def von_neumann_entropy(rho: DensityOperator, method: Literal["eigen"] = "eigen"
     """Entropy -tr(rho log2 rho) in bits, summed over the ascending spectrum.
 
     ``method`` accepts only "eigen".  Eigenvalues at or below LAMBDA_FLOOR
-    count as exact zeros.  The non-increasing diagonal is its spectrum read
-    backwards: the logarithms run over it as it lies, in contiguous memory
-    (numpy's ``log2`` may round a strided view differently), and only the
-    pairwise sum reads the terms in reverse, so no spectrum is copied.
+    count as exact zeros; a binary search of the spectrum counts them.  The
+    non-increasing diagonal is its spectrum read backwards: the logarithms
+    run over it as it lies, in contiguous memory (numpy's ``log2`` may round
+    a strided view differently), and only the pairwise sum reads the terms
+    in reverse, so no spectrum is copied.
     """
     if method != "eigen":
         raise ValueError(f"unknown method {method!r}")
     p = rho.diag
     if p.item(-1) <= LAMBDA_FLOOR:
-        p = p[: np.count_nonzero(p > LAMBDA_FLOOR)]
+        p = p[: p.size - np.searchsorted(p[::-1], LAMBDA_FLOOR, side="right")]
     t = np.log2(p)
     t *= p
     return max(0.0, -float(np.add.reduce(t[::-1])))

@@ -57,39 +57,30 @@ _BOSON = Statistics.BOSON
 _FERMION = Statistics.FERMION
 
 
-# The frozen records below write their own __init__: each input is checked
-# once and each field stored once, by one object.__setattr__, as the
-# generated frozen __init__ stores it.  The decorator keeps eq, hash, repr,
-# FrozenInstanceError and dataclasses.replace.
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class BlackHoleParams:
     """Collapsing shell of mass ``mass``, the only geometric input to x."""
 
     mass: float
 
-    def __init__(self, mass: float) -> None:
-        _require_finite_positive("mass", mass)
-        object.__setattr__(self, "mass", mass)
+    def __post_init__(self) -> None:
+        _require_finite_positive("mass", self.mass)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ModeChannel:
     """One radiated field mode: frequency ``omega`` and its exchange statistics."""
 
     omega: float
     statistics: Statistics
 
-    def __init__(self, omega: float, statistics: Statistics | str) -> None:
-        _require_finite_positive("omega", omega)
-        if not isinstance(statistics, Statistics):
-            statistics = Statistics(statistics)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "statistics", statistics)
+    def __post_init__(self) -> None:
+        _require_finite_positive("omega", self.omega)
+        if not isinstance(self.statistics, Statistics):
+            object.__setattr__(self, "statistics", Statistics(self.statistics))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SqueezingParams:
     """Two-mode squeezing of one horizon/outgoing mode pair, fixed by x alone.
 
@@ -106,16 +97,16 @@ class SqueezingParams:
     boltzmann_weight: float = field(init=False)
     r: float = field(init=False)
 
-    def __init__(self, statistics: Statistics | str, x: float) -> None:
-        if not isinstance(statistics, Statistics):
-            statistics = Statistics(statistics)
+    def __post_init__(self) -> None:
+        if not isinstance(self.statistics, Statistics):
+            object.__setattr__(self, "statistics", Statistics(self.statistics))
+        x = self.x
         _require_finite_positive("x", x)
         w = math.exp(-x)
-        if statistics is _BOSON:
+        if self.statistics is _BOSON:
             r = math.inf if w == 1.0 else math.atanh(w)
         else:
             r = math.atan(w)
-        object.__setattr__(self, "statistics", statistics)
         object.__setattr__(self, "x", float(x))
         object.__setattr__(self, "boltzmann_weight", w)
         object.__setattr__(self, "r", r)

@@ -1,5 +1,6 @@
 """Each input rule, once: every entry point that applies it gives one message."""
 
+import dataclasses
 import math
 import sys
 
@@ -39,6 +40,16 @@ FINITE_POSITIVE = {
     "ModeChannel": ("omega", lambda v: ModeChannel(omega=v, statistics=B)),
     "SqueezingParams": ("x", lambda v: SqueezingParams(B, v)),
     "SqueezingParams.from_r": ("r", lambda v: SqueezingParams.from_r(F, v)),
+    # replace goes through each record's generated __init__ and __post_init__.
+    "replace BlackHoleParams": (
+        "mass", lambda v: dataclasses.replace(BlackHoleParams(mass=1.0), mass=v)
+    ),
+    "replace ModeChannel": (
+        "omega", lambda v: dataclasses.replace(ModeChannel(1.0, B), omega=v, statistics="fermion")
+    ),
+    "replace SqueezingParams": (
+        "x", lambda v: dataclasses.replace(SqueezingParams(B, 1.0), x=v, statistics="fermion")
+    ),
     "temperature_ratio_fit": ("x", _fit),
     # sweep and the CLI take floats only: sweep converts each omega first.
     "sweep": ("omega", lambda v: sweep(BlackHoleParams(mass=1.0), [v])),
@@ -97,9 +108,17 @@ def test_finite_positive_rule_accepts(capsys, entry, value):
         assert refusal not in capsys.readouterr().err
         return
     try:
-        call(value)
+        got = call(value)
     except (ValueError, SqueezingOverflowError) as exc:
         assert refusal not in str(exc)
+        return
+    # A record stores the checked input as given, but x as a float, and
+    # holds a statistics given as a string as the enum.  from_r stores no r
+    # as given: it derives x from r.
+    if dataclasses.is_dataclass(got) and name != "r":
+        stored = getattr(got, name)
+        assert stored == value and type(stored) is (float if name == "x" else type(value))
+        assert type(getattr(got, "statistics", F)) is Statistics
 
 
 @pytest.mark.parametrize(

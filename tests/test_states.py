@@ -1,5 +1,6 @@
 """Squeezed state builders, and their traced diagonals against the closed forms."""
 
+import functools
 import math
 import tracemalloc
 
@@ -221,6 +222,44 @@ class TestFermionBuilder:
             (((1, 1), (1, 1)), -0.5),
         ]:
             assert c[key] == pytest.approx(expected, abs=2e-16)
+
+    # The state derived, not written down.  Four fermion modes in Jordan-
+    # Wigner order: horizon particle a_H, horizon antiparticle b_H, outgoing
+    # particle a_O, outgoing antiparticle b_O, so the basis ket
+    # |n1 n2, n3 n4> = (a_H+)^n1 (b_H+)^n2 (a_O+)^n3 (b_O+)^n4 |0> is the
+    # Kronecker product of the single-mode kets, with c_j = Z x..x Z x a x I..
+    # The pair-creation generator of arXiv:1007.2858 pairs each outgoing
+    # particle with a horizon antiparticle and vice versa, each term written
+    # particle creator first:
+    #     G = a_O+ b_H+ + a_H+ b_O+ - h.c.,   tan r = e^(-x).
+    # Its two terms commute, so exp(rG)|0> = (cos r + sin r a_O+ b_H+)
+    # (cos r + sin r a_H+ b_O+)|0>; reordering each product into ket order
+    # gives -sc on |01,10>, +sc on |10,01> and -s^2 on |11,11>, the builder's
+    # signs.  G is real antisymmetric, so exp(rG) comes from eigh(iG), as in
+    # the boson test, and the twelve other kets must stay empty.
+    @pytest.mark.parametrize("x", [1e-6, 1e-3, 0.1, 0.5, 0.7, 2.0, 10.0, 50.0])
+    def test_amplitudes_derive_from_the_pair_creation_generator(self, x):
+        a = np.array([[0.0, 1.0], [0.0, 0.0]])
+        z = np.diag([1.0, -1.0])
+        one = np.eye(2)
+
+        a_h, b_h, a_o, b_o = (
+            functools.reduce(np.kron, [z] * j + [a] + [one] * (3 - j)) for j in range(4)
+        )
+        pairs = a_o.T @ b_h.T + a_h.T @ b_o.T
+        G = pairs - pairs.T
+        lam, V = np.linalg.eigh(1j * G)
+        sq = fermion_sq(x)
+        derived = V @ (np.exp(-1j * sq.r * lam) * V[0].conj())
+        assert np.abs(derived.imag).max() <= 1e-14
+        derived = derived.real
+        built = np.zeros(16)
+        for ((hp, ha), (op, oa)), amp in build_fermion_state(sq).coefficients.items():
+            built[8 * hp + 4 * ha + 2 * op + oa] = amp
+        np.testing.assert_allclose(built, derived, rtol=0, atol=1e-14)
+        # Signs as well as values, wherever a term stands clear of the tolerance.
+        clear = np.abs(derived) > 1e-13
+        assert np.array_equal(np.sign(built[clear]), np.sign(derived[clear]))
 
     def test_traced_weights_at_unit_x(self):
         # Frozen from direct evaluation of (cos^4, s^2c^2, s^2c^2, sin^4)

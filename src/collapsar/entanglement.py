@@ -128,7 +128,7 @@ def temperature_ratio_fit(rho: DensityOperator, x: float) -> float:
         # k is a Python int, so k^3 below cannot wrap as an int64 would.
         k = diag.size
         if diag.item(-1) <= _FIT_FLOOR:
-            k -= int(np.searchsorted(diag[::-1], _FIT_FLOOR, side="right"))
+            k -= int(diag[::-1].searchsorted(_FIT_FLOOR, side="right"))
         if k < 2:
             return math.nan
         y = np.log(diag if k == diag.size else diag[:k])

@@ -275,7 +275,7 @@ def von_neumann_entropy(rho: DensityOperator, method: Literal["eigen"] = "eigen"
         raise ValueError(f"unknown method {method!r}")
     p = rho.diag
     if p.item(-1) <= LAMBDA_FLOOR:
-        p = p[: p.size - np.searchsorted(p[::-1], LAMBDA_FLOOR, side="right")]
+        p = p[: p.size - p[::-1].searchsorted(LAMBDA_FLOOR, side="right")]
     t = np.log2(p)
     t *= p
     return max(0.0, -float(np.add.reduce(t[::-1])))

@@ -114,11 +114,16 @@ def test_finite_positive_rule_accepts(capsys, entry, value):
         return
     # A record stores the checked input as given, but x as a float, and
     # holds a statistics given as a string as the enum.  from_r stores no r
-    # as given: it derives x from r.
+    # as given: it derives x from r.  A copy through replace is equal and
+    # hashes alike, and no field can be set.
     if dataclasses.is_dataclass(got) and name != "r":
         stored = getattr(got, name)
         assert stored == value and type(stored) is (float if name == "x" else type(value))
         assert type(getattr(got, "statistics", F)) is Statistics
+        copy = dataclasses.replace(got)
+        assert copy == got and hash(copy) == hash(got)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(got, name, value)
 
 
 @pytest.mark.parametrize(

@@ -225,14 +225,16 @@ class TestFermionBuilder:
 
     # The state derived, not written down.  Four fermion modes in Jordan-
     # Wigner order: horizon particle a_H, horizon antiparticle b_H, outgoing
-    # particle a_O, outgoing antiparticle b_O, so the basis ket
-    # |n1 n2, n3 n4> = (a_H+)^n1 (b_H+)^n2 (a_O+)^n3 (b_O+)^n4 |0> is the
-    # Kronecker product of the single-mode kets, with c_j = Z x..x Z x a x I..
-    # The pair-creation generator of arXiv:1007.2858 pairs each outgoing
-    # particle with a horizon antiparticle and vice versa, each term written
-    # particle creator first:
+    # particle a_O, outgoing antiparticle b_O.  Mode j's annihilator is
+    # Z (x) ... (x) Z (x) a (x) 1 (x) ... (x) 1, with j parity factors
+    # Z = diag(1, -1), so the ket |n1 n2, n3 n4>, the Kronecker product of
+    # the single-mode kets, is (a_H+)^n1 (b_H+)^n2 (a_O+)^n3 (b_O+)^n4 |0>.
+    # In arXiv:1007.2858's pair state (the one the builder's docstring
+    # writes) an outgoing particle goes with a horizon antiparticle and vice
+    # versa.  The test encodes its creation with each pair term written
+    # particle creator first, squeezing sign +:
     #     G = a_O+ b_H+ + a_H+ b_O+ - h.c.,   tan r = e^(-x).
-    # Its two terms commute, so exp(rG)|0> = (cos r + sin r a_O+ b_H+)
+    # The two terms commute, so exp(rG)|0> = (cos r + sin r a_O+ b_H+)
     # (cos r + sin r a_H+ b_O+)|0>; reordering each product into ket order
     # gives -sc on |01,10>, +sc on |10,01> and -s^2 on |11,11>, the builder's
     # signs.  G is real antisymmetric, so exp(rG) comes from eigh(iG), as in
@@ -242,7 +244,6 @@ class TestFermionBuilder:
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         z = np.diag([1.0, -1.0])
         one = np.eye(2)
-
         a_h, b_h, a_o, b_o = (
             functools.reduce(np.kron, [z] * j + [a] + [one] * (3 - j)) for j in range(4)
         )

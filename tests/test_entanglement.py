@@ -952,7 +952,8 @@ def assert_frozen(record):
 
 
 class TestOneStepRecords:
-    """Records filled in one step are the records a field-by-field fill makes.
+    """Each record is the one a field-by-field fill makes, whether its
+    constructor or a one-step fill built it.
 
     The report is the exception: callers keep reports, so entropy_report
     builds one through the public constructor, and it must cost no more

@@ -55,10 +55,11 @@ from .states import (
 MAX_SWEEP_POINTS = 20_000
 # Most boson levels, summed over its modes, that one entropy or sweep command builds.
 MAX_ROW_LEVELS = 1_000_000_000
-# Most levels of a state or spectrum document, which is rendered whole in memory.
-MAX_DOCUMENT_LEVELS = 200_000
 # Reports per write of a JSON sweep: one batch's text is ~40 KB.
 _JSON_BATCH = 64
+# Entries per write of a state or spectrum array: one chunk's text and
+# temporaries come to ~2 MB.
+_DOC_CHUNK = 16_384
 
 
 def _output(args: argparse.Namespace) -> contextlib.AbstractContextManager:
@@ -93,11 +94,12 @@ def _stats_list(value: str) -> tuple[Statistics, ...]:
 
 
 def _require_levels(
-    args: argparse.Namespace, params: BlackHoleParams, omegas: list[float], limit: int
+    args: argparse.Namespace, params: BlackHoleParams, omegas: list[float]
 ) -> None:
-    """Exit 2, before any mode is represented, on a bad eps_tail or over ``limit`` boson levels.
+    """Exit 2, before any mode is represented, on a bad eps_tail or over MAX_ROW_LEVELS.
 
-    Each mode that squeezing_for admits counts the builder's own cut, at q = w*w.
+    Each mode that squeezing_for admits counts its boson levels by the
+    builder's own cut, at q = w*w.
     """
     _validate_eps_tail(args.eps_tail)
     levels = 0
@@ -106,8 +108,10 @@ def _require_levels(
             with contextlib.suppress(SqueezingOverflowError):
                 w = squeezing_for(params, ModeChannel(om, Statistics.BOSON)).boltzmann_weight
                 levels += _truncation_level(w * w, args.eps_tail) + 1
-    if levels > limit:
-        raise ValueError(f"the boson states need {levels} levels, over the limit of {limit}")
+    if levels > MAX_ROW_LEVELS:
+        raise ValueError(
+            f"the boson states need {levels} levels, over the limit of {MAX_ROW_LEVELS}"
+        )
 
 
 def _write_rows(
@@ -118,7 +122,7 @@ def _write_rows(
     A JSON document is json.dumps's indent-2 layout of the list of reports,
     written _JSON_BATCH reports' objects at a time: no whole text.
     """
-    _require_levels(args, params, omegas, MAX_ROW_LEVELS)
+    _require_levels(args, params, omegas)
     reports = sweep(
         params, omegas, statistics=_stats_list(args.stats), eps_tail=args.eps_tail
     )
@@ -179,18 +183,45 @@ def cmd_crossover(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_array(fh, key: str, n: int, render) -> None:
+    """Write the array ``key`` of n entries as json.dumps lays it out in the document.
+
+    ``render(start, stop)`` gives the text of those entries, one per line.
+    The entries go _DOC_CHUNK at a time, and the chunks' lines, joined by
+    ",\n", make the whole array's.
+    """
+    sep = f',\n  "{key}": [\n'
+    for start in range(0, n, _DOC_CHUNK):
+        fh.write(sep + "    " + ",\n    ".join(render(start, min(start + _DOC_CHUNK, n))))
+        sep = ",\n"
+    fh.write("\n  ]")
+
+
 def cmd_reduced(args: argparse.Namespace) -> int:
+    """Write json.dumps(doc, indent=2) + "\n" for the reduced state, with no whole text.
+
+    The header and the tail go through json.dumps, without the braces that
+    close or open them; the arrays go through _write_array.  A float's
+    line is its repr, as in json.dumps; the diagonal is finite.
+    """
     params = BlackHoleParams(mass=args.mass)
     channel = ModeChannel(omega=_channel_omega(args), statistics=Statistics(args.stats))
-    _require_levels(args, params, [channel.omega], MAX_DOCUMENT_LEVELS)
+    _validate_eps_tail(args.eps_tail)
     sq = squeezing_for(params, channel)
     rho = _reduction(sq, args.eps_tail)
-    doc = {"squeezing": sq.to_json_dict(), **rho.to_json_dict()}
+    tail = {"offdiag_norm": 0.0}
     if args.spectrum:
-        doc["mean_occ"] = _json_number(mean_occupation(rho))
-        doc["T_ratio"] = _json_number(temperature_ratio_fit(rho, sq.x))
+        tail["mean_occ"] = _json_number(mean_occupation(rho))
+        tail["T_ratio"] = _json_number(temperature_ratio_fit(rho, sq.x))
     with _output(args) as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+        fh.write(json.dumps({"squeezing": sq.to_json_dict()}, indent=2)[:-2])
+        if channel.statistics is Statistics.FERMION:
+            # The pair labels nest as lists.
+            fh.write(",\n" + json.dumps({"basis": rho.basis}, indent=2)[2:-2])
+        else:
+            _write_array(fh, "basis", rho.dim, lambda a, b: map(str, range(a, b)))
+        _write_array(fh, "diag", rho.dim, lambda a, b: map(repr, rho.diag[a:b].tolist()))
+        fh.write(",\n" + json.dumps(tail, indent=2)[2:] + "\n")
     return 0
 
 

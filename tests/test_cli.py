@@ -19,9 +19,16 @@ import pytest
 from collapsar import CSV_HEADER, SqueezingOverflowError, build_boson_state
 from collapsar import cli
 from collapsar.cli import MAX_SWEEP_POINTS, build_parser, main
-from collapsar.entanglement import format_float, sweep
+from collapsar.entanglement import (
+    _json_number,
+    _reduction,
+    format_float,
+    sweep,
+    temperature_ratio_fit,
+)
+from collapsar.fock import mean_occupation
 from collapsar.geometry import BlackHoleParams, ModeChannel, squeezing_for
-from collapsar.states import EPS_TAIL_MIN
+from collapsar.states import EPS_TAIL_DEFAULT, EPS_TAIL_MIN
 
 HEADER_LINE = ",".join(CSV_HEADER)
 DATA = Path(__file__).parent / "data"
@@ -489,7 +496,7 @@ class TestCrossoverCommand:
         assert float(f1["omega_star"]) == 2.0 * float(f2["omega_star"])
 
 
-# The work bounds at their edge, lowered to a small command's own count: a
+# The work bound at its edge, lowered to a small command's own count: a
 # command whose boson states hold exactly the limit runs, and one level
 # more than the limit is refused before the output file is created.  The
 # first mode of the sweep lies below the floor and builds nothing.
@@ -497,8 +504,6 @@ class TestCrossoverCommand:
     ("MAX_ROW_LEVELS",
      ["sweep", "--mass", "1", "--omega-min", "1e-8", "--omega-max", "0.1", "--points", "3"],
      np.geomspace(1e-8, 0.1, 3).tolist()),
-    ("MAX_DOCUMENT_LEVELS",
-     ["spectrum", "--mass", "1", "--omega", "0.08", "--stats", "boson"], [0.08]),
 ])
 def test_level_limit_edge(capsys, tmp_path, monkeypatch, limit, argv, omegas):
     levels = 0
@@ -519,13 +524,78 @@ def test_level_limit_edge(capsys, tmp_path, monkeypatch, limit, argv, omegas):
     assert not target.exists()
 
 
+def library_document(argv):
+    """The document a state or spectrum command prints, built whole from the library."""
+    stats = argv[argv.index("--stats") + 1]
+    omega = cli._omega_from_x(float(argv[argv.index("--x") + 1]), 1.0)
+    sq = squeezing_for(BlackHoleParams(mass=1.0), ModeChannel(omega, stats))
+    rho = _reduction(sq, EPS_TAIL_DEFAULT)
+    doc = {"squeezing": sq.to_json_dict(), **rho.to_json_dict()}
+    if argv[0] == "spectrum":
+        doc["mean_occ"] = _json_number(mean_occupation(rho))
+        doc["T_ratio"] = _json_number(temperature_ratio_fit(rho, sq.x))
+    return doc
+
+
 class TestStateAndSpectrum:
-    # The document is rendered whole, so a state or spectrum command stops
-    # at MAX_DOCUMENT_LEVELS; x = 1e-5 needs 1,922,541 levels.
-    def test_state_over_the_document_ceiling_exits_2(self, capsys):
-        code, out, err = run(capsys, ["state", "--mass", "1", "--x", "1e-5", "--stats", "boson"])
-        assert (code, out) == (2, "")
-        assert err == "error: the boson states need 1922541 levels, over the limit of 200000\n"
+    # A state or spectrum command is bounded only by X_MIN and the eps_tail
+    # floor, as every state is: x = 8.6e-5 needs 211,042 levels, and the
+    # command writes json.dumps's bytes for them.
+    def test_state_past_the_old_document_ceiling(self, capsys):
+        argv = ["state", "--mass", "1", "--x", "8.6e-5", "--stats", "boson"]
+        doc = library_document(argv)
+        assert len(doc["diag"]) == 211_042
+        assert run(capsys, argv) == (0, json.dumps(doc, indent=2) + "\n", "")
+
+    # The arrays are written cli._DOC_CHUNK entries at a time.  A chunk of
+    # one entry, of two, and of d - 1, d and d + 1 for a mode of d levels
+    # must each give the bytes json.dumps renders for the whole document.
+    # At boson x = 40 the state holds one level and the fit prints null.
+    @pytest.mark.parametrize("chunk", [
+        lambda d: 1, lambda d: 2, lambda d: max(1, d - 1), lambda d: d, lambda d: d + 1,
+    ], ids=["1", "2", "d-1", "d", "d+1"])
+    @pytest.mark.parametrize("argv", [
+        ["state", "--mass", "1", "--x", "0.5", "--stats", "boson"],
+        ["state", "--mass", "1", "--x", "2", "--stats", "fermion"],
+        ["spectrum", "--mass", "1", "--x", "0.5", "--stats", "boson"],
+        ["spectrum", "--mass", "1", "--x", "2", "--stats", "fermion"],
+        ["spectrum", "--mass", "1", "--x", "40", "--stats", "boson"],
+    ], ids=" ".join)
+    def test_chunks_make_the_whole_document(self, capsys, monkeypatch, argv, chunk):
+        doc = library_document(argv)
+        monkeypatch.setattr(cli, "_DOC_CHUNK", chunk(len(doc["diag"])))
+        assert run(capsys, argv) == (0, json.dumps(doc, indent=2) + "\n", "")
+
+    # Modelled on test_csv_rows_are_not_held_as_text: beyond what the
+    # library holds to build the state and fit it, writing the document may
+    # cost only a fraction of the file.  x = 1e-4 holds 180,742 levels,
+    # twelve chunks; the whole text and its two lists cost ~46 MB beyond.
+    def test_document_is_not_held_as_text(self, tmp_path):
+        target = tmp_path / "spectrum.json"
+        argv = ["spectrum", "--mass", "1", "--x", "1e-4", "--stats", "boson",
+                "--output", str(target)]
+        build_parser().parse_args(argv)  # argparse compiles its patterns on first use
+        sq = squeezing_for(
+            BlackHoleParams(mass=1.0), ModeChannel(cli._omega_from_x(1e-4, 1.0), "boson")
+        )
+
+        def library():
+            rho = _reduction(sq, EPS_TAIL_DEFAULT)
+            mean_occupation(rho)
+            temperature_ratio_fit(rho, sq.x)
+            assert rho.dim == 180_742
+
+        peaks = []
+        for call in (library, lambda: main(argv)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        size = target.stat().st_size
+        assert size > 6_000_000
+        assert peaks[1] - peaks[0] < size / 4
 
     def test_boson_state_document(self, capsys):
         code, out, _ = run(

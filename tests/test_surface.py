@@ -32,8 +32,8 @@ SURFACE = {
     ],
     "errors": ["SqueezingOverflowError"],
     "cli": [
-        "MAX_DOCUMENT_LEVELS", "MAX_ROW_LEVELS", "MAX_SWEEP_POINTS", "build_parser",
-        "cmd_crossover", "cmd_entropy", "cmd_reduced", "cmd_sweep", "main",
+        "MAX_ROW_LEVELS", "MAX_SWEEP_POINTS", "build_parser", "cmd_crossover", "cmd_entropy",
+        "cmd_reduced", "cmd_sweep", "main",
     ],
 }
 

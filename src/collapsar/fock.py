@@ -1,17 +1,18 @@
 """Truncated two-mode Fock space: Schmidt-form pair states and their reductions.
 
 The statistics of a mode fixes its label layout; no caller chooses labels.
-A bosonic state of d amplitudes pairs number level ``n`` on the horizon side
-with the same level outside, ``n < d``.  A fermionic state holds four
-amplitudes over pair labels ``(n_particle, n_antiparticle)``:
-``FERMION_BASIS[i]`` on the horizon side pairs with its slot-exchanged
-partner outside.  Each label appears once per side, and a built state
-weighs exchanged labels alike, so tracing out either side leaves the same
-diagonal operator over ``range(d)`` or ``FERMION_BASIS``: the state's
-squares.  The crossed pairing shows only in ``coefficients``.  Truncation
-is explicit: ``tail_bound`` bounds the squared norm discarded by the cut,
-and completeness is checked against it rather than silently renormalised
-away.
+A pair state stores one level vector, its Schmidt weights.  A bosonic state
+of d weights pairs number level ``n`` on the horizon side with the same
+level outside, ``n < d``.  A fermionic state holds four weights over pair
+labels ``(n_particle, n_antiparticle)``: ``FERMION_BASIS[i]`` on the
+horizon side pairs with its slot-exchanged partner outside.  Each label
+appears once per side, and a built state weighs exchanged labels alike, so
+tracing out either side leaves the same diagonal operator over ``range(d)``
+or ``FERMION_BASIS``: the weights.  The crossed pairing and the amplitudes'
+signs show only in ``coefficients`` and ``amplitudes``, which derive each
+amplitude from its weight.  Truncation is explicit: ``tail_bound`` bounds
+the squared norm discarded by the cut, and completeness is checked against
+it rather than silently renormalised away.
 
 Neither class takes a caller's numbers: a pair state comes only from the
 builders in ``states``, and an operator only from ``partial_trace``.
@@ -31,11 +32,14 @@ from .geometry import _FERMION, Statistics
 BasisLabel = Union[int, tuple[int, int]]
 
 FERMION_BASIS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
+# Fermion amplitude signs over FERMION_BASIS, the pair-creation generator's
+# (see build_fermion_state); every boson amplitude is positive.
+_FERMION_SIGNS = (1.0, -1.0, 1.0, -1.0)
 
 # Completeness window half-width for pure states.
 EPS_NORM = 1e-12
 # Within this distance of a completeness window edge the pairwise sum of
-# squares does not decide; math.fsum does.  Over 20x numpy's pairwise
+# the weights does not decide; math.fsum does.  Over 20x numpy's pairwise
 # error bound on a sum near 1, even at d = 2.5e7.
 _EDGE_SLACK = 1e-13
 # Eigenvalues at or below this floor are treated as exact zeros in entropies.
@@ -50,26 +54,27 @@ def _basis(statistics: Statistics, d: int) -> Sequence[BasisLabel]:
 class PureBipartiteState:
     """Pure state of a horizon/outgoing mode pair in a truncated Fock basis.
 
-    ``amplitudes`` holds one real amplitude per label pair, in the horizon
-    side's basis order, as a read-only float64 array; the pairing follows
-    from ``statistics``.  Only ``build_boson_state`` and
+    ``weights`` holds the Schmidt weight, the squared amplitude, of each
+    label pair in the horizon side's basis order, as a read-only float64
+    array: the state's one level vector, which ``partial_trace`` hands on
+    as the diagonal of either side.  The pairing and the amplitudes' signs
+    follow from ``statistics``, so ``amplitudes`` and ``coefficients``
+    derive each amplitude from its weight.  Only ``build_boson_state`` and
     ``build_fermion_state`` make one, through ``_built``; calling the class
-    raises TypeError.  The squares that completeness sums are kept beside the
-    amplitudes, read-only, for ``partial_trace`` to hand on, so a state
-    holds two d-vectors.  ``tail_bound`` bounds the squared norm removed by
+    raises TypeError.  ``tail_bound`` bounds the squared norm removed by
     truncation, 0.0 for an exact state.  The analytic bound may overestimate
     the discarded mass by up to a factor 1/(1-q), so the retained
     probability plus ``tail_bound`` may exceed 1 by almost ``tail_bound``
     itself.
 
-    The squared norm is numpy's pairwise sum of the squared amplitudes.
-    Within ``_EDGE_SLACK`` of a window edge, or when the check fails, the
-    exactly rounded ``norm_squared()`` (``math.fsum``) decides instead and is
-    the total an error reports, so every decision is that of the exact sum.
+    The squared norm is numpy's pairwise sum of the weights.  Within
+    ``_EDGE_SLACK`` of a window edge, or when the check fails, the exactly
+    rounded ``norm_squared()`` (``math.fsum``) decides instead and is the
+    total an error reports, so every decision is that of the exact sum.
     """
 
     statistics: Statistics
-    amplitudes: np.ndarray
+    weights: np.ndarray
     tail_bound: float
 
     def __init__(self, *args, **kwargs) -> None:
@@ -77,42 +82,38 @@ class PureBipartiteState:
 
     @classmethod
     def _built(
-        cls, statistics: Statistics, amps: np.ndarray, tail_bound: float
+        cls, statistics: Statistics, weights: np.ndarray, tail_bound: float
     ) -> PureBipartiteState:
-        """Adopt a builder's fresh float64 amplitudes, checked once for completeness.
+        """Adopt a builder's fresh float64 weights, checked once for completeness.
 
         The builder fixes the statistics, the length and a tail bound below
-        1e-6, and its amplitudes lie in [-1, 1], so their squares cannot
-        overflow.  The array is kept with no copy, read-only, beside its
-        squares, which are the diagonal that ``partial_trace`` hands on.
+        1e-6, and its weights are the squares of amplitudes in [-1, 1].  The
+        array is kept with no copy, read-only; it is the diagonal that
+        ``partial_trace`` hands on.
 
-        The builder also vouches for the order: the squares, and so both
+        The builder also vouches for the order: the weights, and so both
         reductions, are non-increasing, so the entropy and the temperature
         fit read every operator as a descending spectrum.  Rounding cannot
         undo the order, because correctly rounded products and squares of
         non-negative numbers are monotone and each step between neighbours
         is far wider than the rounding of ``exp``:
 
-        - boson: level n is exp(-x n) c with c = sqrt(-expm1(-2x)).  The
+        - boson: level n is (exp(-x n) c)^2 with c = sqrt(-expm1(-2x)).  The
           arguments -x n are exact to a relative 2^-53 and step by x, and
           neighbouring exps differ by the factor e^(-x) <= e^(-1e-6) (the
           builder refuses x below X_MIN), a step of 1e-6 against a few ulp
           of error in ``exp``; scaling by c and squaring keep the order.
         - fermion: r = atan(e^(-x)) < pi/4 for x >= X_MIN, so c > s by about
           7e-7, far more than an ulp, and (c c)^2 >= (s c)^2 >= (s s)^2.  The
-          exchanged labels (0, 1) and (1, 0) carry -(s c) and s c, whose
-          squares have the same bits, so both sides reduce to these squares.
-          A fermion vector whose exchanged squares differ is refused.
+          exchanged labels (0, 1) and (1, 0) both carry (s c)^2, so both
+          sides reduce to these weights.  A fermion vector whose exchanged
+          weights differ is refused.
         """
-        squares = amps * amps
-        amps.setflags(write=False)
-        squares.setflags(write=False)
+        weights.setflags(write=False)
         state = object.__new__(cls)
         # Frozen: every field goes straight into the instance, in one step.
-        state.__dict__.update(
-            statistics=statistics, amplitudes=amps, tail_bound=tail_bound, _squares=squares
-        )
-        total = float(np.add.reduce(squares)) + tail_bound
+        state.__dict__.update(statistics=statistics, weights=weights, tail_bound=tail_bound)
+        total = float(np.add.reduce(weights)) + tail_bound
         upper = 1.0 + EPS_NORM + tail_bound
         if not 1.0 - EPS_NORM + _EDGE_SLACK < total < upper - _EDGE_SLACK:
             # At an edge, or failing: decide and report on the exact sum.
@@ -121,12 +122,25 @@ class PureBipartiteState:
                 raise ValueError(
                     f"state not complete: |amplitudes|^2 + tail_bound = {total!r}"
                 )
-        if statistics is _FERMION and squares.item(1) != squares.item(2):
+        if statistics is _FERMION and weights.item(1) != weights.item(2):
             raise ValueError(
                 "exchanged labels (0, 1) and (1, 0) must carry equal weights, got "
-                f"{squares.item(1)!r} and {squares.item(2)!r}"
+                f"{weights.item(1)!r} and {weights.item(2)!r}"
             )
         return state
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Read-only real amplitudes, sqrt(weights) with the statistics' signs.
+
+        Derived on each read.  The root of a normal weight, fl(a a), is |a|
+        bit for bit; a weight that underflowed to 0.0 gives a signed zero.
+        """
+        amps = np.sqrt(self.weights)
+        if self.statistics is _FERMION:
+            amps *= _FERMION_SIGNS
+        amps.setflags(write=False)
+        return amps
 
     @property
     def coefficients(self) -> Mapping[tuple[BasisLabel, BasisLabel], float]:
@@ -134,11 +148,11 @@ class PureBipartiteState:
         return _Coefficients(self)
 
     def norm_squared(self) -> float:
-        """Exactly rounded sum of the squared amplitudes."""
-        return math.fsum(self._squares.tolist())
+        """Exactly rounded sum of the weights."""
+        return math.fsum(self.weights.tolist())
 
     def hor_labels(self) -> tuple[BasisLabel, ...]:
-        return tuple(_basis(self.statistics, self.amplitudes.size))
+        return tuple(_basis(self.statistics, self.weights.size))
 
     # Sorted, both sides carry the same labels.
     out_labels = hor_labels
@@ -154,14 +168,15 @@ class _Coefficients(Mapping):
 
     A key is a pair of labels of the state's kind: ints for a boson state,
     pairs of ints for a fermion one.  Anything else, a bool or a float that
-    equals a label included, is not in the view.
+    equals a label included, is not in the view.  An item's amplitude is
+    derived when it is read, with the bits of ``amplitudes``.
     """
 
-    __slots__ = ("_hor", "_out", "_amps", "_pairs")
+    __slots__ = ("_hor", "_out", "_weights", "_pairs")
 
     def __init__(self, state: PureBipartiteState) -> None:
-        self._amps = state.amplitudes
-        self._hor = self._out = _basis(state.statistics, self._amps.size)
+        self._weights = state.weights
+        self._hor = self._out = _basis(state.statistics, self._weights.size)
         self._pairs = state.statistics is _FERMION
         if self._pairs:
             self._out = tuple((a, p) for p, a in FERMION_BASIS)
@@ -172,7 +187,7 @@ class _Coefficients(Mapping):
         return _is_int(value)
 
     def __len__(self) -> int:
-        return self._amps.size
+        return self._weights.size
 
     def __iter__(self) -> Iterator[tuple[BasisLabel, BasisLabel]]:
         return zip(self._hor, self._out)
@@ -192,7 +207,8 @@ class _Coefficients(Mapping):
             raise KeyError(key) from None
         if self._out[i] != o:
             raise KeyError(key)
-        return self._amps.item(i)
+        amp = math.sqrt(self._weights.item(i))
+        return amp * _FERMION_SIGNS[i] if self._pairs else amp
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -216,10 +232,9 @@ class DensityOperator:
     def _reduced(cls, statistics: Statistics, diag: np.ndarray) -> DensityOperator:
         """Adopt, unchecked and uncopied, a diagonal that a built pair state fixed.
 
-        The squares of finite amplitudes are finite and non-negative, and
-        their sum is the one the state accepted, so a check here would
-        repeat the state's.  The diagonal arrives read-only, so no flag is
-        set here.
+        A built state's weights are finite and non-negative, and their sum
+        is the one the state accepted, so a check here would repeat the
+        state's.  The diagonal arrives read-only, so no flag is set here.
         """
         rho = object.__new__(cls)
         rho.__dict__.update(statistics=statistics, diag=diag)
@@ -248,17 +263,16 @@ def partial_trace(
 ) -> DensityOperator:
     """Reduce a pure bipartite state to the side ``keep``, "out" or "hor".
 
-    Each kept label carries the weight amplitude^2 of its single pair; a
-    fermionic outgoing label takes it from its slot-exchanged horizon
-    partner, which a built state weighs the same (see ``_built``).  So the
-    operator adopts the state's read-only squares for either ``keep``: the
-    reduction is checked once, on its pair state, with no second square,
-    copy, sum, sign or order check.  This is the only way to make a
-    ``DensityOperator``.
+    Each kept label carries the weight of its single pair; a fermionic
+    outgoing label takes it from its slot-exchanged horizon partner, which a
+    built state weighs the same (see ``_built``).  So the operator adopts the
+    state's read-only weights for either ``keep``: the reduction is checked
+    once, on its pair state, with no square, copy, sum, sign or order check.
+    This is the only way to make a ``DensityOperator``.
     """
     if keep not in ("out", "hor"):
         raise ValueError(f"keep must be 'out' or 'hor', got {keep!r}")
-    return DensityOperator._reduced(state.statistics, state._squares)
+    return DensityOperator._reduced(state.statistics, state.weights)
 
 
 def von_neumann_entropy(rho: DensityOperator, method: Literal["eigen"] = "eigen") -> float:

@@ -4,7 +4,8 @@ Bosonic modes come out in a two-mode squeezed vacuum over number labels,
 sum_n tanh^n(r)/cosh(r) |n, n>, truncated at an explicit occupation cut.
 Fermionic modes fill a four-term state over pair labels, exactly
 representable with no truncation.  The builders supply only the statistics
-and the amplitudes; ``fock`` fixes which labels each amplitude pairs.
+and the Schmidt weights, the squared amplitudes; ``fock`` fixes which labels
+each weight pairs and the sign of each amplitude.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ def build_boson_state(
     """Truncated two-mode squeezed vacuum for a bosonic mode.
 
     Level n carries the amplitude tanh^n r / cosh r, computed from x as
-    e^(-x n) sqrt(-expm1(-2x)) in one exp pass over the levels.  The state
-    holds two d-vectors: the amplitudes and the squares that its
-    completeness check sums, which its reductions adopt as their diagonal.
+    e^(-x n) sqrt(-expm1(-2x)) in one exp pass over the levels, and squared
+    in place: the state holds one d-vector, the weights that its
+    completeness check sums and its reductions adopt as their diagonal.
 
     Parameters
     ----------
@@ -69,8 +70,8 @@ def build_boson_state(
         Ceiling on the tail bound q^(n_max+1)/(1-q) of the discarded mass.
 
     Raises SqueezingOverflowError for x below the infrared floor X_MIN, as
-    squeezing_for does.  Every other mode is built, at 16 bytes a level: at
-    most 24,981,863 levels (400 MB), at X_MIN with eps_tail = EPS_TAIL_MIN.
+    squeezing_for does.  Every other mode is built, at 8 bytes a level: at
+    most 24,981,863 levels (200 MB), at X_MIN with eps_tail = EPS_TAIL_MIN.
     """
     _require_statistics(squeezing, _BOSON)
     _validate_eps_tail(eps_tail)
@@ -81,12 +82,13 @@ def build_boson_state(
     n_max = _truncation_level(q, eps_tail)
     # One d-vector, filled in place from x: the rounding of w is never raised
     # to the n-th power, and 1 - q keeps its digits as q -> 1.
-    amps = np.arange(n_max + 1, dtype=np.float64)
-    amps *= -x
-    np.exp(amps, out=amps)
-    amps *= math.sqrt(-math.expm1(-2.0 * x))
+    weights = np.arange(n_max + 1, dtype=np.float64)
+    weights *= -x
+    np.exp(weights, out=weights)
+    weights *= math.sqrt(-math.expm1(-2.0 * x))
+    weights *= weights
     tail_bound = q ** (n_max + 1) / (1.0 - q)
-    return PureBipartiteState._built(_BOSON, amps, tail_bound)
+    return PureBipartiteState._built(_BOSON, weights, tail_bound)
 
 
 def build_fermion_state(squeezing: SqueezingParams) -> PureBipartiteState:
@@ -97,9 +99,12 @@ def build_fermion_state(squeezing: SqueezingParams) -> PureBipartiteState:
     signs fixed by the squeezing transformation:
 
         cos^2 r |00,00> - sin r cos r |01,10> + sin r cos r |10,01> - sin^2 r |11,11>
+
+    The state keeps the four squares; ``fock`` holds the signs.
     """
     _require_statistics(squeezing, _FERMION)
     c = math.cos(squeezing.r)
     s = math.sin(squeezing.r)
-    amps = np.array([c * c, -(s * c), s * c, -(s * s)])
-    return PureBipartiteState._built(_FERMION, amps, 0.0)
+    weights = np.array([c * c, s * c, s * c, s * s])
+    weights *= weights
+    return PureBipartiteState._built(_FERMION, weights, 0.0)

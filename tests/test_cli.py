@@ -512,7 +512,7 @@ def test_level_limit_edge(capsys, tmp_path, monkeypatch, limit, argv, omegas):
             sq = squeezing_for(BlackHoleParams(mass=1.0), ModeChannel(om, "boson"))
         except SqueezingOverflowError:
             continue
-        levels += build_boson_state(sq).amplitudes.size
+        levels += build_boson_state(sq).weights.size
     monkeypatch.setattr(cli, limit, levels)
     code, _, err = run(capsys, argv)
     assert (code, err) == (0, "")
@@ -596,6 +596,21 @@ class TestStateAndSpectrum:
         size = target.stat().st_size
         assert size > 6_000_000
         assert peaks[1] - peaks[0] < size / 4
+
+    # The state's one level vector is the document's diagonal, written in
+    # chunks, so the command peaks near 8 B a level.
+    def test_state_command_holds_one_level_vector(self, tmp_path):
+        argv = ["state", "--mass", "1", "--x", "1e-5", "--stats", "boson",
+                "--output", str(tmp_path / "state.json")]
+        build_parser().parse_args(argv)  # argparse compiles its patterns on first use
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        d = 1_922_541
+        assert peak < 8 * d + 4 * 2**20
 
     def test_boson_state_document(self, capsys):
         code, out, _ = run(

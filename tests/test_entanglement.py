@@ -700,8 +700,8 @@ class TestEntropyReport:
         assert r.gap < 1e-9
 
     def test_report_at_cap_peaks_at_three_level_vectors(self):
-        # The state holds its amplitudes and their squares, which become the
-        # operator's diagonal, and is dropped once reduced.  The entropy's
+        # The state holds its weights, which become the operator's
+        # diagonal, and is dropped once reduced.  The entropy's
         # terms, the occupation's numbers and the fit's log levels (with one
         # block of centred levels) then come and go beside the diagonal: at
         # most three float64 vectors of d entries at any one time.
@@ -727,7 +727,8 @@ class TestEntropyReport:
         assert abs(r.T_ratio - 1.0) <= 2 * sys.float_info.epsilon
 
     # The infrared floor, at the default eps_tail: 20,376,693 levels.  The
-    # peak is the state's 16 d; the fit holds 8 d + 8 k and one 512 KiB
+    # peak is 16 d: the diagonal beside the entropy's log terms or the
+    # occupation's level numbers; the fit holds 8 d + 8 k and one 512 KiB
     # block, with k ~ 0.53 d levels above its floor.
     # S_closed carries the error of 1 - q formed from a rounded q, 3.8e-13
     # (relative) here, and the gap shows it; S_numeric is held to the exact
@@ -981,8 +982,7 @@ class TestOneStepRecords:
         rho = partial_trace(state)
         for got, want in (
             (state, per_field(PureBipartiteState, statistics=statistics,
-                              amplitudes=state.amplitudes, tail_bound=state.tail_bound,
-                              _squares=state._squares)),
+                              weights=state.weights, tail_bound=state.tail_bound)),
             (rho, per_field(DensityOperator, statistics=statistics, diag=rho.diag)),
         ):
             assert repr(got) == repr(want)

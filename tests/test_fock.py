@@ -2,10 +2,11 @@
 
 A pair state comes only from a builder and an operator only from
 ``partial_trace``.  Tests that need a chosen amplitude vector or diagonal go
-through the same private entry points, ``PureBipartiteState._built`` and
-``DensityOperator._reduced``; a chosen diagonal is non-increasing, and a
-chosen fermion vector weighs its exchanged labels (0, 1) and (1, 0) alike,
-as every builder's does.
+through the same private entry points, ``PureBipartiteState._built`` (which
+takes the squares of the chosen amplitudes, as a builder hands over its
+weights) and ``DensityOperator._reduced``; a chosen diagonal is
+non-increasing, and a chosen fermion vector weighs its exchanged labels
+(0, 1) and (1, 0) alike, as every builder's does.
 """
 
 import math
@@ -42,8 +43,9 @@ FERMION_AMPS = (0.5, -0.5, 0.5, -0.5)
 
 
 def built(statistics, amps, tail_bound=0.0):
-    """A pair state from a fresh float64 copy of ``amps``, taken in as a builder's."""
-    return PureBipartiteState._built(statistics, np.array(amps, dtype=np.float64), tail_bound)
+    """A pair state weighted by the squares of ``amps``, taken in as a builder's weights."""
+    amps = np.array(amps, dtype=np.float64)
+    return PureBipartiteState._built(statistics, amps * amps, tail_bound)
 
 
 def reduced(statistics, diag):
@@ -252,13 +254,14 @@ class TestCompleteness:
         edge = 1.0 + EPS_NORM + tail if upper else 1.0 - EPS_NORM
         target = edge + ulps * math.ulp(edge) - tail
         amps *= math.sqrt(target / math.fsum((amps * amps).tolist()))
-        total = math.fsum((amps * amps).tolist()) + tail
+        weights = amps * amps
+        total = math.fsum(weights.tolist()) + tail
         assume(abs(total - edge) <= 8 * math.ulp(edge))
         if 1.0 - EPS_NORM <= total <= 1.0 + EPS_NORM + tail:
-            PureBipartiteState._built(statistics, amps, tail)
+            PureBipartiteState._built(statistics, weights, tail)
         else:
             with pytest.raises(ValueError, match="not complete") as exc:
-                PureBipartiteState._built(statistics, amps, tail)
+                PureBipartiteState._built(statistics, weights, tail)
             assert str(exc.value).endswith(f"= {total!r}")
 
     # Every builder's total lies far inside the window, so no built state
@@ -420,8 +423,9 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(bell_pair(), keep="in")
 
-    # The reduction of a built state, either side: the state's squares in
-    # basis order, read-only, non-increasing as the builder vouches.
+    # The reduction of a built state, either side: the squares of its
+    # amplitudes in basis order, read-only, non-increasing as the builder
+    # vouches.
     @pytest.mark.parametrize(
         "statistics, x",
         [(B, 1.032e-3), (B, 0.1), (B, 3.0), (B, 40.0), (F, 1e-6), (F, 1.0), (F, 50.0)],
@@ -439,10 +443,9 @@ class TestPartialTrace:
             assert rho.statistics is statistics
             assert (rho.diag[1:] <= rho.diag[:-1]).all()
 
-    # The squares a built state sums for completeness are the diagonal of
-    # both its reductions: formed once, never squared or copied again.  The
-    # spied amplitudes pass their subclass on to the squares, and every
-    # np.add.reduce over a spied array is logged.
+    # The weights a built state sums for completeness are the diagonal of
+    # both its reductions: formed once by the builder, never squared or
+    # copied again.  Every np.add.reduce over the spied weights is logged.
     def test_reduction_is_the_array_the_state_summed(self, monkeypatch):
         summed = []
 
@@ -456,8 +459,8 @@ class TestPartialTrace:
 
         adopt = PureBipartiteState._built.__func__
 
-        def spied(cls, statistics, amps, tail_bound):
-            return adopt(cls, statistics, amps.view(Spied), tail_bound)
+        def spied(cls, statistics, weights, tail_bound):
+            return adopt(cls, statistics, weights.view(Spied), tail_bound)
 
         monkeypatch.setattr(PureBipartiteState, "_built", classmethod(spied))
         states = [
@@ -465,13 +468,12 @@ class TestPartialTrace:
             build_fermion_state(SqueezingParams.from_x(F, 0.5)),
         ]
         assert len(summed) == len(states)
-        for state, squares in zip(states, summed):
-            assert state._squares is squares
-            assert squares.tobytes() == (state.amplitudes * state.amplitudes).tobytes()
+        for state, weights in zip(states, summed):
+            assert state.weights is weights
             for keep in ("out", "hor"):
-                assert partial_trace(state, keep).diag is squares
+                assert partial_trace(state, keep).diag is weights
 
-    # The operator sets no flag of its own: a built state's squares are
+    # The operator sets no flag of its own: a built state's weights are
     # read-only from the start.
     @pytest.mark.parametrize("statistics", [B, F])
     def test_every_reduction_is_read_only(self, statistics):

@@ -17,7 +17,9 @@ from collapsar import (
     build_fermion_state,
     partial_trace,
 )
+from collapsar.entanglement import _reduction
 from collapsar.fock import FERMION_BASIS, PureBipartiteState
+from collapsar.geometry import X_MIN
 from collapsar.states import EPS_TAIL_DEFAULT, _truncation_level
 
 
@@ -83,8 +85,8 @@ class TestBosonBuilder:
     # x = 1e-4 truncates at 180,742 levels, eleven times the 16,384 that
     # x = 1.032e-3 keeps; the bounds below hold per level.
     def test_state_at_cap_retains_little_memory(self):
-        # The state keeps one float64 amplitude and one square per level
-        # (16 B) and no per-label objects.
+        # The state keeps one float64 weight per level (8 B), no amplitudes
+        # and no per-label objects.
         sq = boson_sq(1e-4)
         tracemalloc.start()
         try:
@@ -95,13 +97,13 @@ class TestBosonBuilder:
             tracemalloc.stop()
         d = len(state.coefficients)
         assert d == 180_742
-        assert live <= 32 * d
+        assert live <= 8 * d + 4096
 
-    def test_state_at_cap_peaks_at_two_level_vectors(self):
+    def test_state_at_cap_peaks_at_one_level_vector(self):
         # Building and checking the state allocates no per-level Python
-        # objects and no copy: the amplitudes, filled in place, and their
-        # squares for the completeness sum.  The peak stays within 2.25
-        # float64 vectors of d entries.
+        # objects and no copy: the amplitudes are filled in place, squared
+        # where they lie, and summed there for completeness.  The peak stays
+        # within 1.25 float64 vectors of d entries.
         sq = boson_sq(1e-4)
         tracemalloc.start()
         try:
@@ -110,7 +112,36 @@ class TestBosonBuilder:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * 8 * state.amplitudes.size
+        assert peak <= 1.25 * 8 * len(state.coefficients)
+
+    # The numeric route's build and trace, deep in the infrared: the
+    # operator adopts the state's weights, so the whole reduction peaks at
+    # one float64 vector of d entries.
+    def test_reduction_peaks_at_one_level_vector(self):
+        sq = boson_sq(1e-5)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rho = _reduction(sq, EPS_TAIL_DEFAULT)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert rho.dim == 1_922_541
+        assert peak <= 8.05 * rho.dim
+
+    # The coefficient view derives an amplitude only when an item is read,
+    # so counting the pairs of a state allocates no level vector.
+    def test_counting_coefficients_allocates_nothing(self):
+        state = build_boson_state(boson_sq(1e-5))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            d = len(state.coefficients)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert d == 1_922_541
+        assert peak < 1024
 
     # Level n carries tanh^n r / cosh r = e^(-x n) sqrt(1 - e^(-2x)).  Built
     # from x, an amplitude's relative error is the rounding of x n, which
@@ -168,7 +199,7 @@ class TestBosonBuilder:
     def test_deep_infrared_mode_builds_in_full(self):
         # Nothing but X_MIN bounds the cut: x = 1e-5 builds every level it needs.
         state = build_boson_state(boson_sq(1e-5))
-        assert state.amplitudes.size == 1_922_541
+        assert state.weights.size == 1_922_541
         assert state.tail_bound < EPS_TAIL_DEFAULT
 
     # 1e-320 lies below EPS_TAIL_MIN, the floor that bounds the cut.
@@ -277,8 +308,8 @@ class TestFermionBuilder:
             build_fermion_state(boson_sq(1.0))
 
 
-# Each builder hands its fresh array to the state, which adopts it read-only
-# without a copy.
+# Each builder hands its fresh array of weights to the state, which adopts it
+# read-only without a copy.
 @pytest.mark.parametrize(
     "build, sq",
     [
@@ -293,16 +324,67 @@ def test_built_state_adopts_the_builders_array(monkeypatch, build, sq):
     adopted = []
     built = PureBipartiteState._built.__func__
 
-    def spy(cls, statistics, amps, tail_bound):
-        adopted.append(amps)
-        return built(cls, statistics, amps, tail_bound)
+    def spy(cls, statistics, weights, tail_bound):
+        adopted.append(weights)
+        return built(cls, statistics, weights, tail_bound)
 
     monkeypatch.setattr(PureBipartiteState, "_built", classmethod(spy))
     state = build(sq)
-    assert len(adopted) == 1 and state.amplitudes is adopted[0]
-    assert state.amplitudes.dtype == np.float64
-    assert not state.amplitudes.flags.writeable
+    assert len(adopted) == 1 and state.weights is adopted[0]
+    assert state.weights.dtype == np.float64
+    assert not state.weights.flags.writeable
     assert state.statistics is sq.statistics
+
+
+# A state stores only its weights, the squares of the builder's amplitudes;
+# ``amplitudes`` takes their roots and gives them the statistics' signs.
+# Wherever a weight is a normal float, sqrt(fl(a a)) == |a| in binary64, so
+# the derived amplitudes are the builder's formula bit for bit, and their
+# squares are the weights again.  The checks run in blocks, so that at X_MIN
+# (20,376,693 levels) the test holds only the state and its amplitudes.
+class TestDerivedAmplitudes:
+    BLOCK = 1 << 20
+
+    @pytest.mark.parametrize("x", np.geomspace(X_MIN, 170.0, 25).tolist())
+    def test_boson_amplitudes_are_the_builders_formula(self, x):
+        state = build_boson_state(boson_sq(x))
+        amps, weights = state.amplitudes, state.weights
+        assert not amps.flags.writeable
+        c = math.sqrt(-math.expm1(-2.0 * x))
+        for start in range(0, amps.size, self.BLOCK):
+            stop = min(start + self.BLOCK, amps.size)
+            want = np.arange(start, stop, dtype=np.float64)
+            want *= -x
+            np.exp(want, out=want)
+            want *= c
+            got = amps[start:stop]
+            assert got.tobytes() == want.tobytes(), (x, start)
+            assert (got * got).tobytes() == weights[start:stop].tobytes(), (x, start)
+
+    @pytest.mark.parametrize("x", np.geomspace(X_MIN, 170.0, 41).tolist())
+    def test_fermion_amplitudes_are_the_builders_formula(self, x):
+        sq = fermion_sq(x)
+        state = build_fermion_state(sq)
+        c, s = math.cos(sq.r), math.sin(sq.r)
+        want = np.array([c * c, -(s * c), s * c, -(s * s)])
+        amps = state.amplitudes
+        assert amps.tobytes() == want.tobytes()
+        assert (amps * amps).tobytes() == state.weights.tobytes()
+        assert list(state.coefficients.values()) == want.tolist()
+
+    # The one edge: above x ~ 177, (s s)^2 leaves the normal range, and at
+    # x = 200 it underflows to 0.0, the |11,11> weight that both reductions
+    # hold.  The |11,11> amplitude then derives as -0.0 in place of -(s s),
+    # a value no reduction reads.
+    def test_fermion_amplitude_past_the_normal_range_is_a_signed_zero(self):
+        sq = fermion_sq(200.0)
+        state = build_fermion_state(sq)
+        s = math.sin(sq.r)
+        assert s * s > 0.0 and (s * s) * (s * s) == 0.0
+        assert state.weights.item(3) == 0.0
+        assert partial_trace(state).diag.item(3) == 0.0
+        for amp in (state.amplitudes.item(3), state.coefficients[((1, 1), (1, 1))]):
+            assert amp == 0.0 and math.copysign(1.0, amp) == -1.0
 
 
 class TestBosonReducedAnalytic:

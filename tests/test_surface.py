@@ -41,7 +41,7 @@ INIT_FIELDS = {
     "geometry.BlackHoleParams": ["mass"],
     "geometry.ModeChannel": ["omega", "statistics"],
     "geometry.SqueezingParams": ["statistics", "x"],
-    "fock.PureBipartiteState": ["statistics", "amplitudes", "tail_bound"],
+    "fock.PureBipartiteState": ["statistics", "weights", "tail_bound"],
     "fock.DensityOperator": ["statistics", "diag"],
     "entanglement.EntropyReport": [
         "x", "omega", "mass", "statistics", "S_closed", "S_numeric", "gap", "mean_occ",

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import Literal, Union
 
 import numpy as np
@@ -35,6 +36,8 @@ FERMION_BASIS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 # Fermion amplitude signs over FERMION_BASIS, the pair-creation generator's
 # (see build_fermion_state); every boson amplitude is positive.
 _FERMION_SIGNS = (1.0, -1.0, 1.0, -1.0)
+# The outgoing partner of each FERMION_BASIS label: its slots exchanged.
+_FERMION_PARTNERS = tuple((a, p) for p, a in FERMION_BASIS)
 
 # Completeness window half-width for pure states.
 EPS_NORM = 1e-12
@@ -42,6 +45,8 @@ EPS_NORM = 1e-12
 # the weights does not decide; math.fsum does.  Over 20x numpy's pairwise
 # error bound on a sum near 1, even at d = 2.5e7.
 _EDGE_SLACK = 1e-13
+# Weights that norm_squared hands math.fsum as one list of Python floats (~0.5 MB).
+_FSUM_SLICE = 16_384
 # Eigenvalues at or below this floor are treated as exact zeros in entropies.
 LAMBDA_FLOOR = 1e-30
 
@@ -148,8 +153,16 @@ class PureBipartiteState:
         return _Coefficients(self)
 
     def norm_squared(self) -> float:
-        """Exactly rounded sum of the weights."""
-        return math.fsum(self.weights.tolist())
+        """Exactly rounded sum of the weights, by ``math.fsum``.
+
+        The weights reach fsum in bounded slices, each a list of
+        ``_FSUM_SLICE`` Python floats, never all of them at 32 B a level.
+        An exactly rounded sum does not depend on how its terms arrive, so
+        the slicing leaves every bit of the total as it is.
+        """
+        w = self.weights
+        slices = (w[i : i + _FSUM_SLICE].tolist() for i in range(0, w.size, _FSUM_SLICE))
+        return math.fsum(chain.from_iterable(slices))
 
     def hor_labels(self) -> tuple[BasisLabel, ...]:
         return tuple(_basis(self.statistics, self.weights.size))
@@ -179,7 +192,7 @@ class _Coefficients(Mapping):
         self._hor = self._out = _basis(state.statistics, self._weights.size)
         self._pairs = state.statistics is _FERMION
         if self._pairs:
-            self._out = tuple((a, p) for p, a in FERMION_BASIS)
+            self._out = _FERMION_PARTNERS
 
     def _is_label(self, value: object) -> bool:
         if self._pairs:

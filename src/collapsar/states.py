@@ -27,14 +27,14 @@ EPS_TAIL_MIN = 1e-16
 
 
 def _validate_eps_tail(eps_tail: float) -> None:
-    # An exact float takes one comparison chain, which accepts what the
-    # two rules below accept together (nan fails both comparisons).
-    if type(eps_tail) is float and EPS_TAIL_MIN <= eps_tail <= EPS_TAIL_MAX:
-        return
-    if not (_is_real(eps_tail) and 0.0 < eps_tail <= EPS_TAIL_MAX):
-        raise ValueError(f"eps_tail must lie in (0, {EPS_TAIL_MAX!r}], got {eps_tail!r}")
-    if eps_tail < EPS_TAIL_MIN:
-        raise ValueError(f"eps_tail must not be below {EPS_TAIL_MIN!r}, got {eps_tail!r}")
+    # An exact float skips _is_real's isinstance checks; nan fails the comparisons.
+    if not (
+        (type(eps_tail) is float or _is_real(eps_tail))
+        and EPS_TAIL_MIN <= eps_tail <= EPS_TAIL_MAX
+    ):
+        raise ValueError(
+            f"eps_tail must lie in [{EPS_TAIL_MIN!r}, {EPS_TAIL_MAX!r}], got {eps_tail!r}"
+        )
 
 
 def _truncation_level(q: float, eps_tail: float) -> int:

@@ -205,7 +205,9 @@ class TestPureBipartiteState:
     def test_rejects_tail_above_half(self, tail):
         with pytest.raises(ValueError) as info:
             build_boson_state(SqueezingParams(B, 1.0), tail)
-        assert str(info.value) == f"eps_tail must lie in (0, {EPS_TAIL_MAX!r}], got {tail!r}"
+        assert str(info.value) == (
+            f"eps_tail must lie in [{EPS_TAIL_MIN!r}, {EPS_TAIL_MAX!r}], got {tail!r}"
+        )
 
     def test_coefficients_view(self):
         view = built(F, FERMION_AMPS).coefficients

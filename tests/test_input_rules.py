@@ -164,8 +164,15 @@ def test_real_number_rule(make, values):
 
 
 # A state's tail bound is the eps_tail its builder was given, so the builder
-# applies the rule, before any amplitude is made.
-@pytest.mark.parametrize("value", [-1e-3, 1.0, math.nan, True, "x", None])
+# applies the rule, before any amplitude is made.  Below the floor
+# EPS_TAIL_MIN, subnormal or normal, is refused by either path through it.
+@pytest.mark.parametrize(
+    "value",
+    [
+        -1e-3, 1.0, math.nan, True, "x", None,
+        math.nextafter(EPS_TAIL_MIN, 0.0), 1e-320, np.float64(1e-17),
+    ],
+)
 @pytest.mark.parametrize(
     ("name", "make"),
     [("eps_tail", lambda v: build_boson_state(SqueezingParams(B, 1.0), v))],
@@ -174,7 +181,9 @@ def test_real_number_rule(make, values):
 def test_fraction_rule(name, make, value):
     with pytest.raises(ValueError) as info:
         make(value)
-    assert str(info.value) == f"{name} must lie in (0, {EPS_TAIL_MAX!r}], got {value!r}"
+    assert str(info.value) == (
+        f"{name} must lie in [{EPS_TAIL_MIN!r}, {EPS_TAIL_MAX!r}], got {value!r}"
+    )
 
 
 # The edges of the admitted range, and values the exact-float fast path
@@ -185,12 +194,3 @@ def test_fraction_rule(name, make, value):
 def test_fraction_rule_accepts(value):
     build_boson_state(SqueezingParams(B, 1.0), value)
     sweep(BlackHoleParams(mass=1.0), [0.1], eps_tail=value)
-
-
-# Subnormal or normal, a positive eps_tail below the floor gets its own
-# message, from either path through the rule.
-def test_fraction_rule_refuses_subnormal():
-    for value in (math.nextafter(EPS_TAIL_MIN, 0.0), 1e-320, np.float64(1e-17)):
-        with pytest.raises(ValueError) as info:
-            build_boson_state(SqueezingParams(B, 1.0), value)
-        assert str(info.value) == f"eps_tail must not be below 1e-16, got {value!r}"

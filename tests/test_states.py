@@ -2,7 +2,6 @@
 
 import functools
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -84,62 +83,49 @@ class TestBosonBuilder:
 
     # x = 1e-4 truncates at 180,742 levels, eleven times the 16,384 that
     # x = 1.032e-3 keeps; the bounds below hold per level.
-    def test_state_at_cap_retains_little_memory(self):
+    def test_state_at_cap_retains_little_memory(self, traced_memory):
         # The state keeps one float64 weight per level (8 B), no amplitudes
         # and no per-label objects.
         sq = boson_sq(1e-4)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            state = build_boson_state(sq)
-            live = tracemalloc.get_traced_memory()[0] - base
-        finally:
-            tracemalloc.stop()
+        state, live, _ = traced_memory(lambda: build_boson_state(sq))
         d = len(state.coefficients)
         assert d == 180_742
         assert live <= 8 * d + 4096
 
-    def test_state_at_cap_peaks_at_one_level_vector(self):
+    def test_state_at_cap_peaks_at_one_level_vector(self, traced_memory):
         # Building and checking the state allocates no per-level Python
         # objects and no copy: the amplitudes are filled in place, squared
         # where they lie, and summed there for completeness.  The peak stays
         # within 1.25 float64 vectors of d entries.
         sq = boson_sq(1e-4)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            state = build_boson_state(sq)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        state, _, peak = traced_memory(lambda: build_boson_state(sq))
         assert peak <= 1.25 * 8 * len(state.coefficients)
+
+    # The exact sum reaches math.fsum a bounded slice at a time: the whole
+    # vector as a list of Python floats would hold 32 B a level beside the
+    # state's 8 B.  The total keeps the bits of one fsum over that list.
+    def test_exact_norm_holds_less_than_the_state(self, traced_memory):
+        state = build_boson_state(boson_sq(1e-4))
+        d = state.weights.size
+        total, _, peak = traced_memory(state.norm_squared)
+        assert d == 180_742
+        assert peak < 8 * d
+        assert total == math.fsum(state.weights.tolist())
 
     # The numeric route's build and trace, deep in the infrared: the
     # operator adopts the state's weights, so the whole reduction peaks at
     # one float64 vector of d entries.
-    def test_reduction_peaks_at_one_level_vector(self):
+    def test_reduction_peaks_at_one_level_vector(self, traced_memory):
         sq = boson_sq(1e-5)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            rho = _reduction(sq, EPS_TAIL_DEFAULT)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        rho, _, peak = traced_memory(lambda: _reduction(sq, EPS_TAIL_DEFAULT))
         assert rho.dim == 1_922_541
         assert peak <= 8.05 * rho.dim
 
     # The coefficient view derives an amplitude only when an item is read,
     # so counting the pairs of a state allocates no level vector.
-    def test_counting_coefficients_allocates_nothing(self):
+    def test_counting_coefficients_allocates_nothing(self, traced_memory):
         state = build_boson_state(boson_sq(1e-5))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            d = len(state.coefficients)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        d, _, peak = traced_memory(lambda: len(state.coefficients))
         assert d == 1_922_541
         assert peak < 1024
 

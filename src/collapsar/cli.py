@@ -45,7 +45,7 @@ from .geometry import (
 # (above) and the two builders (below).
 from .states import (
     EPS_TAIL_DEFAULT,
-    _truncation_level,
+    _boson_cut,
     _validate_eps_tail,
     build_boson_state,
     build_fermion_state,
@@ -99,15 +99,15 @@ def _require_levels(
     """Exit 2, before any mode is represented, on a bad eps_tail or over MAX_ROW_LEVELS.
 
     Each mode that squeezing_for admits counts its boson levels by the
-    builder's own cut, at q = w*w.
+    builder's own cut, states._boson_cut.
     """
     _validate_eps_tail(args.eps_tail)
     levels = 0
     if Statistics.BOSON in _stats_list(args.stats):
         for om in omegas:
             with contextlib.suppress(SqueezingOverflowError):
-                w = squeezing_for(params, ModeChannel(om, Statistics.BOSON)).boltzmann_weight
-                levels += _truncation_level(w * w, args.eps_tail) + 1
+                sq = squeezing_for(params, ModeChannel(om, Statistics.BOSON))
+                levels += _boson_cut(sq, args.eps_tail)[0]
     if levels > MAX_ROW_LEVELS:
         raise ValueError(
             f"the boson states need {levels} levels, over the limit of {MAX_ROW_LEVELS}"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import SqueezingOverflowError
-from .fock import DensityOperator, mean_occupation, partial_trace, von_neumann_entropy
+from .fock import DensityOperator, _above, mean_occupation, partial_trace, von_neumann_entropy
 from .geometry import (
     _BOSON,
     _FERMION,
@@ -123,15 +123,13 @@ def temperature_ratio_fit(rho: DensityOperator, x: float) -> float:
     diag = rho.diag
     if rho.statistics is _BOSON:
         # The diagonal is non-increasing (see PureBipartiteState._built), so
-        # the levels above the floor are a prefix: all of them, or as many
-        # as a binary search of the reversed diagonal leaves above the floor.
-        # k is a Python int, so k^3 below cannot wrap as an int64 would.
-        k = diag.size
-        if diag.item(-1) <= _FIT_FLOOR:
-            k -= int(diag[::-1].searchsorted(_FIT_FLOOR, side="right"))
+        # the levels above the floor are a prefix.  k is a Python int, so
+        # k^3 below cannot wrap as an int64 would.
+        fitted = _above(diag, _FIT_FLOOR)
+        k = fitted.size
         if k < 2:
             return math.nan
-        y = np.log(diag if k == diag.size else diag[:k])
+        y = np.log(fitted)
         y -= y.item(k // 2)
         # The fitted levels are 0..k-1, whose mean is exactly (k - 1) / 2.
         # Each block of y takes its centred levels dn, exact half-integers,

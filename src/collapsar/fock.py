@@ -288,6 +288,17 @@ def partial_trace(
     return DensityOperator._reduced(state.statistics, state.weights)
 
 
+def _above(diag: np.ndarray, floor: float) -> np.ndarray:
+    """The prefix of a non-increasing ``diag`` above ``floor``; ``diag`` itself if none is cut.
+
+    The entries at or below the floor are a suffix, counted by a binary
+    search of the reversed diagonal.
+    """
+    if diag.item(-1) <= floor:
+        return diag[: diag.size - diag[::-1].searchsorted(floor, side="right")]
+    return diag
+
+
 def von_neumann_entropy(rho: DensityOperator, method: Literal["eigen"] = "eigen") -> float:
     """Entropy -tr(rho log2 rho) in bits, summed over the ascending spectrum.
 
@@ -300,9 +311,7 @@ def von_neumann_entropy(rho: DensityOperator, method: Literal["eigen"] = "eigen"
     """
     if method != "eigen":
         raise ValueError(f"unknown method {method!r}")
-    p = rho.diag
-    if p.item(-1) <= LAMBDA_FLOOR:
-        p = p[: p.size - p[::-1].searchsorted(LAMBDA_FLOOR, side="right")]
+    p = _above(rho.diag, LAMBDA_FLOOR)
     t = np.log2(p)
     t *= p
     return max(0.0, -float(np.add.reduce(t[::-1])))

@@ -16,39 +16,43 @@ import numpy as np
 
 from .fock import PureBipartiteState
 from .geometry import (
-    SqueezingParams, _BOSON, _FERMION, _is_real, _require_representable, _require_statistics,
+    SqueezingParams, _BOSON, _FERMION, _require_representable, _require_statistics,
 )
 
 EPS_TAIL_DEFAULT = 1e-12
 EPS_TAIL_MAX = 1e-6
 # Floor on eps_tail.  With x >= X_MIN it caps a boson state at 24,981,863
-# levels, and it keeps eps_tail * (1 - q) in _truncation_level normal.
+# levels, and it keeps eps_tail * (1 - q) in _boson_cut normal.
 EPS_TAIL_MIN = 1e-16
 
 
 def _validate_eps_tail(eps_tail: float) -> None:
-    # An exact float skips _is_real's isinstance checks; nan fails the comparisons.
-    if not (
-        (type(eps_tail) is float or _is_real(eps_tail))
-        and EPS_TAIL_MIN <= eps_tail <= EPS_TAIL_MAX
-    ):
+    # No int or bool lies in the range, so only a float can; nan fails the comparisons.
+    if not (isinstance(eps_tail, float) and EPS_TAIL_MIN <= eps_tail <= EPS_TAIL_MAX):
         raise ValueError(
             f"eps_tail must lie in [{EPS_TAIL_MIN!r}, {EPS_TAIL_MAX!r}], got {eps_tail!r}"
         )
 
 
-def _truncation_level(q: float, eps_tail: float) -> int:
-    """Minimal n_max with q^(n_max+1)/(1-q) < eps_tail, for 0 <= q < 1."""
+def _boson_cut(squeezing: SqueezingParams, eps_tail: float) -> tuple[int, float]:
+    """The boson cut: the fewest levels d with q^d/(1-q) < eps_tail, and that tail bound.
+
+    q = w*w for the squeezing's weight w, and 0 <= q < 1 for every x that
+    the infrared floor admits.  The builder and the CLI's level count both
+    take d from here.
+    """
+    w = squeezing.boltzmann_weight
+    q = w * w
     if q == 0.0:
-        return 0
+        return 1, 0.0
     target = eps_tail * (1.0 - q)
-    n_plus_1 = max(1, math.ceil(math.log(target) / math.log(q)))
+    d = max(1, math.ceil(math.log(target) / math.log(q)))
     # The log estimate can land one level off; settle it exactly.
-    while q**n_plus_1 >= target:
-        n_plus_1 += 1
-    while n_plus_1 > 1 and q ** (n_plus_1 - 1) < target:
-        n_plus_1 -= 1
-    return n_plus_1 - 1
+    while q**d >= target:
+        d += 1
+    while d > 1 and q ** (d - 1) < target:
+        d -= 1
+    return d, q**d / (1.0 - q)
 
 
 def build_boson_state(
@@ -77,17 +81,14 @@ def build_boson_state(
     _validate_eps_tail(eps_tail)
     x = squeezing.x
     _require_representable(x)
-    w = squeezing.boltzmann_weight
-    q = w * w
-    n_max = _truncation_level(q, eps_tail)
+    d, tail_bound = _boson_cut(squeezing, eps_tail)
     # One d-vector, filled in place from x: the rounding of w is never raised
     # to the n-th power, and 1 - q keeps its digits as q -> 1.
-    weights = np.arange(n_max + 1, dtype=np.float64)
+    weights = np.arange(d, dtype=np.float64)
     weights *= -x
     np.exp(weights, out=weights)
     weights *= math.sqrt(-math.expm1(-2.0 * x))
     weights *= weights
-    tail_bound = q ** (n_max + 1) / (1.0 - q)
     return PureBipartiteState._built(_BOSON, weights, tail_bound)
 
 

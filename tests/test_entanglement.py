@@ -169,12 +169,6 @@ class TestClosedForms:
         values = [_closed_form(stats, float(x)) for x in np.geomspace(1e-6, 745.0, 5000)]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
-    def test_statistics_guards(self):
-        with pytest.raises(ValueError):
-            boson_entropy(SqueezingParams.from_x(F, 1.0))
-        with pytest.raises(ValueError):
-            fermion_entropy(SqueezingParams.from_x(B, 1.0))
-
     @given(x=st.floats(min_value=0.3, max_value=3.0, allow_nan=False))
     @settings(derandomize=True, max_examples=40, deadline=None)
     def test_boson_closed_form_tracks_numeric_route(self, x):
@@ -301,15 +295,6 @@ class TestTemperatureRatio:
     def test_boson_report_fit_thermal_wherever_finite(self, x):
         r = entropy_report(BlackHoleParams(mass=1.0), ModeChannel(x / FOUR_PI, B))
         assert math.isnan(r.T_ratio) or abs(r.T_ratio - 1.0) <= 1e-6
-
-    def test_x_validation(self):
-        rho = thermal_boson_rho(1.0)
-        with pytest.raises(ValueError):
-            temperature_ratio_fit(rho, -1.0)
-
-    def test_bool_x_is_not_a_number(self):
-        with pytest.raises(ValueError, match="x must be a finite positive real, got True"):
-            temperature_ratio_fit(thermal_boson_rho(1.0), True)
 
     # The fit's slope against a 40-digit least-squares slope of the same
     # points, over the boson-deep range and beyond, and at d = LEVELS.
@@ -610,6 +595,19 @@ def logged_sizes(name, call, *args):
         return call(*args), sizes
 
 
+def assert_built_order(state, *where):
+    """Both reductions of ``state`` descend: reversed, each is np.sort's spectrum, bit for bit.
+
+    The bits are compared as integers, so a -0.0 and a 0.0 differ.  Both
+    sides carry one diagonal, so one sort, of the outgoing side, serves both.
+    """
+    out, hor = (partial_trace(state, keep).diag for keep in ("out", "hor"))
+    spectrum = np.sort(out).view(np.uint64)
+    for keep, diag in (("out", out), ("hor", hor)):
+        assert descends(diag), (*where, keep)
+        assert np.array_equal(diag[::-1].view(np.uint64), spectrum), (*where, keep)
+
+
 # The order every builder vouches for, over every admitted input: X_MIN
 # bounds x and EPS_TAIL_MIN bounds eps_tail, so every draw is built, down
 # to the largest state at X_MIN (the x range stops at 6.25e-4 for time).
@@ -625,9 +623,7 @@ def logged_sizes(name, call, *args):
 @example(x=X_MIN, eps_tail=EPS_TAIL_DEFAULT)
 @settings(derandomize=True, max_examples=300, deadline=None)
 def test_built_boson_reductions_descend(x, eps_tail):
-    state = build_boson_state(SqueezingParams.from_x(B, x), eps_tail)
-    for keep in ("out", "hor"):
-        assert descends(partial_trace(state, keep).diag), (x, eps_tail, keep)
+    assert_built_order(build_boson_state(SqueezingParams.from_x(B, x), eps_tail), x, eps_tail)
 
 
 @given(x=st.floats(X_MIN, 700.0))
@@ -635,9 +631,7 @@ def test_built_boson_reductions_descend(x, eps_tail):
 @example(x=700.0)
 @settings(derandomize=True, max_examples=300, deadline=None)
 def test_built_fermion_reductions_descend(x):
-    state = build_fermion_state(SqueezingParams.from_x(F, x))
-    for keep in ("out", "hor"):
-        assert descends(partial_trace(state, keep).diag), (x, keep)
+    assert_built_order(build_fermion_state(SqueezingParams.from_x(F, x)), x)
 
 
 def no_sort(*args, **kwargs):
@@ -658,15 +652,6 @@ class TestEntropyReport:
         assert r.T_ratio == pytest.approx(1.0, abs=1e-6)
         assert r.mean_occ == pytest.approx(1.0 / math.expm1(2.0 * r.x), rel=1e-9)
         assert r.error is None
-
-    # A fermion mode needs no truncation, but refuses what a boson one
-    # refuses; it used to accept any eps_tail.
-    @pytest.mark.parametrize("statistics", [B, F])
-    @pytest.mark.parametrize("eps_tail", [5.0, -1.0, 0.0, math.nan, 1e-320])
-    def test_report_refuses_bad_eps_tail(self, statistics, eps_tail):
-        channel = ModeChannel(omega=1.0 / FOUR_PI, statistics=statistics)
-        with pytest.raises(ValueError, match="eps_tail must"):
-            entropy_report(BlackHoleParams(mass=1.0), channel, eps_tail=eps_tail)
 
     def test_fermion_report_fields(self):
         p = BlackHoleParams(mass=1.0)
@@ -864,19 +849,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(BlackHoleParams(mass=1.0), omegas)
 
-    # Each omega is checked as it came, as ModeChannel checks it, before
-    # float() could turn a string, a bool or a numpy integer into a number.
-    @pytest.mark.parametrize(
-        "omegas",
-        [["0.1", True, np.int64(2)], ["0.1"], [True], [np.int64(2)], [np.float32(0.5)]],
-        ids=["mixed", "str", "bool", "int64", "float32"],
-    )
-    def test_raw_omegas_are_checked_before_conversion(self, omegas):
-        with pytest.raises(ValueError, match="^omega must be a finite positive real, got "):
-            ModeChannel(omega=omegas[0], statistics=F)
-        with pytest.raises(ValueError, match="^omega must be a finite positive real, got "):
-            sweep(BlackHoleParams(mass=1.0), omegas, statistics="fermion")
-
     def test_float64_and_int_grids_are_accepted(self):
         p = BlackHoleParams(mass=1.0)
         omegas = np.geomspace(0.01, 0.1, 3)
@@ -885,19 +857,8 @@ class TestSweep:
         assert all(type(r.omega) is float for r in reports)
         assert [r.omega for r in sweep(p, [1, 2], statistics="fermion")] == [1.0, 2.0]
 
-    # eps_tail is refused before the loop, for every statistics: with every
-    # point below the floor, no row is made to carry it.
-    @pytest.mark.parametrize("statistics", ["boson", "fermion"])
-    def test_eps_tail_refused_before_any_point(self, statistics):
-        p = BlackHoleParams(mass=1.0)
-        assert all(r.error for r in sweep(p, [1e-9, 1e-8], statistics=statistics))
-        with pytest.raises(ValueError, match=r"eps_tail must lie in \[1e-16, 1e-06\], got 5.0"):
-            sweep(p, [1e-9, 1e-8], statistics=statistics, eps_tail=5.0)
-
     def test_statistics_validation(self):
         p = BlackHoleParams(mass=1.0)
-        with pytest.raises(ValueError):
-            sweep(p, [0.1], statistics="both")
         with pytest.raises(ValueError):
             sweep(p, [0.1], statistics=())
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from collapsar import (
 from collapsar.entanglement import _reduction
 from collapsar.fock import FERMION_BASIS, PureBipartiteState
 from collapsar.geometry import X_MIN
-from collapsar.states import EPS_TAIL_DEFAULT, _truncation_level
+from collapsar.states import EPS_TAIL_DEFAULT, _boson_cut
 
 
 def boson_sq(x):
@@ -70,11 +70,14 @@ class TestBosonBuilder:
     @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 3.0])
     @pytest.mark.parametrize("eps", [1e-6, 1e-10, 1e-14])
     def test_truncation_is_minimal(self, x, eps):
-        q = boson_sq(x).boltzmann_weight ** 2
-        n_max = _truncation_level(q, eps)
-        assert q ** (n_max + 1) / (1.0 - q) < eps
-        if n_max > 0:
-            assert q**n_max / (1.0 - q) >= eps
+        sq = boson_sq(x)
+        q = sq.boltzmann_weight ** 2
+        d, tail_bound = _boson_cut(sq, eps)
+        assert tail_bound == q**d / (1.0 - q) < eps
+        if d > 1:
+            assert q ** (d - 1) / (1.0 - q) >= eps
+        state = build_boson_state(sq, eps)
+        assert (state.weights.size, state.tail_bound) == (d, tail_bound)
 
     def test_frozen_mode_is_vacuum(self):
         state = build_boson_state(boson_sq(800.0))
@@ -188,16 +191,6 @@ class TestBosonBuilder:
         assert state.weights.size == 1_922_541
         assert state.tail_bound < EPS_TAIL_DEFAULT
 
-    # 1e-320 lies below EPS_TAIL_MIN, the floor that bounds the cut.
-    @pytest.mark.parametrize("eps", [0.0, -1e-9, 2e-6, math.nan, 1e-320])
-    def test_eps_tail_validation(self, eps):
-        with pytest.raises(ValueError):
-            build_boson_state(boson_sq(1.0), eps_tail=eps)
-
-    def test_statistics_mismatch(self):
-        with pytest.raises(ValueError, match="boson"):
-            build_boson_state(fermion_sq(1.0))
-
     @given(x=st.floats(min_value=0.05, max_value=20.0, allow_nan=False))
     @settings(derandomize=True, max_examples=60, deadline=None)
     def test_completeness_property(self, x):
@@ -288,10 +281,6 @@ class TestFermionBuilder:
             [0.7758034925743758, 0.10499358540350652, 0.10499358540350652, 0.014209336618611044],
             atol=1e-15,
         )
-
-    def test_statistics_mismatch(self):
-        with pytest.raises(ValueError, match="fermion"):
-            build_fermion_state(boson_sq(1.0))
 
 
 # Each builder hands its fresh array of weights to the state, which adopts it

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -271,7 +272,7 @@ def sweep(
     oms = [float(o) for o in oms]
     if any(b <= a for a, b in zip(oms, oms[1:])):
         raise ValueError("frequency grid must be strictly increasing")
-    if isinstance(statistics, (Statistics, str)):
+    if isinstance(statistics, str) or not isinstance(statistics, Iterable):
         statistics = (statistics,)
     stats = tuple(Statistics(s) for s in statistics)
     if not stats:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain
 from typing import Literal, Union
 
 import numpy as np
@@ -45,8 +44,6 @@ EPS_NORM = 1e-12
 # the weights does not decide; math.fsum does.  Over 20x numpy's pairwise
 # error bound on a sum near 1, even at d = 2.5e7.
 _EDGE_SLACK = 1e-13
-# Weights that norm_squared hands math.fsum as one list of Python floats (~0.5 MB).
-_FSUM_SLICE = 16_384
 # Eigenvalues at or below this floor are treated as exact zeros in entropies.
 LAMBDA_FLOOR = 1e-30
 
@@ -155,14 +152,10 @@ class PureBipartiteState:
     def norm_squared(self) -> float:
         """Exactly rounded sum of the weights, by ``math.fsum``.
 
-        The weights reach fsum in bounded slices, each a list of
-        ``_FSUM_SLICE`` Python floats, never all of them at 32 B a level.
-        An exactly rounded sum does not depend on how its terms arrive, so
-        the slicing leaves every bit of the total as it is.
+        fsum reads the array in place, one weight at a time, so the sum
+        holds no list of Python floats beside the state.
         """
-        w = self.weights
-        slices = (w[i : i + _FSUM_SLICE].tolist() for i in range(0, w.size, _FSUM_SLICE))
-        return math.fsum(chain.from_iterable(slices))
+        return math.fsum(self.weights)
 
     def hor_labels(self) -> tuple[BasisLabel, ...]:
         return tuple(_basis(self.statistics, self.weights.size))

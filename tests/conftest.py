@@ -1,8 +1,14 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures shared by the test modules, and the one hypothesis profile."""
 
 import tracemalloc
 
 import pytest
+from hypothesis import settings
+
+# Every property test draws the same examples on every run, with no time
+# limit per example; each test states only its own max_examples.
+settings.register_profile("collapsar", derandomize=True, deadline=None)
+settings.load_profile("collapsar")
 
 
 def _traced(call):

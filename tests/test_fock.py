@@ -7,6 +7,18 @@ takes the squares of the chosen amplitudes, as a builder hands over its
 weights) and ``DensityOperator._reduced``; a chosen diagonal is
 non-increasing, and a chosen fermion vector weighs its exchanged labels
 (0, 1) and (1, 0) alike, as every builder's does.
+
+Each fact of the numeric route has one home test: each side of a pair
+state is the dict reduction of its ``coefficients``, the same bytes on both
+sides (``assert_sides_are_the_dict_reduction``, over drawn states in
+``TestPartialTrace::test_each_side_is_the_dict_reduction`` and fixed ones,
+each its own case, beside it); a
+builder's weights are adopted uncopied, summed once, and are the read-only
+float64 diagonal of both sides (``TestPartialTrace::
+test_one_array_from_builder_to_both_reductions``); the entropy and the fit
+keep their oracles' bits (``tests/test_entanglement.py::TestSpectrumPath``);
+and each memory bound has one gate, in ``tests/test_states.py`` for a state
+and its reduction and in ``tests/test_entanglement.py`` for a report.
 """
 
 import math
@@ -27,7 +39,6 @@ from collapsar import (
 from collapsar.fock import (
     EPS_NORM,
     FERMION_BASIS,
-    LAMBDA_FLOOR,
     DensityOperator,
     PureBipartiteState,
     mean_occupation,
@@ -58,6 +69,10 @@ def reduced(statistics, diag):
 
 def bell_pair():
     return built(B, BELL)
+
+
+def build_fermion(x):
+    return build_fermion_state(SqueezingParams.from_x(F, x))
 
 
 # Both classes are made only by the builders and partial_trace: a caller's
@@ -210,7 +225,7 @@ class TestCompleteness:
         upper=st.booleans(),
         ulps=st.integers(-8, 8),
     )
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_decision_is_the_fsum_window_check(
         self, statistics, d, seed, shape, tail, upper, ulps
     ):
@@ -257,7 +272,7 @@ class TestCompleteness:
     @example(statistics=B, x=0.002436606855595449, eps_tail=EPS_TAIL_MIN)
     @example(statistics=B, x=700.0, eps_tail=EPS_TAIL_MIN)
     @example(statistics=F, x=X_MIN, eps_tail=EPS_TAIL_MAX)
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_inner_states_skip_the_exact_sum(self, statistics, x, eps_tail):
         def exact_sum(self):
             raise AssertionError("fsum reached away from the window edges")
@@ -294,13 +309,19 @@ def log_uniform(lo, hi):
 
 @st.composite
 def real_states(draw):
-    """A boson state of drawn normalised amplitudes, or a built fermion state.
+    """A boson state of drawn normalised amplitudes, or a built boson or fermion state.
 
     A fermion state comes only from its builder, which weighs the two
-    exchanged labels alike; a drawn four-vector need not.
+    exchanged labels alike; a drawn four-vector need not.  A built boson
+    state runs from one level to the 20,846 that x = 1.032e-3 keeps at
+    EPS_TAIL_MIN.
     """
-    if draw(st.booleans()):
-        return build_fermion_state(SqueezingParams.from_x(F, draw(log_uniform(X_MIN, 745.0))))
+    kind = draw(st.sampled_from(["drawn", "boson", "fermion"]))
+    if kind == "fermion":
+        return build_fermion(draw(log_uniform(X_MIN, 745.0)))
+    if kind == "boson":
+        sq = SqueezingParams.from_x(B, draw(log_uniform(1.032e-3, 700.0)))
+        return build_boson_state(sq, draw(st.sampled_from([EPS_TAIL_MIN, EPS_TAIL_MAX])))
     d = draw(st.integers(1, 64))
     part = st.floats(-1.0, 1.0, allow_nan=False)
     amps = np.array(draw(st.lists(part, min_size=d, max_size=d)))
@@ -309,88 +330,71 @@ def real_states(draw):
     return built(B, amps / norm)
 
 
+def assert_sides_are_the_dict_reduction(state):
+    """Each side of ``state`` is the dict reduction of its pairing, and both are the same bytes.
+
+    The pairing is the one ``coefficients`` shows in order: so a fermion's
+    outgoing (0, 1) carries the weight of the horizon's (1, 0), with the
+    same bits.
+    """
+    amps = state.amplitudes
+    if state.statistics is F:
+        pairs = [(h, exchanged(h)) for h in PAIR_LABELS]
+    else:
+        pairs = [(n, n) for n in range(amps.size)]
+    pairing = dict(state.coefficients)
+    assert list(pairing.items()) == list(zip(pairs, amps.tolist()))
+    sides = {}
+    for keep in ("out", "hor"):
+        rho = partial_trace(state, keep)
+        labels, weights = dict_reduction(pairing, keep)
+        assert tuple(rho.basis) == labels, keep
+        assert rho.diag.tobytes() == weights.tobytes(), keep
+        sides[keep] = rho.diag.tobytes()
+    assert sides["out"] == sides["hor"]
+
+
+# Each builder the spy test watches, with the statistics of its state.
+SPIED_BUILDS = {
+    **{f"boson-{x:g}": (B, lambda x=x: build_boson_state(SqueezingParams.from_x(B, x)))
+       for x in (1.032e-3, 0.02, 1.0, 800.0)},
+    **{f"fermion-{x:g}": (F, lambda x=x: build_fermion(x)) for x in (0.5, 50.0)},
+    "bell-pair": (B, bell_pair),
+}
+
+
 class TestPartialTrace:
-    def test_bell_pair_both_sides(self):
-        state = bell_pair()
-        for keep in ("out", "hor"):
-            rho = partial_trace(state, keep=keep)
-            assert tuple(rho.basis) == (0, 1)
-            np.testing.assert_allclose(rho.diag, [0.5, 0.5], atol=1e-15)
+    # Fixed states, each its own case: the Bell pair, a fermion vector, a
+    # generic boson vector, and built fermion states across the x range.
+    @pytest.mark.parametrize(
+        "state",
+        [
+            pytest.param(bell_pair(), id="bell-pair"),
+            pytest.param(built(F, [INV_SQRT2, 0.0, 0.0, -INV_SQRT2]), id="fermion-vector"),
+            pytest.param(built(B, np.array([0.5, -0.4, 0.3, 0.2, 0.1]) / math.sqrt(0.55)), id="boson-vector"),
+            *(pytest.param(build_fermion(x), id=f"fermion-{x:g}") for x in (X_MIN, 1e-3, 0.3, 1.0, 19.0, 300.0, 745.0)),
+        ],
+    )
+    def test_each_side_of_a_fixed_state_is_the_dict_reduction(self, state):
+        assert_sides_are_the_dict_reduction(state)
 
-    def test_crossed_pairing_keeps_each_weight_on_its_label(self):
-        # |01>_hor|10>_out and |10>_hor|01>_out: the out side's (0, 1) carries
-        # the weight of the horizon's (1, 0), which the builder gives the
-        # same bits as the horizon's own (0, 1).
-        for x in (X_MIN, 1e-3, 0.3, 1.0, 19.0, 300.0, 745.0):
-            state = build_fermion_state(SqueezingParams.from_x(F, x))
-            pairing = state.coefficients
-            assert list(pairing) == [(h, exchanged(h)) for h in PAIR_LABELS]
-            for keep, side in (("hor", 0), ("out", 1)):
-                diag = partial_trace(state, keep).diag
-                for key, amp in pairing.items():
-                    assert diag[FERMION_BASIS.index(key[side])] == amp * amp, (x, keep, key)
-
-    def test_pair_labels(self):
-        state = built(F, [INV_SQRT2, 0.0, 0.0, -INV_SQRT2])
-        for keep in ("out", "hor"):
-            rho = partial_trace(state, keep)
-            assert rho.basis == FERMION_BASIS
-            np.testing.assert_allclose(rho.diag, [0.5, 0.0, 0.0, 0.5], atol=1e-15)
-
-    def test_schmidt_symmetry_generic(self):
-        amps = np.array([0.5, -0.4, 0.3, 0.2, 0.1])
-        amps = amps / np.linalg.norm(amps)
-        state = built(B, amps)
-        s_out = von_neumann_entropy(partial_trace(state, "out"), method="eigen")
-        s_hor = von_neumann_entropy(partial_trace(state, "hor"), method="eigen")
-        assert s_out == pytest.approx(s_hor, abs=1e-12)
-
-    @given(drawn=real_states())
-    @settings(derandomize=True, max_examples=200, deadline=None)
-    def test_matches_dict_reduction(self, drawn):
-        state = drawn
-        amps = state.amplitudes
-        if state.statistics is F:
-            pairs = [(h, exchanged(h)) for h in PAIR_LABELS]
-        else:
-            pairs = [(n, n) for n in range(amps.size)]
-        pairing = dict(state.coefficients)
-        assert pairing == dict(zip(pairs, amps.tolist()))
-        for keep in ("out", "hor"):
-            rho = partial_trace(state, keep)
-            labels, weights = dict_reduction(pairing, keep)
-            assert tuple(rho.basis) == labels
-            np.testing.assert_array_equal(rho.diag, weights)
+    @given(state=real_states())
+    @settings(max_examples=300)
+    def test_each_side_is_the_dict_reduction(self, state):
+        assert_sides_are_the_dict_reduction(state)
 
     def test_bad_keep(self):
         with pytest.raises(ValueError):
             partial_trace(bell_pair(), keep="in")
 
-    # The reduction of a built state, either side: the squares of its
-    # amplitudes in basis order, read-only, non-increasing as the builder
-    # vouches.
-    @pytest.mark.parametrize(
-        "statistics, x",
-        [(B, 1.032e-3), (B, 0.1), (B, 3.0), (B, 40.0), (F, 1e-6), (F, 1.0), (F, 50.0)],
-    )
-    def test_built_reduction_is_the_checked_squares(self, statistics, x):
-        sq = SqueezingParams.from_x(statistics, x)
-        state = build_boson_state(sq) if statistics is B else build_fermion_state(sq)
-        squares = state.amplitudes**2
-        for keep in ("hor", "out"):
-            rho = partial_trace(state, keep)
-            want = squares[[0, 2, 1, 3]] if statistics is F and keep == "out" else squares
-            np.testing.assert_array_equal(rho.diag, want)
-            assert rho.diag.dtype == np.float64
-            assert not rho.diag.flags.writeable
-            assert rho.statistics is statistics
-            assert (rho.diag[1:] <= rho.diag[:-1]).all()
-
-    # The weights a built state sums for completeness are the diagonal of
-    # both its reductions: formed once by the builder, never squared or
-    # copied again.  Every np.add.reduce over the spied weights is logged.
-    def test_reduction_is_the_array_the_state_summed(self, monkeypatch):
-        summed = []
+    # The state adopts a builder's weights uncopied, sums them once, and
+    # keeps them read-only as each side's diagonal.  Their squares are
+    # checked by tests/test_states.py::TestDerivedAmplitudes, their order by
+    # assert_built_order.  Every np.add.reduce over the spied weights is logged.
+    @pytest.mark.parametrize("keep", ["out", "hor"])
+    @pytest.mark.parametrize(("statistics", "build"), SPIED_BUILDS.values(), ids=SPIED_BUILDS)
+    def test_one_array_from_builder_to_both_reductions(self, monkeypatch, statistics, build, keep):
+        adopted, summed = [], []
 
         class Spied(np.ndarray):
             def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
@@ -403,57 +407,20 @@ class TestPartialTrace:
         adopt = PureBipartiteState._built.__func__
 
         def spied(cls, statistics, weights, tail_bound):
-            return adopt(cls, statistics, weights.view(Spied), tail_bound)
+            adopted.append(weights.view(Spied))
+            return adopt(cls, statistics, adopted[-1], tail_bound)
 
         monkeypatch.setattr(PureBipartiteState, "_built", classmethod(spied))
-        states = [
-            build_boson_state(SqueezingParams.from_x(B, 0.02)),
-            build_fermion_state(SqueezingParams.from_x(F, 0.5)),
-        ]
-        assert len(summed) == len(states)
-        for state, weights in zip(states, summed):
-            assert state.weights is weights
-            for keep in ("out", "hor"):
-                assert partial_trace(state, keep).diag is weights
-
-    # The operator sets no flag of its own: a built state's weights are
-    # read-only from the start.
-    @pytest.mark.parametrize("statistics", [B, F])
-    def test_every_reduction_is_read_only(self, statistics):
-        build = build_boson_state if statistics is B else build_fermion_state
-        states = [build(SqueezingParams.from_x(statistics, x)) for x in (0.02, 0.3, 5.0)]
-        for state in states:
-            for keep in ("out", "hor"):
-                diag = partial_trace(state, keep).diag
-                assert not diag.flags.writeable, (state, keep)
-                with pytest.raises(ValueError):
-                    diag[0] = 0.0
-
-    # Over built states of both statistics, both eps_tail ends: the two
-    # sides' diagonals are the same bytes, and each is the dict reduction
-    # read through the pairing that ``coefficients`` shows.
-    @given(
-        statistics=st.sampled_from([B, F]),
-        data=st.data(),
-        eps_tail=st.sampled_from([EPS_TAIL_MIN, EPS_TAIL_MAX]),
-    )
-    @settings(derandomize=True, max_examples=200, deadline=None)
-    def test_both_sides_are_one_array(self, statistics, data, eps_tail):
-        if statistics is F:
-            x = data.draw(log_uniform(X_MIN, 745.0))
-            state = build_fermion_state(SqueezingParams.from_x(F, x))
-        else:
-            x = data.draw(log_uniform(1.032e-3, 700.0))
-            state = build_boson_state(SqueezingParams.from_x(B, x), eps_tail)
-        pairing = dict(state.coefficients)
-        diags = {}
-        for keep in ("out", "hor"):
-            rho = partial_trace(state, keep)
-            labels, weights = dict_reduction(pairing, keep)
-            assert tuple(rho.basis) == labels
-            assert rho.diag.tobytes() == weights.tobytes(), (x, eps_tail, keep)
-            diags[keep] = rho.diag.tobytes()
-        assert diags["out"] == diags["hor"]
+        state = build()
+        assert state.statistics is statistics
+        assert len(adopted) == len(summed) == 1
+        weights = adopted[0]
+        assert state.weights is weights and summed[0] is weights
+        assert weights.dtype == np.float64
+        rho = partial_trace(state, keep)
+        assert rho.diag is weights and rho.statistics is statistics
+        with pytest.raises(ValueError):
+            rho.diag[0] = 0.0
 
     def test_state_at_the_upper_edge_reduces(self):
         # fsum(a^2) is exactly 1 + EPS_NORM, which the state accepts; the
@@ -467,23 +434,9 @@ class TestPartialTrace:
 
 
 class TestDensityOperator:
-    def test_matrix_read_only(self):
-        rho = partial_trace(bell_pair())
-        with pytest.raises(ValueError):
-            rho.diag[0] = 0.0
-
     def test_basis_follows_statistics(self):
         assert reduced(B, [0.5, 0.3, 0.2]).basis == range(3)
         assert reduced(F, [0.4, 0.3, 0.2, 0.1]).basis == FERMION_BASIS
-
-    # No operator sorts: a reduction's diagonal is non-increasing, so its
-    # spectrum is the diagonal reversed.
-    def test_eigenvalues_are_sorted_diagonal(self):
-        state = built(B, [math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2)])
-        rho = partial_trace(state)
-        assert rho.diag.dtype == np.float64 and rho.diag.shape == (3,)
-        np.testing.assert_array_equal(rho.diag, state.amplitudes**2)
-        np.testing.assert_array_equal(rho.diag[::-1], np.sort(rho.diag))
 
     def test_json_round_trip(self):
         rho = reduced(F, [0.4, 0.3, 0.2, 0.1])
@@ -516,26 +469,6 @@ class TestVonNeumannEntropy:
         rho = reduced(B, diag=[1.0])
         assert von_neumann_entropy(rho) == 0.0
 
-    # Eigenvalues at or below LAMBDA_FLOOR drop out; the sum runs over the
-    # same ascending entries, in the same order, as a mask of the sorted
-    # spectrum would leave.
-    @pytest.mark.parametrize(
-        "rho",
-        [
-            partial_trace(build_fermion_state(SqueezingParams.from_x(F, 50.0))),
-            reduced(B, [0.5, 0.25, 0.125, 0.125, 0.0, 0.0]),
-            reduced(B, [0.5, 0.5 - 2 * LAMBDA_FLOOR, LAMBDA_FLOOR, LAMBDA_FLOOR]),
-            reduced(B, [1.0, LAMBDA_FLOOR]),
-            reduced(B, [0.75, 0.25, 2 * LAMBDA_FLOOR, -0.0, -5e-11]),
-        ],
-        ids=["fermion-x50", "boson-zero-tail", "at-floor", "pure-at-floor", "negative"],
-    )
-    def test_floor_drops_the_same_entries_as_a_mask(self, rho):
-        p = np.sort(rho.diag)
-        assert p[0] <= LAMBDA_FLOOR
-        p = p[p > LAMBDA_FLOOR]
-        assert von_neumann_entropy(rho) == max(0.0, -float((p * np.log2(p)).sum()))
-
 
 class TestPurityAndOccupation:
     def test_mean_occupation_number_labels(self):
@@ -553,9 +486,9 @@ class TestPurityAndOccupation:
     @given(x=st.floats(X_MIN, 700.0))
     @example(x=X_MIN)
     @example(x=700.0)
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_fermion_occupation_is_the_weighted_sum(self, x):
-        rho = partial_trace(build_fermion_state(SqueezingParams.from_x(F, x)))
+        rho = partial_trace(build_fermion(x))
         numbers = np.array([lab[0] for lab in FERMION_BASIS], dtype=np.float64)
         want = float((rho.diag * numbers).sum())
         got = mean_occupation(rho)

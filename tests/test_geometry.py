@@ -54,7 +54,7 @@ def test_dimensionless_x_power_of_two_rescaling_is_exact(mass, omega):
     mass=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
     omega=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
 )
-@settings(derandomize=True, max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_dimensionless_x_rescaling_property(mass, omega):
     x1 = dimensionless_x(
         BlackHoleParams(mass=mass), ModeChannel(omega=omega, statistics="boson")
@@ -150,7 +150,7 @@ class TestSqueezingParams:
         assert doc == {"statistics": "fermion", "r": sq.r, "x": 1.0}
 
     @given(x=st.floats(min_value=1e-6, max_value=700.0, allow_nan=False))
-    @settings(derandomize=True, max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_construction_invariants_hold_everywhere(self, x):
         for stat in Statistics:
             sq = SqueezingParams.from_x(stat, x)

@@ -150,14 +150,13 @@ def test_finite_positive_rule_accepts(capsys, entry, value):
             setattr(got, name, value)
 
 
-# Entry point -> a call that reads a statistics value.  sweep takes a string
-# as one statistics, as given; any other value goes in a list of them.
+# Entry point -> a call that reads a statistics value.
 STATISTICS_VALUE = {
     "ModeChannel": lambda v: ModeChannel(1.0, v),
     "SqueezingParams": lambda v: SqueezingParams(v, 1.0),
     "SqueezingParams.from_x": lambda v: SqueezingParams.from_x(v, 1.0),
     "SqueezingParams.from_r": lambda v: SqueezingParams.from_r(v, 0.5),
-    "sweep": lambda v: sweep(UNIT_MASS, [0.1], statistics=v if isinstance(v, str) else [v]),
+    "sweep": lambda v: sweep(UNIT_MASS, [0.1], statistics=v),
 }
 
 

@@ -17,7 +17,7 @@ from collapsar import (
     partial_trace,
 )
 from collapsar.entanglement import _reduction
-from collapsar.fock import FERMION_BASIS, PureBipartiteState
+from collapsar.fock import FERMION_BASIS
 from collapsar.geometry import X_MIN
 from collapsar.states import EPS_TAIL_DEFAULT, _boson_cut
 
@@ -84,45 +84,25 @@ class TestBosonBuilder:
         assert dict(state.coefficients) == {(0, 0): 1.0}
         assert state.tail_bound == 0.0
 
-    # x = 1e-4 truncates at 180,742 levels, eleven times the 16,384 that
-    # x = 1.032e-3 keeps; the bounds below hold per level.
-    def test_state_at_cap_retains_little_memory(self, traced_memory):
-        # The state keeps one float64 weight per level (8 B), no amplitudes
-        # and no per-label objects.
-        sq = boson_sq(1e-4)
-        state, live, _ = traced_memory(lambda: build_boson_state(sq))
-        d = len(state.coefficients)
-        assert d == 180_742
-        assert live <= 8 * d + 4096
-
-    def test_state_at_cap_peaks_at_one_level_vector(self, traced_memory):
-        # Building and checking the state allocates no per-level Python
-        # objects and no copy: the amplitudes are filled in place, squared
-        # where they lie, and summed there for completeness.  The peak stays
-        # within 1.25 float64 vectors of d entries.
-        sq = boson_sq(1e-4)
-        state, _, peak = traced_memory(lambda: build_boson_state(sq))
-        assert peak <= 1.25 * 8 * len(state.coefficients)
-
-    # The exact sum reaches math.fsum a bounded slice at a time: the whole
-    # vector as a list of Python floats would hold 32 B a level beside the
-    # state's 8 B.  The total keeps the bits of one fsum over that list.
+    # fsum reads the weights in place: the whole vector as a list of Python
+    # floats would hold 32 B a level beside the state's 8 B.  The total
+    # keeps the bits of one fsum over that list.
     def test_exact_norm_holds_less_than_the_state(self, traced_memory):
         state = build_boson_state(boson_sq(1e-4))
-        d = state.weights.size
         total, _, peak = traced_memory(state.norm_squared)
-        assert d == 180_742
-        assert peak < 8 * d
+        assert state.weights.size == 180_742
+        assert peak < 4096
         assert total == math.fsum(state.weights.tolist())
 
-    # The numeric route's build and trace, deep in the infrared: the
-    # operator adopts the state's weights, so the whole reduction peaks at
-    # one float64 vector of d entries.
+    # Build and trace deep in the infrared: the builder fills, squares and
+    # sums one float64 vector in place, with no per-label objects, and the
+    # operator adopts it.  The reduction peaks at and keeps that one vector.
     def test_reduction_peaks_at_one_level_vector(self, traced_memory):
         sq = boson_sq(1e-5)
-        rho, _, peak = traced_memory(lambda: _reduction(sq, EPS_TAIL_DEFAULT))
+        rho, live, peak = traced_memory(lambda: _reduction(sq, EPS_TAIL_DEFAULT))
         assert rho.dim == 1_922_541
         assert peak <= 8.05 * rho.dim
+        assert live <= 8 * rho.dim + 4096
 
     # The coefficient view derives an amplitude only when an item is read,
     # so counting the pairs of a state allocates no level vector.
@@ -192,7 +172,7 @@ class TestBosonBuilder:
         assert state.tail_bound < EPS_TAIL_DEFAULT
 
     @given(x=st.floats(min_value=0.05, max_value=20.0, allow_nan=False))
-    @settings(derandomize=True, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_completeness_property(self, x):
         state = build_boson_state(boson_sq(x))
         total = state.norm_squared() + state.tail_bound
@@ -281,34 +261,6 @@ class TestFermionBuilder:
             [0.7758034925743758, 0.10499358540350652, 0.10499358540350652, 0.014209336618611044],
             atol=1e-15,
         )
-
-
-# Each builder hands its fresh array of weights to the state, which adopts it
-# read-only without a copy.
-@pytest.mark.parametrize(
-    "build, sq",
-    [
-        (build_boson_state, boson_sq(1.032e-3)),
-        (build_boson_state, boson_sq(1.0)),
-        (build_boson_state, boson_sq(800.0)),
-        (build_fermion_state, fermion_sq(1.0)),
-    ],
-    ids=["boson-cap", "boson", "boson-vacuum", "fermion"],
-)
-def test_built_state_adopts_the_builders_array(monkeypatch, build, sq):
-    adopted = []
-    built = PureBipartiteState._built.__func__
-
-    def spy(cls, statistics, weights, tail_bound):
-        adopted.append(weights)
-        return built(cls, statistics, weights, tail_bound)
-
-    monkeypatch.setattr(PureBipartiteState, "_built", classmethod(spy))
-    state = build(sq)
-    assert len(adopted) == 1 and state.weights is adopted[0]
-    assert state.weights.dtype == np.float64
-    assert not state.weights.flags.writeable
-    assert state.statistics is sq.statistics
 
 
 # A state stores only its weights, the squares of the builder's amplitudes;

@@ -1,12 +1,22 @@
 """End-to-end CLI tests driven through main(), asserting on captured bytes.
 
-A few corpus rows also run in a fresh interpreter, as a user runs the command.
+Each command's output lives in one place, the corpus ``data/cli_corpus.json``:
+a row pins one command's stdout, stderr and exit code, and
+test_corpus_row_keeps_the_output_contract checks the documented shape of
+that row's live output without reading a recorded digit.  A few corpus rows
+also run in a fresh interpreter, as a user runs the command.
+
+The rest of this file holds what a row's bytes cannot show: the option set,
+argument errors, output files, memory gates, chunk and batch edges, the
+level limit and the agreement of --omega and --x.
 """
 
 import argparse
+import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -21,18 +31,14 @@ from collapsar.cli import MAX_SWEEP_POINTS, build_parser, main
 from collapsar.entanglement import (
     _json_number,
     _reduction,
-    format_float,
     sweep,
     temperature_ratio_fit,
 )
-from collapsar.fock import mean_occupation
-from collapsar.geometry import BlackHoleParams, ModeChannel, squeezing_for
+from collapsar.fock import FERMION_BASIS, mean_occupation
+from collapsar.geometry import FOUR_PI, BlackHoleParams, ModeChannel, squeezing_for
 from collapsar.states import EPS_TAIL_DEFAULT
 
-HEADER_LINE = ",".join(CSV_HEADER)
 DATA = Path(__file__).parent / "data"
-# Root of S_fermion - S_boson, frozen from mpmath.findroot at 30 digits.
-X_STAR = 0.40671361302244355
 
 
 def fresh_interpreter(entry, argv, **env):
@@ -53,6 +59,11 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def option(argv, name, default=None):
+    """The value that follows ``name`` in ``argv``, or ``default``."""
+    return argv[argv.index(name) + 1] if name in argv else default
 
 
 OPTIONS = {
@@ -114,16 +125,7 @@ class TestArgumentErrors:
         assert (code, out) == (2, "")
         assert f"gives omega = {omega}, not a positive normal float" in err
 
-    def test_sweep_needs_two_points(self, capsys):
-        code, _, err = run(
-            capsys,
-            ["sweep", "--mass", "1", "--omega-min", "0.1", "--omega-max", "0.2",
-             "--points", "1"],
-        )
-        assert code == 2
-        assert "points" in err
-
-    @pytest.mark.parametrize("points", [MAX_SWEEP_POINTS + 1, 10**12])
+    @pytest.mark.parametrize("points", [1, MAX_SWEEP_POINTS + 1, 10**12])
     def test_sweep_points_are_bounded_before_the_grid_is_built(
         self, capsys, traced_memory, points
     ):
@@ -135,7 +137,7 @@ class TestArgumentErrors:
         assert time.perf_counter() - start < 5.0
         assert peak < 2**20
         assert (code, out) == (2, "")
-        assert f"points must be between 2 and {MAX_SWEEP_POINTS}, got {points}" in err
+        assert err == f"error: points must be between 2 and {MAX_SWEEP_POINTS}, got {points}\n"
 
     # The range is refused before numpy spaces a grid over inf, which warns
     # "invalid value encountered in multiply".
@@ -150,111 +152,7 @@ class TestArgumentErrors:
         assert (code, out) == (2, "")
         assert err == "error: omega-max must be a finite positive real, got inf\n"
 
-    def test_sweep_needs_increasing_range(self, capsys):
-        code, _, err = run(
-            capsys,
-            ["sweep", "--mass", "1", "--omega-min", "0.2", "--omega-max", "0.1",
-             "--points", "5"],
-        )
-        assert code == 2
-        assert "omega" in err
-
-
-class TestNumericalFailures:
-    def test_infrared_mode_exits_3(self, capsys):
-        code, out, err = run(capsys, ["entropy", "--mass", "1", "--x", "1e-9"])
-        assert code == 3 and err == ""
-        lines = out.strip().split("\n")
-        # Both rows fail, and both are still emitted, as a sweep's would be.
-        assert lines[0] == HEADER_LINE
-        assert len(lines) == 3
-        assert all("below floor" in li for li in lines[1:])
-
-    def test_sweep_with_no_representable_mode_exits_3(self, capsys):
-        code, out, _ = run(
-            capsys,
-            ["sweep", "--mass", "1", "--omega-min", "1e-10", "--omega-max", "1e-9",
-             "--points", "2"],
-        )
-        assert code == 3
-        lines = out.strip().split("\n")
-        # Rows are still emitted so the failure is inspectable.
-        assert lines[0] == HEADER_LINE
-        assert len(lines) == 5
-        assert all("below floor" in li for li in lines[1:])
-
-    def test_entropy_with_overflowing_x_exits_3(self, capsys):
-        code, out, err = run(capsys, ["entropy", "--mass", "1e300", "--omega", "1e10"])
-        assert code == 3 and err == ""
-        rows = [li.split(",") for li in out.strip().split("\n")[1:]]
-        assert len(rows) == 2
-        for r in rows:
-            assert r[0] == "inf"
-            assert r[4:9] == ["nan"] * 5
-            assert r[-1] == "x = inf is not a finite positive float"
-
-    def test_sweep_keeps_rows_past_overflowing_x(self, capsys):
-        code, out, err = run(
-            capsys,
-            ["sweep", "--mass", "1e300", "--omega-min", "1", "--omega-max", "1e10",
-             "--points", "3"],
-        )
-        assert code == 0 and err == ""
-        rows = [li.split(",") for li in out.strip().split("\n")[1:]]
-        assert len(rows) == 6
-        # x = 1.26e301 and 1.26e306 are frozen-out modes; the last x is inf.
-        assert all(r[-1] == "" and r[4] == "0" for r in rows[:4])
-        for r in rows[4:]:
-            assert r[0] == "inf"
-            assert r[4:9] == ["nan"] * 5
-            assert r[-1] == "x = inf is not a finite positive float"
-
-    def test_sweep_with_underflowing_x_keeps_rows_and_exits_3(self, capsys):
-        code, out, err = run(
-            capsys,
-            ["sweep", "--mass", "1e-300", "--omega-min", "1e-300",
-             "--omega-max", "1e-10", "--points", "3"],
-        )
-        assert code == 3 and err == ""
-        rows = [li.split(",") for li in out.strip().split("\n")[1:]]
-        assert len(rows) == 6
-        assert all("below floor" in r[-1] for r in rows)
-        # x underflows to 0 at the first two points: no closed form either.
-        assert all(r[0] == "0" and r[4] == "nan" for r in rows[:4])
-        assert [r[4] for r in rows[4:]] == ["inf", "2"]
-
-
 class TestEntropyCommand:
-    def test_csv_shape_and_header(self, capsys):
-        code, out, err = run(capsys, ["entropy", "--mass", "1", "--x", "1"])
-        assert code == 0 and err == ""
-        lines = out.strip().split("\n")
-        assert lines[0] == HEADER_LINE
-        assert len(lines) == 3
-        assert lines[1].split(",")[3] == "boson"
-        assert lines[2].split(",")[3] == "fermion"
-
-    def test_single_statistics(self, capsys):
-        code, out, _ = run(
-            capsys, ["entropy", "--mass", "1", "--x", "1", "--stats", "fermion"]
-        )
-        assert code == 0
-        lines = out.strip().split("\n")
-        assert len(lines) == 2
-        assert lines[1].split(",")[3] == "fermion"
-
-    def test_json_rows_mirror_csv_schema(self, capsys):
-        code, out, _ = run(
-            capsys, ["entropy", "--mass", "1", "--x", "1", "--format", "json"]
-        )
-        assert code == 0
-        docs = json.loads(out)
-        assert [d["statistics"] for d in docs] == ["boson", "fermion"]
-        for d in docs:
-            assert tuple(d) == CSV_HEADER
-            assert d["error"] is None
-            assert abs(d["gap"]) < 1e-9
-
     def test_omega_entry_point(self, capsys):
         omega = 1.0 / (4.0 * math.pi)
         _, out_omega, _ = run(capsys, ["entropy", "--mass", "1", "--omega", repr(omega)])
@@ -265,12 +163,6 @@ class TestEntropyCommand:
         row_x = out_x.strip().split("\n")[1].split(",")
         assert abs(float(row_o[0]) - float(row_x[0])) < 1e-15
         assert abs(float(row_o[4]) - float(row_x[4])) < 1e-14
-
-    def test_byte_determinism(self, capsys):
-        argv = ["entropy", "--mass", "1", "--x", "0.7"]
-        _, first, _ = run(capsys, argv)
-        _, second, _ = run(capsys, argv)
-        assert first == second
 
     def test_output_file_matches_stdout(self, capsys, tmp_path):
         argv = ["entropy", "--mass", "1", "--x", "0.7"]
@@ -305,29 +197,6 @@ class TestEntropyCommand:
 
 
 class TestSweepCommand:
-    def test_row_count_and_exit(self, capsys):
-        code, out, _ = run(
-            capsys,
-            ["sweep", "--mass", "1", "--omega-min", "0.01", "--omega-max", "0.1",
-             "--points", "4"],
-        )
-        assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0] == HEADER_LINE
-        assert len(lines) == 1 + 4 * 2
-
-    def test_partial_failure_keeps_exit_0(self, capsys):
-        code, out, _ = run(
-            capsys,
-            ["sweep", "--mass", "1", "--omega-min", "1e-8", "--omega-max", "0.1",
-             "--points", "3", "--stats", "boson"],
-        )
-        assert code == 0
-        lines = out.strip().split("\n")[1:]
-        assert len(lines) == 3
-        assert "below floor" in lines[0]
-        assert lines[-1].split(",")[-1] == ""
-
     def test_csv_rows_are_not_held_as_text(self, tmp_path, traced_memory):
         # Rows go to the handle one at a time: beyond what the library sweep
         # holds, writing the file may cost only a fraction of its size.  The
@@ -369,27 +238,6 @@ class TestSweepCommand:
         assert peaks[1] - peaks[0] < size / 4
         assert len(json.loads(target.read_text())) == 2 * points
 
-    def test_linear_grid(self, capsys):
-        code, out, _ = run(
-            capsys,
-            ["sweep", "--mass", "1", "--omega-min", "0.01", "--omega-max", "0.03",
-             "--points", "3", "--grid", "linear", "--stats", "boson"],
-        )
-        assert code == 0
-        omegas = [float(li.split(",")[1]) for li in out.strip().split("\n")[1:]]
-        # 17 significant digits round-trip doubles exactly.
-        assert omegas == [float(o) for o in np.linspace(0.01, 0.03, 3)]
-
-    def test_sweep_byte_determinism(self, capsys):
-        argv = [
-            "sweep", "--mass", "1", "--omega-min", "0.005", "--omega-max", "0.5",
-            "--points", "7", "--format", "json",
-        ]
-        _, first, _ = run(capsys, argv)
-        _, second, _ = run(capsys, argv)
-        assert first == second
-        assert len(json.loads(first)) == 14
-
     # A JSON sweep is written cli._JSON_BATCH reports at a time.  Filling a
     # batch, crossing into a second and filling two must each give the
     # document json.dumps renders for the whole list; its floats round-trip,
@@ -412,38 +260,6 @@ class TestSweepCommand:
         doc = json.loads(out)
         assert len(doc) == points * (2 if stats == "both" else 1)
         assert out == json.dumps(doc, indent=2) + "\n"
-
-
-class TestCrossoverCommand:
-    def parse(self, text):
-        fields = {}
-        for line in text.strip().split("\n"):
-            key, _, value = line.partition(" = ")
-            fields[key] = value
-        return fields
-
-    def test_output_fields(self, capsys):
-        code, out, err = run(capsys, ["crossover", "--mass", "1"])
-        assert code == 0 and err == ""
-        fields = self.parse(out)
-        assert list(fields) == ["x_star", "omega_star", "residual", "iterations"]
-        x_star = float(fields["x_star"])
-        assert abs(x_star - X_STAR) <= 4.0 * math.ulp(X_STAR)
-        assert abs(float(fields["residual"])) <= 1e-14
-        assert int(fields["iterations"]) > 0
-        assert float(fields["omega_star"]) == pytest.approx(
-            x_star / (4.0 * math.pi), rel=1e-15
-        )
-
-    def test_mass_scaling_is_exact(self, capsys):
-        _, out1, _ = run(capsys, ["crossover", "--mass", "1"])
-        _, out2, _ = run(capsys, ["crossover", "--mass", "2"])
-        f1, f2 = self.parse(out1), self.parse(out2)
-        # x* is geometric, mass free; omega* halves exactly when m doubles
-        # because scaling by 2 is exact in binary floating point.
-        assert f1["x_star"] == f2["x_star"]
-        assert f1["residual"] == f2["residual"]
-        assert float(f1["omega_star"]) == 2.0 * float(f2["omega_star"])
 
 
 # The work bound at its edge, lowered to a small command's own count: a
@@ -476,8 +292,8 @@ def test_level_limit_edge(capsys, tmp_path, monkeypatch, limit, argv, omegas):
 
 def library_document(argv):
     """The document a state or spectrum command prints, built whole from the library."""
-    stats = argv[argv.index("--stats") + 1]
-    omega = cli._omega_from_x(float(argv[argv.index("--x") + 1]), 1.0)
+    stats = option(argv, "--stats")
+    omega = cli._omega_from_x(float(option(argv, "--x")), 1.0)
     sq = squeezing_for(BlackHoleParams(mass=1.0), ModeChannel(omega, stats))
     rho = _reduction(sq, EPS_TAIL_DEFAULT)
     doc = {"squeezing": sq.to_json_dict(), **rho.to_json_dict()}
@@ -574,56 +390,6 @@ class TestStateAndSpectrum:
         d = 1_922_541
         assert growth < 8 * d + 4 * 2**20
 
-    def test_boson_state_document(self, capsys):
-        code, out, _ = run(
-            capsys, ["state", "--mass", "1", "--x", "1", "--stats", "boson"]
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert set(doc) == {"squeezing", "basis", "diag", "offdiag_norm"}
-        assert doc["squeezing"]["statistics"] == "boson"
-        assert doc["squeezing"]["x"] == pytest.approx(1.0, rel=1e-15)
-        assert doc["basis"] == list(range(len(doc["diag"])))
-        assert doc["offdiag_norm"] == 0.0
-        q = math.exp(-2.0)
-        assert doc["diag"][0] == pytest.approx(1.0 - q, abs=1e-12)
-
-    def test_fermion_state_document(self, capsys):
-        code, out, _ = run(
-            capsys, ["state", "--mass", "1", "--x", "1", "--stats", "fermion"]
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["basis"] == [[0, 0], [0, 1], [1, 0], [1, 1]]
-        assert sum(doc["diag"]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_spectrum_adds_fit_columns(self, capsys):
-        code, out, _ = run(
-            capsys, ["spectrum", "--mass", "1", "--x", "1", "--stats", "boson"]
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert set(doc) == {
-            "squeezing", "basis", "diag", "offdiag_norm", "mean_occ", "T_ratio"
-        }
-        assert doc["mean_occ"] == pytest.approx(1.0 / math.expm1(2.0), rel=1e-9)
-        assert doc["T_ratio"] == pytest.approx(1.0, abs=1e-6)
-
-    def test_spectrum_null_fit_when_unfittable(self, capsys):
-        code, out, _ = run(
-            capsys, ["spectrum", "--mass", "1", "--x", "30", "--stats", "boson"]
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["T_ratio"] is None
-
-    def test_state_byte_determinism(self, capsys):
-        argv = ["state", "--mass", "1", "--x", "2", "--stats", "fermion"]
-        _, first, _ = run(capsys, argv)
-        _, second, _ = run(capsys, argv)
-        assert first == second
-
-
 @pytest.mark.parametrize(
     "name, argv",
     [
@@ -643,13 +409,95 @@ def test_output_matches_golden_bytes(capsys, name, argv):
 
 
 CORPUS = json.loads((DATA / "cli_corpus.json").read_text())
+CORPUS_IDS = ["_".join(c["argv"]) for c in CORPUS]
 
 
-@pytest.mark.parametrize("case", CORPUS, ids=["_".join(c["argv"]) for c in CORPUS])
+@pytest.mark.parametrize("case", CORPUS, ids=CORPUS_IDS)
 def test_corpus_matches_golden_bytes(capsys, case):
     # Captured before the crossover bracket and the infrared floor became
     # constants; never regenerate it to make this pass.
     assert run(capsys, case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
+def check_rows(argv, code, out):
+    """entropy and sweep: a report per frequency and statistics, in CSV_HEADER order.
+
+    An error row has nan (JSON null) numerics, and the command exits 3
+    only when every row is one.
+    """
+    stats = option(argv, "--stats", "both")
+    stats = ["boson", "fermion"] if stats == "both" else [stats]
+    if option(argv, "--format") == "json":
+        rows = json.loads(out)
+        assert out == json.dumps(rows, indent=2) + "\n"
+        assert all(tuple(r) == CSV_HEADER for r in rows)
+        nan = no_error = None
+    else:
+        header, *lines = csv.reader(out.splitlines())
+        assert tuple(header) == CSV_HEADER
+        assert all(len(line) == len(CSV_HEADER) for line in lines)
+        rows = [dict(zip(CSV_HEADER, line)) for line in lines]
+        nan, no_error = "nan", ""
+    assert [r["statistics"] for r in rows] == stats * int(option(argv, "--points", 1))
+    for i in range(0, len(rows), len(stats)):
+        assert len({r["omega"] for r in rows[i : i + len(stats)]}) == 1
+    failed = [r["error"] != no_error for r in rows]
+    for r, fails in zip(rows, failed):
+        assert (r["S_numeric"] == nan) is fails
+        if fails:
+            assert r["error"]
+            assert [r["gap"], r["mean_occ"], r["T_ratio"]] == [nan] * 3
+    assert code == (3 if all(failed) else 0)
+
+
+def check_document(argv, out):
+    """state and spectrum: json.dumps's layout of a diagonal reduced state."""
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    keys = ["squeezing", "basis", "diag", "offdiag_norm"]
+    assert list(doc) == keys + (["mean_occ", "T_ratio"] if argv[0] == "spectrum" else [])
+    assert list(doc["squeezing"]) == ["statistics", "r", "x"]
+    assert doc["squeezing"]["statistics"] == option(argv, "--stats")
+    diag = doc["diag"]
+    if doc["squeezing"]["statistics"] == "boson":
+        assert doc["basis"] == list(range(len(diag)))
+    else:
+        assert doc["basis"] == [list(pair) for pair in FERMION_BASIS]
+    assert doc["offdiag_norm"] == 0.0
+    assert all(a >= b for a, b in zip(diag, diag[1:]))
+    assert abs(math.fsum(diag) - 1.0) <= 1e-6
+
+
+def check_crossover(argv, out):
+    """crossover: four ``key = value`` lines; omega* is x* / (4 pi mass), exactly."""
+    fields = [line.split(" = ") for line in out.splitlines()]
+    assert [key for key, _ in fields] == ["x_star", "omega_star", "residual", "iterations"]
+    fields = dict(fields)
+    mass = float(option(argv, "--mass"))
+    assert float(fields["omega_star"]) == float(fields["x_star"]) / (FOUR_PI * mass)
+    assert int(fields["iterations"]) > 0
+    assert fields["iterations"] == str(int(fields["iterations"]))
+
+
+@pytest.mark.parametrize("case", CORPUS, ids=CORPUS_IDS)
+def test_corpus_row_keeps_the_output_contract(capsys, case):
+    # The documented shape of each row's live output.  It reads no recorded
+    # digit, so a change of printed digits leaves it as it is.
+    argv = case["argv"]
+    code, out, err = run(capsys, argv)
+    if code == 2 or (code == 3 and argv[0] in ("state", "spectrum")):
+        assert out == ""
+        assert re.fullmatch(r"error: [^\n]+\n", err)
+        return
+    assert err == ""
+    if argv[0] in ("entropy", "sweep"):
+        check_rows(argv, code, out)
+        return
+    assert code == 0
+    if argv[0] == "crossover":
+        check_crossover(argv, out)
+    else:
+        check_document(argv, out)
 
 
 # One corpus row per command and exit code, run as a user runs the command:
@@ -683,7 +531,3 @@ def test_fresh_rows_cover_every_command_and_exit_code():
     assert {c["argv"][0] for c in FRESH_CASES} == set(OPTIONS)
     assert {c["code"] for c in FRESH_CASES} == {0, 2, 3}
 
-
-def test_format_float_examples():
-    assert format_float(1.0) == "1"
-    assert format_float(0.1) == "0.10000000000000001"

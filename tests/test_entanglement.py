@@ -666,10 +666,10 @@ class TestEntropyReport:
             1.0 / (math.exp(2.0 * r.x) + 1.0), rel=1e-9
         )
 
-    # x = 1e-4 keeps 180,742 levels (a dense complex operator: 523 GB).  The
-    # state's weights become the diagonal; the entropy's terms, the
-    # occupation's numbers and the fit's log levels (and one block of
-    # centred levels) come and go beside it: three level vectors at most.
+    # x = 1e-4 keeps 180,742 levels.  The state's weights become the
+    # diagonal; the entropy's terms, the occupation's numbers and the fit's
+    # log levels (and one block of centred levels) come and go beside it:
+    # three level vectors at most.
     # The fit over the 130,000 levels above its floor reads the Hawking
     # temperature to 2 ulp; amplitudes built as w^n, not from x, carry the
     # rounding of w n-fold and read it 5.4e-14 off at 16,384 levels.
@@ -744,22 +744,11 @@ class TestCrossover:
         assert math.nextafter(lo, math.inf) == hi
         assert f(lo) * f(hi) < 0.0
 
-    def test_sign_structure_around_root(self):
-        # Fermions win above the root, bosons below.
-        def f(x):
-            return fermion_entropy(SqueezingParams.from_x(F, x)) - boson_entropy(
-                SqueezingParams.from_x(B, x)
-            )
-
-        assert f(0.1) < 0.0
-        assert f(0.3) < 0.0
-        assert f(0.5) > 0.0
-        assert f(1.0) > 0.0
-
     def test_single_sign_change_lies_in_fixed_bracket(self):
         # crossover() bisects CROSSOVER_BRACKET without a check of its own:
         # on a log grid over [1e-3, 100], S_f - S_b is never 0, changes
         # sign exactly once, and does so strictly inside the bracket.
+        # Bosons win below the root, fermions above.
         xs = np.geomspace(1e-3, 100.0, 200)
         diff = np.array([
             fermion_entropy(SqueezingParams.from_x(F, float(x)))
@@ -767,6 +756,7 @@ class TestCrossover:
             for x in xs
         ])
         assert np.all(diff != 0.0)
+        assert diff[0] < 0.0 < diff[-1]
         (flips,) = np.nonzero(np.sign(diff[:-1]) != np.sign(diff[1:]))
         assert len(flips) == 1
         lo, hi = CROSSOVER_BRACKET
@@ -992,7 +982,7 @@ class TestSerialisation:
         assert row[5] == "nan"
         assert "below floor" in row[9]
         doc = report_json_dict(bad)
-        assert doc["S_numeric"] is None
+        assert [doc[k] for k in ("S_numeric", "gap", "mean_occ", "T_ratio")] == [None] * 4
         assert doc["error"] == bad.error
 
     def test_json_dict_keys_match_csv_header(self):

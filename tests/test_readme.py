@@ -12,7 +12,8 @@ from collapsar.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
-# Eigensolver output: compared by value, not by its last printed digit.
+# Compared by value, not by their last printed digit: numpy's dispatched
+# exp and log2 can move that digit from host to host (ROADMAP item 11).
 VALUE_COLUMNS = ("S_numeric", "gap")
 
 

@@ -1,12 +1,14 @@
 """Each input rule, tested once: one table of entry points × values per rule.
 
 The rules are the finite-positive rule, the statistics value rule, the
-statistics match rule and the ``eps_tail`` rule.  Each table covers every
-entry point that applies its rule, library and CLI, and each row asserts
-the exact message.  A CLI row is a command line with a slot for the value;
-it also asserts exit 2, an empty stdout and exactly ``error: <message>`` on
-stderr.  An ``_accepts`` twin runs values at a rule's edges, which no entry
-point refuses under that rule.  No other test file asserts these messages.
+statistics match rule, the ``eps_tail`` rule and the infrared floor.  Each
+table covers every entry point that applies its rule, library and CLI, and
+each row asserts the exact message; the floor's command lines, which exit 3
+or keep an in-band row, are corpus rows (``tests/data/cli_corpus.json``).
+A CLI row is a command line with a slot for the value; it also asserts
+exit 2, an empty stdout and exactly ``error: <message>`` on stderr.  An
+``_accepts`` twin runs values at a rule's edges, which no entry point
+refuses under that rule.  No other test file asserts these messages.
 """
 
 import dataclasses
@@ -33,7 +35,7 @@ from collapsar.cli import main
 from collapsar.errors import SqueezingOverflowError
 from collapsar.entanglement import temperature_ratio_fit
 from collapsar.fock import DensityOperator, PureBipartiteState
-from collapsar.geometry import FOUR_PI
+from collapsar.geometry import FOUR_PI, X_MIN, squeezing_for
 from collapsar.states import EPS_TAIL_MAX, EPS_TAIL_MIN
 
 B = Statistics.BOSON
@@ -279,3 +281,48 @@ def test_fraction_rule_accepts(capsys, entry, value):
     got = run(EPS_TAIL[entry], value)
     if cli(entry):
         assert got == 0 and capsys.readouterr().err == ""
+
+
+# The infrared floor: x below X_MIN, 0 included, or x = inf.  At the first
+# two modes' mass 4 pi m is exactly 1, so x is omega bit for bit.
+UNIT_X_MASS = 1.0 / FOUR_PI
+BELOW_X_MIN = math.nextafter(X_MIN, 0.0)
+
+
+def floor_message(x):
+    return (
+        f"x = {x!r} below floor {X_MIN!r}: mode too soft for a faithful truncated representation"
+    )
+
+
+# Mode -> (mass, omega, the message).
+FLOOR_MODES = {
+    "x=1e-7": (UNIT_X_MASS, 1e-7, floor_message(1e-7)),
+    "below-X_MIN": (UNIT_X_MASS, BELOW_X_MIN, floor_message(BELOW_X_MIN)),
+    "underflow": (1e-300, 1e-300, floor_message(0.0)),
+    "overflow": (1e300, 1e10, "x = inf is not a finite positive float"),
+}
+
+
+@pytest.mark.parametrize("statistics", [B, F])
+@pytest.mark.parametrize("mode", list(FLOOR_MODES))
+@pytest.mark.parametrize("entry", ["squeezing_for", "entropy_report", "sweep"])
+def test_floor_rule(entry, mode, statistics):
+    mass, omega, message = FLOOR_MODES[mode]
+    params, channel = BlackHoleParams(mass=mass), ModeChannel(omega, statistics)
+    if entry == "sweep":
+        # A sweep keeps the mode as a row, with the message in band.
+        (row,) = sweep(params, [omega], statistics=statistics)
+        assert row.error == message
+        return
+    call = squeezing_for if entry == "squeezing_for" else entropy_report
+    with pytest.raises(SqueezingOverflowError) as info:
+        call(params, channel)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("x", [1e-7, BELOW_X_MIN])
+def test_floor_rule_in_the_boson_builder(x):
+    with pytest.raises(SqueezingOverflowError) as info:
+        build_boson_state(SqueezingParams(B, x))
+    assert str(info.value) == floor_message(x)

@@ -34,6 +34,8 @@ from .entanglement import (
 from .errors import SqueezingOverflowError
 from .fock import mean_occupation, partial_trace
 from .geometry import (
+    _BOSON,
+    _FERMION,
     FOUR_PI,
     BlackHoleParams,
     ModeChannel,
@@ -89,7 +91,7 @@ def _channel_omega(args: argparse.Namespace) -> float:
 
 def _stats_list(value: str) -> tuple[Statistics, ...]:
     if value == "both":
-        return (Statistics.BOSON, Statistics.FERMION)
+        return (_BOSON, _FERMION)
     return (Statistics(value),)
 
 
@@ -103,15 +105,28 @@ def _require_levels(
     """
     _validate_eps_tail(args.eps_tail)
     levels = 0
-    if Statistics.BOSON in _stats_list(args.stats):
+    if _BOSON in _stats_list(args.stats):
         for om in omegas:
             with contextlib.suppress(SqueezingOverflowError):
-                sq = squeezing_for(params, ModeChannel(om, Statistics.BOSON))
+                sq = squeezing_for(params, ModeChannel(om, _BOSON))
                 levels += _boson_cut(sq, args.eps_tail)[0]
     if levels > MAX_ROW_LEVELS:
         raise ValueError(
             f"the boson states need {levels} levels, over the limit of {MAX_ROW_LEVELS}"
         )
+
+
+def _write_list(fh, head: str, n: int, size: int, tail: str, render) -> None:
+    """Write head, the n >= 1 entries of a list, size at a time, then tail.
+
+    ``render(start, stop)`` lays out those entries as json.dumps(..., indent=2)
+    does inside the list; ",\n" joins the chunks, so no whole text is held.
+    """
+    sep = head
+    for start in range(0, n, size):
+        fh.write(sep + render(start, min(start + size, n)))
+        sep = ",\n"
+    fh.write(tail)
 
 
 def _write_rows(
@@ -120,7 +135,7 @@ def _write_rows(
     """Sweep the grid, then write one row per report; exit 3 only if every row failed.
 
     A JSON document is json.dumps's indent-2 layout of the list of reports,
-    written _JSON_BATCH reports' objects at a time: no whole text.
+    written by _write_list _JSON_BATCH reports at a time: no whole text.
     """
     _require_levels(args, params, omegas)
     reports = sweep(
@@ -128,15 +143,11 @@ def _write_rows(
     )
     with _output(args) as fh:
         if args.format == "json":
-            # A batch's document is "[\n" + its items + "\n]", each item at
-            # the whole list's indent, so the batches' items, joined by ",\n",
-            # make the whole document's.  A sweep holds at least one report.
-            sep = "[\n"
-            for start in range(0, len(reports), _JSON_BATCH):
-                batch = [report_json_dict(r) for r in reports[start : start + _JSON_BATCH]]
-                fh.write(sep + json.dumps(batch, indent=2)[2:-2])
-                sep = ",\n"
-            fh.write("\n]\n")
+            # A batch's text less "[\n" and "\n]" is its items at the list's indent.
+            _write_list(
+                fh, "[\n", len(reports), _JSON_BATCH, "\n]\n",
+                lambda a, b: json.dumps(list(map(report_json_dict, reports[a:b])), indent=2)[2:-2],
+            )
         else:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_HEADER)
@@ -183,25 +194,11 @@ def cmd_crossover(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_array(fh, key: str, n: int, render) -> None:
-    """Write the array ``key`` of n entries as json.dumps lays it out in the document.
-
-    ``render(start, stop)`` gives the text of those entries, one per line.
-    The entries go _DOC_CHUNK at a time, and the chunks' lines, joined by
-    ",\n", make the whole array's.
-    """
-    sep = f',\n  "{key}": [\n'
-    for start in range(0, n, _DOC_CHUNK):
-        fh.write(sep + "    " + ",\n    ".join(render(start, min(start + _DOC_CHUNK, n))))
-        sep = ",\n"
-    fh.write("\n  ]")
-
-
 def cmd_reduced(args: argparse.Namespace) -> int:
     """Write json.dumps(doc, indent=2) + "\n" for the reduced state, with no whole text.
 
     The header and the tail go through json.dumps, without the braces that
-    close or open them; the arrays go through _write_array.  A float's
+    close or open them; the arrays go through _write_list.  A float's
     line is its repr, as in json.dumps; the diagonal is finite.
     """
     params = BlackHoleParams(mass=args.mass)
@@ -215,12 +212,14 @@ def cmd_reduced(args: argparse.Namespace) -> int:
         tail["T_ratio"] = _json_number(temperature_ratio_fit(rho, sq.x))
     with _output(args) as fh:
         fh.write(json.dumps({"squeezing": sq.to_json_dict()}, indent=2)[:-2])
-        if channel.statistics is Statistics.FERMION:
+        if rho.statistics is _FERMION:
             # The pair labels nest as lists.
             fh.write(",\n" + json.dumps({"basis": rho.basis}, indent=2)[2:-2])
         else:
-            _write_array(fh, "basis", rho.dim, lambda a, b: map(str, range(a, b)))
-        _write_array(fh, "diag", rho.dim, lambda a, b: map(repr, rho.diag[a:b].tolist()))
+            _write_list(fh, ',\n  "basis": [\n', rho.dim, _DOC_CHUNK, "\n  ]",
+                        lambda a, b: "    " + ",\n    ".join(map(str, range(a, b))))
+        _write_list(fh, ',\n  "diag": [\n', rho.dim, _DOC_CHUNK, "\n  ]",
+                    lambda a, b: "    " + ",\n    ".join(map(repr, rho.diag[a:b].tolist())))
         fh.write(",\n" + json.dumps(tail, indent=2)[2:] + "\n")
     return 0
 

@@ -45,12 +45,11 @@ def _boson_cut(squeezing: SqueezingParams, eps_tail: float) -> tuple[int, float]
     q = w * w
     if q == 0.0:
         return 1, 0.0
-    target = eps_tail * (1.0 - q)
-    d = max(1, math.ceil(math.log(target) / math.log(q)))
-    # The log estimate can land one level off; settle it exactly.
-    while q**d >= target:
+    d = max(1, math.ceil(math.log(eps_tail * (1.0 - q)) / math.log(q)))
+    # The log estimate can land one level off; settle it on the bound it reports.
+    while q**d / (1.0 - q) >= eps_tail:
         d += 1
-    while d > 1 and q ** (d - 1) < target:
+    while d > 1 and q ** (d - 1) / (1.0 - q) < eps_tail:
         d -= 1
     return d, q**d / (1.0 - q)
 

@@ -19,9 +19,7 @@ expects a kill runs its ``expect`` tests; one that expects none runs all of
 ``tests/``.  Each mutant gives one JSON line: ``killed``, ``survived``,
 ``absent`` (the old text does not occur once) or ``error`` (pytest could
 not run), with the first failing id.  A summary line follows, and the exit
-code is 1 if any status differs from what the entry expects.  A test that
-starts a fresh interpreter puts this checkout's own ``src/`` first on the
-child's path, so it runs unmutated code and kills nothing here.
+code is 1 if any status differs from what the entry expects.
 """
 
 from __future__ import annotations
@@ -48,6 +46,7 @@ FERMION_GENERATOR = (
     "::test_amplitudes_derive_from_the_pair_creation_generator"
 )
 ROOT_FROZEN = "tests/test_entanglement.py::TestCrossover::test_root_matches_frozen_value"
+ORACLE_BITS = "tests/test_entanglement.py::TestSpectrumPath"
 
 
 class Mutant(NamedTuple):
@@ -162,8 +161,7 @@ MUTANTS = [
         "        float(channel.omega),\n",
         "        sq.x / (4.0 * math.pi * float(params.mass)),\n",
         "a report echoes an omega recomputed from x, not the one asked for",
-        # Only the bytes of the criterion-9 sweep show it.
-        ("tests/test_cli.py",),
+        ("tests/test_entanglement.py::TestOneStepRecords::test_report[omega-echo-boson]",),
     ),
     Mutant(
         "report_mass_one_ulp_up", "entanglement.py",
@@ -194,22 +192,21 @@ MUTANTS = [
     ),
     Mutant(
         "cut_without_upward_settle", "states.py",
-        "while q**d >= target:", "while False:",
+        "while q**d / (1.0 - q) >= eps_tail:", "while False:",
         "the cut keeps the log estimate where it lands a level short",
         (MINIMAL_CUT,),
     ),
     Mutant(
         "cut_without_downward_settle", "states.py",
-        "while d > 1 and q ** (d - 1) < target:", "while False:",
+        "while d > 1 and q ** (d - 1) / (1.0 - q) < eps_tail:", "while False:",
         "the cut keeps the log estimate where it lands a level long",
         (MINIMAL_CUT,),
     ),
     Mutant(
         "cut_upward_strict", "states.py",
-        "while q**d >= target:", "while q**d > target:",
-        "the cut at a tail exactly on eps_tail * (1 - q)",
-        "survives: it differs only where q**d equals eps_tail * (1 - q) exactly,"
-        " which no test reaches",
+        "while q**d / (1.0 - q) >= eps_tail:", "while q**d / (1.0 - q) > eps_tail:",
+        "the cut keeps a tail bound exactly at eps_tail, not below it",
+        (MINIMAL_CUT,),
     ),
     Mutant(
         "control_identity_map", "fock.py",
@@ -239,6 +236,70 @@ MUTANTS = [
             "tests/test_cli.py::TestSweepCommand::test_json_batches_make_the_whole_document",
             "tests/test_cli.py::TestStateAndSpectrum::test_chunks_make_the_whole_document",
         ),
+    ),
+    Mutant(
+        "float_format_16", "entanglement.py",
+        '"%.17g"', '"%.16g"',
+        "CSV floats print 16 significant digits, which do not round-trip",
+        (CORPUS_BYTES,),
+    ),
+    Mutant(
+        "csv_error_dash", "entanglement.py",
+        'report.error or ""', 'report.error or "-"',
+        "a CSV row with no error prints a dash in the error field",
+        (CORPUS_BYTES,),
+    ),
+    Mutant(
+        "json_number_keeps_nan", "entanglement.py",
+        "return v if math.isfinite(v) else None", "return v",
+        "JSON output prints NaN, which strict JSON lacks, in place of null",
+        (CORPUS_BYTES,),
+    ),
+    Mutant(
+        "json_keys_swapped", "entanglement.py",
+        '        "gap": _json_number(report.gap),\n'
+        '        "mean_occ": _json_number(report.mean_occ),\n',
+        '        "mean_occ": _json_number(report.mean_occ),\n'
+        '        "gap": _json_number(report.gap),\n',
+        "a JSON report's keys leave CSV_HEADER order",
+        (CORPUS_BYTES,),
+    ),
+    Mutant(
+        "csv_stats_str", "entanglement.py",
+        "        report.statistics._value_,\n        _FLOAT_FORMAT % report.S_closed,",
+        "        str(report.statistics),\n        _FLOAT_FORMAT % report.S_closed,",
+        "a CSV row's statistics prints as the enum's str, not its value",
+        (CORPUS_BYTES,),
+    ),
+    Mutant(
+        "fit_k_lt_1", "entanglement.py",
+        "if k < 2:", "if k < 1:",
+        "the boson fit runs on one level and divides by a zero sum of squares",
+        (ORACLE_BITS,),
+    ),
+    Mutant(
+        "fit_no_slope_sign", "entanglement.py",
+        "if not (math.isfinite(slope) and slope < 0.0):", "if not math.isfinite(slope):",
+        "a flat or rising boson spectrum gets a fitted temperature",
+        (ORACLE_BITS,),
+    ),
+    Mutant(
+        "fit_mid_first", "entanglement.py",
+        "y -= y.item(k // 2)", "y -= y.item(0)",
+        "the fit offsets log p by its first level, not its middle one",
+        (ORACLE_BITS,),
+    ),
+    Mutant(
+        "fit_fermion_equal_ok", "entanglement.py",
+        "or p00 == p01", "or False",
+        "a flat fermion spectrum is fitted, and divides by log 1 = 0",
+        ("tests/test_entanglement.py::TestTemperatureRatio::test_uniform_spectrum_returns_nan",),
+    ),
+    Mutant(
+        "fit_half_off", "entanglement.py",
+        "half = (k - 1) / 2", "half = k / 2",
+        "the fit centres its levels half a level off their mean",
+        (ORACLE_BITS,),
     ),
 ]
 

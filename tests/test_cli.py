@@ -3,16 +3,19 @@
 Each command's output lives in one place, the corpus ``data/cli_corpus.json``:
 a row pins one command's stdout, stderr and exit code, and
 test_corpus_row_keeps_the_output_contract checks the documented shape of
-that row's live output without reading a recorded digit.  A few corpus rows
-also run in a fresh interpreter, as a user runs the command.
+that row's live output without reading a recorded digit.  The rows are also
+the home of a report's rendering: 17-digit floats, the header and key order,
+and an error row's empty field or null numerics.  A few corpus rows also run
+in a fresh interpreter, as a user runs the command.
 
 The rest of this file holds what a row's bytes cannot show: the option set,
-argument errors, output files, memory gates, chunk and batch edges, the
-level limit and the agreement of --omega and --x.
+argument errors, output files, the streamed-output memory gates, chunk and
+batch edges, the level limit and the agreement of --omega and --x.
 """
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -25,12 +28,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import collapsar
 from collapsar import CSV_HEADER, SqueezingOverflowError, build_boson_state
 from collapsar import cli
 from collapsar.cli import MAX_SWEEP_POINTS, build_parser, main
 from collapsar.entanglement import (
     _json_number,
     _reduction,
+    report_csv_row,
+    report_json_dict,
     sweep,
     temperature_ratio_fit,
 )
@@ -40,11 +46,13 @@ from collapsar.states import EPS_TAIL_DEFAULT
 
 
 def fresh_interpreter(entry, argv, **env):
-    """Run the code ``entry`` with ``argv`` in a new interpreter that imports this checkout.
+    """Run the code ``entry`` with ``argv`` in a new interpreter that imports the same collapsar.
 
-    ``env`` is added to the child's environment only.
+    The child's path starts with the ``src`` this run imported collapsar
+    from, so it runs the code under test.  ``env`` is added to the child's
+    environment only.
     """
-    src = str(Path(__file__).parents[1] / "src")
+    src = str(Path(collapsar.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-W", "error", "-c", entry, *argv],
@@ -195,47 +203,6 @@ class TestEntropyCommand:
 
 
 class TestSweepCommand:
-    def test_csv_rows_are_not_held_as_text(self, tmp_path, traced_memory):
-        # Rows go to the handle one at a time: beyond what the library sweep
-        # holds, writing the file may cost only a fraction of its size.  The
-        # fixed costs (argparse, and csv.writer's 128 KiB record buffer) come
-        # to ~160 KB, so the file must be large for a quarter of it to clear them.
-        lo, hi, points = 0.08, 2.0, 4000
-        target = tmp_path / "sweep.csv"
-        argv = ["sweep", "--mass", "1", "--omega-min", repr(lo), "--omega-max", repr(hi),
-                "--points", str(points), "--output", str(target)]
-        build_parser().parse_args(argv)  # argparse compiles its patterns on first use
-        peaks = []
-        for call in (
-            lambda: sweep(BlackHoleParams(mass=1.0), np.geomspace(lo, hi, points).tolist()),
-            lambda: main(argv),
-        ):
-            peaks.append(traced_memory(call)[2])
-        size = target.stat().st_size
-        assert size > 1_000_000
-        assert peaks[1] - peaks[0] < size / 4
-
-    # The JSON twin: reports are rendered and written cli._JSON_BATCH at a
-    # time, so the document text is never held whole.  A JSON report takes
-    # about twice the bytes of a CSV row, so 2,000 points make a 1.2 MB file;
-    # writing it costs ~220 KB beyond the sweep, where the whole text cost 9 MB.
-    def test_json_rows_are_not_held_as_text(self, tmp_path, traced_memory):
-        lo, hi, points = 0.08, 2.0, 2000
-        target = tmp_path / "sweep.json"
-        argv = ["sweep", "--mass", "1", "--omega-min", repr(lo), "--omega-max", repr(hi),
-                "--points", str(points), "--format", "json", "--output", str(target)]
-        build_parser().parse_args(argv)  # argparse compiles its patterns on first use
-        peaks = []
-        for call in (
-            lambda: sweep(BlackHoleParams(mass=1.0), np.geomspace(lo, hi, points).tolist()),
-            lambda: main(argv),
-        ):
-            peaks.append(traced_memory(call)[2])
-        size = target.stat().st_size
-        assert size > 1_000_000
-        assert peaks[1] - peaks[0] < size / 4
-        assert len(json.loads(target.read_text())) == 2 * points
-
     # A JSON sweep is written cli._JSON_BATCH reports at a time.  Filling a
     # batch, crossing into a second and filling two must each give the
     # document json.dumps renders for the whole list; its floats round-trip,
@@ -288,29 +255,27 @@ def test_level_limit_edge(capsys, tmp_path, monkeypatch, limit, argv, omegas):
     assert not target.exists()
 
 
-def library_document(argv):
-    """The document a state or spectrum command prints, built whole from the library."""
+def library_parts(argv):
+    """The squeezing and reduced state of a state or spectrum command, and a spectrum's tail."""
     stats = option(argv, "--stats")
     omega = cli._omega_from_x(float(option(argv, "--x")), 1.0)
     sq = squeezing_for(BlackHoleParams(mass=1.0), ModeChannel(omega, stats))
     rho = _reduction(sq, EPS_TAIL_DEFAULT)
-    doc = {"squeezing": sq.to_json_dict(), **rho.to_json_dict()}
+    tail = {}
     if argv[0] == "spectrum":
-        doc["mean_occ"] = _json_number(mean_occupation(rho))
-        doc["T_ratio"] = _json_number(temperature_ratio_fit(rho, sq.x))
-    return doc
+        tail["mean_occ"] = _json_number(mean_occupation(rho))
+        tail["T_ratio"] = _json_number(temperature_ratio_fit(rho, sq.x))
+    return sq, rho, tail
+
+
+def document_text(parts):
+    """The text a state or spectrum command prints, rendered whole from ``library_parts``."""
+    sq, rho, tail = parts
+    doc = {"squeezing": sq.to_json_dict(), **rho.to_json_dict(), **tail}
+    return json.dumps(doc, indent=2) + "\n"
 
 
 class TestStateAndSpectrum:
-    # A state or spectrum command is bounded only by X_MIN and the eps_tail
-    # floor, as every state is: x = 8.6e-5 needs 211,042 levels, and the
-    # command writes json.dumps's bytes for them.
-    def test_state_past_the_old_document_ceiling(self, capsys):
-        argv = ["state", "--mass", "1", "--x", "8.6e-5", "--stats", "boson"]
-        doc = library_document(argv)
-        assert len(doc["diag"]) == 211_042
-        assert run(capsys, argv) == (0, json.dumps(doc, indent=2) + "\n", "")
-
     # The arrays are written cli._DOC_CHUNK entries at a time.  A chunk of
     # one entry, of two, and of d - 1, d and d + 1 for a mode of d levels
     # must each give the bytes json.dumps renders for the whole document.
@@ -326,35 +291,9 @@ class TestStateAndSpectrum:
         ["spectrum", "--mass", "1", "--x", "40", "--stats", "boson"],
     ], ids=" ".join)
     def test_chunks_make_the_whole_document(self, capsys, monkeypatch, argv, chunk):
-        doc = library_document(argv)
-        monkeypatch.setattr(cli, "_DOC_CHUNK", chunk(len(doc["diag"])))
-        assert run(capsys, argv) == (0, json.dumps(doc, indent=2) + "\n", "")
-
-    # Modelled on test_csv_rows_are_not_held_as_text: beyond what the
-    # library holds to build the state and fit it, writing the document may
-    # cost only a fraction of the file.  x = 1e-4 holds 180,742 levels,
-    # twelve chunks; the whole text and its two lists cost ~46 MB beyond.
-    def test_document_is_not_held_as_text(self, tmp_path, traced_memory):
-        target = tmp_path / "spectrum.json"
-        argv = ["spectrum", "--mass", "1", "--x", "1e-4", "--stats", "boson",
-                "--output", str(target)]
-        build_parser().parse_args(argv)  # argparse compiles its patterns on first use
-        sq = squeezing_for(
-            BlackHoleParams(mass=1.0), ModeChannel(cli._omega_from_x(1e-4, 1.0), "boson")
-        )
-
-        def library():
-            rho = _reduction(sq, EPS_TAIL_DEFAULT)
-            mean_occupation(rho)
-            temperature_ratio_fit(rho, sq.x)
-            assert rho.dim == 180_742
-
-        peaks = []
-        for call in (library, lambda: main(argv)):
-            peaks.append(traced_memory(call)[2])
-        size = target.stat().st_size
-        assert size > 6_000_000
-        assert peaks[1] - peaks[0] < size / 4
+        parts = library_parts(argv)
+        monkeypatch.setattr(cli, "_DOC_CHUNK", chunk(parts[1].dim))
+        assert run(capsys, argv) == (0, document_text(parts), "")
 
     # The state's one level vector is the document's diagonal, written in
     # chunks, so the command peaks near 8 B a level.  tracemalloc would hook
@@ -387,6 +326,57 @@ class TestStateAndSpectrum:
         growth = 1024 * int(proc.stdout)  # VmHWM is in KiB
         d = 1_922_541
         assert growth < 8 * d + 4 * 2**20
+
+
+def sweep_reports(argv):
+    """The reports of a sweep command's log grid, from the library."""
+    lo, hi = (float(option(argv, name)) for name in ("--omega-min", "--omega-max"))
+    grid = np.geomspace(lo, hi, int(option(argv, "--points"))).tolist()
+    return sweep(BlackHoleParams(mass=1.0), grid)
+
+
+def csv_text(reports):
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([CSV_HEADER, *map(report_csv_row, reports)])
+    return text.getvalue()
+
+
+def json_text(reports):
+    return json.dumps(list(map(report_json_dict, reports)), indent=2) + "\n"
+
+
+SWEEP = ["sweep", "--mass", "1", "--omega-min", "0.08", "--omega-max", "2"]
+# Each command: its argv, the library's work for it, and that work's result
+# rendered whole.  A JSON report takes about twice the bytes of a CSV row.
+STREAMED = {
+    "csv": ([*SWEEP, "--points", "4000"], sweep_reports, csv_text),
+    "json": ([*SWEEP, "--points", "2000", "--format", "json"], sweep_reports, json_text),
+    "spectrum": (
+        ["spectrum", "--mass", "1", "--x", "8.6e-5", "--stats", "boson"],
+        library_parts,
+        document_text,
+    ),
+}
+
+
+# Output goes to the handle as it is rendered: beyond the library's own
+# peak for the command's work, writing the file may cost only a quarter
+# of its size.  The fixed costs (argparse, and csv.writer's 128 KiB record
+# buffer) come to ~160 KB, so each file is over 1 MB.  Measured beyond the
+# library: 151 KB (csv), 221 KB (json) and 134 KB (spectrum, 8.2 MB); with
+# the JSON list in one batch, or each array in one chunk, 9.0 and 21.7 MB.
+# A spectrum is bounded only by X_MIN and the eps_tail floor, as every
+# state is: x = 8.6e-5 holds 211,042 levels.
+@pytest.mark.parametrize(("argv", "work", "whole"), STREAMED.values(), ids=STREAMED)
+def test_streamed_output_is_not_held_as_text(tmp_path, traced_memory, argv, work, whole):
+    target = tmp_path / "out"
+    argv = [*argv, "--output", str(target)]
+    build_parser().parse_args(argv)  # argparse compiles its patterns on first use
+    result, _, library_peak = traced_memory(lambda: work(argv))
+    _, _, peak = traced_memory(lambda: main(argv))
+    text = target.read_bytes()
+    assert text == whole(result).encode()
+    assert peak - library_peak < len(text) / 4
 
 
 CORPUS = json.loads((Path(__file__).parent / "data" / "cli_corpus.json").read_text())

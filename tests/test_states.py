@@ -38,15 +38,20 @@ def fermion_sq(x):
 
 
 class TestBosonBuilder:
-    # The last two cases put eps_tail on a level's boundary, where the cut's
-    # log estimate lands one level off: it gives 669 levels, and the upward
-    # settle loop makes 670; it gives 2,766, and the downward loop makes 2,765.
+    # The last four cases put eps_tail on a level's boundary.  In the first
+    # two the cut's log estimate lands one level off: it gives 669 levels,
+    # and the upward settle loop makes 670; it gives 2,766, and the downward
+    # loop makes 2,765.  In the last two q^d < eps_tail (1 - q) and
+    # q^d / (1 - q) < eps_tail disagree, so a cut that settles on the first
+    # reports a bound that is not below eps_tail, or keeps a level too many.
     @pytest.mark.parametrize(
         ("eps", "x"),
         [
             *itertools.product([1e-6, 1e-10, EPS_TAIL_DEFAULT, 1e-14], [0.1, 0.5, 1.0, 3.0]),
             (8.205018570415589e-08, 0.01483437477257088),
             (1.5749189629321082e-15, 0.006938344977543686),
+            (4.713314720842738e-08, 0.17724864543032587),
+            (7.036713881810332e-07, 0.05768884799130214),
         ],
     )
     def test_truncation_is_minimal(self, eps, x):

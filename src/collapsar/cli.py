@@ -47,6 +47,8 @@ from .geometry import (
 # (above) and the two builders (below).
 from .states import (
     EPS_TAIL_DEFAULT,
+    EPS_TAIL_MAX,
+    EPS_TAIL_MIN,
     _boson_cut,
     _validate_eps_tail,
     build_boson_state,
@@ -57,11 +59,9 @@ from .states import (
 MAX_SWEEP_POINTS = 20_000
 # Most boson levels, summed over its modes, that one entropy or sweep command builds.
 MAX_ROW_LEVELS = 1_000_000_000
-# Reports per write of a JSON sweep: one batch's text is ~40 KB.
-_JSON_BATCH = 64
-# Entries per write of a state or spectrum array: one chunk's text and
-# temporaries come to ~2 MB.
-_DOC_CHUNK = 16_384
+# Entries per write of a streamed JSON list: 64 reports of a sweep come
+# to ~40 KB of text, 64 entries of a state or spectrum array to ~1.5 KB.
+_CHUNK = 64
 
 
 def _output(args: argparse.Namespace) -> contextlib.AbstractContextManager:
@@ -116,15 +116,15 @@ def _require_levels(
         )
 
 
-def _write_list(fh, head: str, n: int, size: int, tail: str, render) -> None:
-    """Write head, the n >= 1 entries of a list, size at a time, then tail.
+def _write_list(fh, head: str, n: int, tail: str, render) -> None:
+    """Write head, the n >= 1 entries of a list, _CHUNK at a time, then tail.
 
     ``render(start, stop)`` lays out those entries as json.dumps(..., indent=2)
     does inside the list; ",\n" joins the chunks, so no whole text is held.
     """
     sep = head
-    for start in range(0, n, size):
-        fh.write(sep + render(start, min(start + size, n)))
+    for start in range(0, n, _CHUNK):
+        fh.write(sep + render(start, min(start + _CHUNK, n)))
         sep = ",\n"
     fh.write(tail)
 
@@ -135,7 +135,7 @@ def _write_rows(
     """Sweep the grid, then write one row per report; exit 3 only if every row failed.
 
     A JSON document is json.dumps's indent-2 layout of the list of reports,
-    written by _write_list _JSON_BATCH reports at a time: no whole text.
+    written by _write_list: no whole text.
     """
     _require_levels(args, params, omegas)
     reports = sweep(
@@ -143,11 +143,9 @@ def _write_rows(
     )
     with _output(args) as fh:
         if args.format == "json":
-            # A batch's text less "[\n" and "\n]" is its items at the list's indent.
-            _write_list(
-                fh, "[\n", len(reports), _JSON_BATCH, "\n]\n",
-                lambda a, b: json.dumps(list(map(report_json_dict, reports[a:b])), indent=2)[2:-2],
-            )
+            # A chunk's text less "[\n" and "\n]" is its items at the list's indent.
+            _write_list(fh, "[\n", len(reports), "\n]\n", lambda a, b: json.dumps(
+                list(map(report_json_dict, reports[a:b])), indent=2)[2:-2])
         else:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_HEADER)
@@ -216,9 +214,9 @@ def cmd_reduced(args: argparse.Namespace) -> int:
             # The pair labels nest as lists.
             fh.write(",\n" + json.dumps({"basis": rho.basis}, indent=2)[2:-2])
         else:
-            _write_list(fh, ',\n  "basis": [\n', rho.dim, _DOC_CHUNK, "\n  ]",
+            _write_list(fh, ',\n  "basis": [\n', rho.dim, "\n  ]",
                         lambda a, b: "    " + ",\n    ".join(map(str, range(a, b))))
-        _write_list(fh, ',\n  "diag": [\n', rho.dim, _DOC_CHUNK, "\n  ]",
+        _write_list(fh, ',\n  "diag": [\n', rho.dim, "\n  ]",
                     lambda a, b: "    " + ",\n    ".join(map(repr, rho.diag[a:b].tolist())))
         fh.write(",\n" + json.dumps(tail, indent=2)[2:] + "\n")
     return 0
@@ -241,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--eps-tail",
         type=float,
         default=EPS_TAIL_DEFAULT,
-        help="ceiling on the truncated tail bound, from 1e-16 to 1e-6 (default %(default)g)",
+        help=f"tail bound ceiling, from {EPS_TAIL_MIN!r} to {EPS_TAIL_MAX!r} (default %(default)g)",
     )
 
     fmt = argparse.ArgumentParser(add_help=False)

@@ -313,7 +313,7 @@ _FLOAT_FORMAT = "%.17g"
 
 
 def format_float(value: float) -> str:
-    """Canonical 17-significant-digit rendering used by all CSV output."""
+    """A float at 17 significant digits, as crossover prints it; CSV rows inline _FLOAT_FORMAT."""
     return _FLOAT_FORMAT % float(value)
 
 

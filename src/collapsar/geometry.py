@@ -10,7 +10,7 @@ combination ``x = 4 pi m omega``, equal to ``omega / (2 T_H)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import SqueezingOverflowError
@@ -86,33 +86,33 @@ class SqueezingParams:
 
     ``boltzmann_weight`` is ``w = e^{-x}``.  The squeezing angle satisfies
     ``tanh r = w`` for bosons (r unbounded) and ``tan r = w`` for fermions
-    (r in (0, pi/4]).  Both are derived from x on construction.  Underflow
-    edges are representable: ``w == 0.0`` denotes a mode frozen out to the
-    vacuum, and ``w == 1.0`` (reachable only for x below ~1e-16) denotes
-    maximal squeezing, with ``r = inf`` in the bosonic case.
+    (r in (0, pi/4]).  The record stores x; each read derives w and r from
+    it.  Underflow edges are representable: ``w == 0.0`` denotes a mode
+    frozen out to the vacuum, and ``w == 1.0`` (reachable only for x below
+    ~1e-16) denotes maximal squeezing, with ``r = inf`` in the bosonic case.
     """
 
     statistics: Statistics
     x: float
-    boltzmann_weight: float = field(init=False)
-    r: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.statistics, Statistics):
             object.__setattr__(self, "statistics", Statistics(self.statistics))
-        x = self.x
-        _require_finite_positive("x", x)
-        # The generated __init__ stored x as given, so only a non-float is
-        # stored again: storing every x twice made each record ~15 % slower.
-        if type(x) is not float:
-            object.__setattr__(self, "x", float(x))
-        w = math.exp(-x)
+        _require_finite_positive("x", self.x)
+        # The generated __init__ stored x as given: only a non-float is stored again.
+        if type(self.x) is not float:
+            object.__setattr__(self, "x", float(self.x))
+
+    @property
+    def boltzmann_weight(self) -> float:
+        return math.exp(-self.x)
+
+    @property
+    def r(self) -> float:
+        w = self.boltzmann_weight
         if self.statistics is _BOSON:
-            r = math.inf if w == 1.0 else math.atanh(w)
-        else:
-            r = math.atan(w)
-        object.__setattr__(self, "boltzmann_weight", w)
-        object.__setattr__(self, "r", r)
+            return math.inf if w == 1.0 else math.atanh(w)
+        return math.atan(w)
 
     def to_json_dict(self) -> dict:
         """Serialisable header identifying the squeezing: statistics, r, x."""

@@ -103,8 +103,8 @@ def build_fermion_state(squeezing: SqueezingParams) -> PureBipartiteState:
     The state keeps the four squares; ``fock`` holds the signs.
     """
     _require_statistics(squeezing, _FERMION)
-    c = math.cos(squeezing.r)
-    s = math.sin(squeezing.r)
+    r = squeezing.r
+    c, s = math.cos(r), math.sin(r)
     weights = np.array([c * c, s * c, s * c, s * s])
     weights *= weights
     return PureBipartiteState._built(_FERMION, weights, 0.0)

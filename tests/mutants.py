@@ -47,6 +47,10 @@ FERMION_GENERATOR = (
 )
 ROOT_FROZEN = "tests/test_entanglement.py::TestCrossover::test_root_matches_frozen_value"
 ORACLE_BITS = "tests/test_entanglement.py::TestSpectrumPath"
+SQUEEZING_ORACLE = (
+    "tests/test_geometry.py::TestSqueezingParams::test_weight_and_angle_match_mpmath"
+)
+CHUNK_EDGES = "tests/test_cli.py::test_chunks_make_the_whole_document"
 
 
 class Mutant(NamedTuple):
@@ -115,7 +119,7 @@ MUTANTS = [
     ),
     Mutant(
         "fermion_cos_scaled", "states.py",
-        "c = math.cos(squeezing.r)", "c = math.cos(squeezing.r) * (1.0 + 1e-15)",
+        "c, s = math.cos(r), math.sin(r)", "c, s = math.cos(r) * (1.0 + 1e-15), math.sin(r)",
         "fermion weights a few ulp off, and no longer complete to the bit",
         ("tests/test_states.py::TestDerivedAmplitudes"
          "::test_fermion_amplitudes_are_the_builders_formula",),
@@ -150,11 +154,16 @@ MUTANTS = [
     ),
     Mutant(
         "boson_r_by_log", "geometry.py",
-        "r = math.inf if w == 1.0 else math.atanh(w)",
-        "r = math.inf if w == 1.0 else 0.5 * math.log((1.0 + w) / (1.0 - w))",
-        "the boson squeezing angle loses digits where w is near 1",
-        ("tests/test_geometry.py::TestSqueezingParams"
-         "::test_weight_and_angle_derive_from_x_alone",),
+        "return math.inf if w == 1.0 else math.atanh(w)",
+        "return math.inf if w == 1.0 else 0.5 * math.log((1.0 + w) / (1.0 - w))",
+        "the boson squeezing angle loses digits where w is near 1, and is 0 from x ~ 37.5",
+        (SQUEEZING_ORACLE,),
+    ),
+    Mutant(
+        "fermion_angle_atanh", "geometry.py",
+        "return math.atan(w)", "return math.atanh(w)",
+        "the fermion squeezing angle inverts tanh, not tan",
+        (SQUEEZING_ORACLE,),
     ),
     Mutant(
         "report_omega_from_x", "entanglement.py",
@@ -216,6 +225,13 @@ MUTANTS = [
         "equivalent: the same label pairs in the same order",
     ),
     Mutant(
+        "entropy_without_clamp", "fock.py",
+        "return max(0.0, -float(np.add.reduce(t[::-1])))",
+        "return -float(np.add.reduce(t[::-1]))",
+        "a pure state's entropy is -0.0, not 0.0",
+        (ORACLE_BITS + "::test_fixed_spectra_keep_the_oracle_bits[pure]",),
+    ),
+    Mutant(
         "lambda_floor_doubled", "fock.py",
         "LAMBDA_FLOOR = 1e-30", "LAMBDA_FLOOR = 2e-30",
         "the entropy drops spectrum entries in (1e-30, 2e-30]",
@@ -232,10 +248,13 @@ MUTANTS = [
         "write_list_without_separator", "cli.py",
         'sep = ",\\n"', 'sep = ""',
         "a JSON sweep or state array of more than one chunk runs its chunks together",
-        (
-            "tests/test_cli.py::TestSweepCommand::test_json_batches_make_the_whole_document",
-            "tests/test_cli.py::TestStateAndSpectrum::test_chunks_make_the_whole_document",
-        ),
+        (CHUNK_EDGES,),
+    ),
+    Mutant(
+        "chunk_stop_short", "cli.py",
+        "min(start + _CHUNK, n)", "min(start + _CHUNK, n - 1)",
+        "a streamed JSON list stops one entry short of its end",
+        (CHUNK_EDGES,),
     ),
     Mutant(
         "float_format_16", "entanglement.py",

@@ -9,8 +9,8 @@ and an error row's empty field or null numerics.  A few corpus rows also run
 in a fresh interpreter, as a user runs the command.
 
 The rest of this file holds what a row's bytes cannot show: the option set,
-argument errors, output files, the streamed-output memory gates, chunk and
-batch edges, the level limit and the agreement of --omega and --x.
+argument errors, output files, the streamed-output memory gates, the chunk
+edges, the level limit and the agreement of --omega and --x.
 """
 
 import argparse
@@ -202,31 +202,6 @@ class TestEntropyCommand:
         assert "error:" in err
 
 
-class TestSweepCommand:
-    # A JSON sweep is written cli._JSON_BATCH reports at a time.  Filling a
-    # batch, crossing into a second and filling two must each give the
-    # document json.dumps renders for the whole list; its floats round-trip,
-    # so re-rendering the parsed document reproduces that text.
-    @pytest.mark.parametrize(
-        "points, stats",
-        [
-            (cli._JSON_BATCH // 2, "both"),
-            (cli._JSON_BATCH // 2 + 1, "both"),
-            (cli._JSON_BATCH + 1, "boson"),
-            (2 * cli._JSON_BATCH, "fermion"),
-        ],
-    )
-    def test_json_batches_make_the_whole_document(self, capsys, points, stats):
-        argv = [
-            "sweep", "--mass", "1", "--omega-min", "0.005", "--omega-max", "0.5",
-            "--points", str(points), "--stats", stats, "--format", "json",
-        ]
-        _, out, _ = run(capsys, argv)
-        doc = json.loads(out)
-        assert len(doc) == points * (2 if stats == "both" else 1)
-        assert out == json.dumps(doc, indent=2) + "\n"
-
-
 # The work bound at its edge, lowered to a small command's own count: a
 # command whose boson states hold exactly the limit runs, and one level
 # more than the limit is refused before the output file is created.  The
@@ -276,25 +251,6 @@ def document_text(parts):
 
 
 class TestStateAndSpectrum:
-    # The arrays are written cli._DOC_CHUNK entries at a time.  A chunk of
-    # one entry, of two, and of d - 1, d and d + 1 for a mode of d levels
-    # must each give the bytes json.dumps renders for the whole document.
-    # At boson x = 40 the state holds one level and the fit prints null.
-    @pytest.mark.parametrize("chunk", [
-        lambda d: 1, lambda d: 2, lambda d: max(1, d - 1), lambda d: d, lambda d: d + 1,
-    ], ids=["1", "2", "d-1", "d", "d+1"])
-    @pytest.mark.parametrize("argv", [
-        ["state", "--mass", "1", "--x", "0.5", "--stats", "boson"],
-        ["state", "--mass", "1", "--x", "2", "--stats", "fermion"],
-        ["spectrum", "--mass", "1", "--x", "0.5", "--stats", "boson"],
-        ["spectrum", "--mass", "1", "--x", "2", "--stats", "fermion"],
-        ["spectrum", "--mass", "1", "--x", "40", "--stats", "boson"],
-    ], ids=" ".join)
-    def test_chunks_make_the_whole_document(self, capsys, monkeypatch, argv, chunk):
-        parts = library_parts(argv)
-        monkeypatch.setattr(cli, "_DOC_CHUNK", chunk(parts[1].dim))
-        assert run(capsys, argv) == (0, document_text(parts), "")
-
     # The state's one level vector is the document's diagonal, written in
     # chunks, so the command peaks near 8 B a level.  tracemalloc would hook
     # each of the 1.9 M repr strings and take five times as long, so the
@@ -302,7 +258,7 @@ class TestStateAndSpectrum:
     # its own resident high-water mark.  That is VmHWM, not ru_maxrss: a
     # child's ru_maxrss starts at its parent's, which here is the test run's.
     # A fixed mmap threshold, as bench/ pins it, hands each large array back
-    # when it is freed.  The growth reads ~18.5 MB; a copy of the diagonal
+    # when it is freed.  The growth reads ~15.5 MB; a copy of the diagonal
     # kept beside it reads ~34 MB.
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
     def test_state_command_holds_one_level_vector(self, tmp_path):
@@ -363,8 +319,8 @@ STREAMED = {
 # peak for the command's work, writing the file may cost only a quarter
 # of its size.  The fixed costs (argparse, and csv.writer's 128 KiB record
 # buffer) come to ~160 KB, so each file is over 1 MB.  Measured beyond the
-# library: 151 KB (csv), 221 KB (json) and 134 KB (spectrum, 8.2 MB); with
-# the JSON list in one batch, or each array in one chunk, 9.0 and 21.7 MB.
+# library: 149 KB (csv), 225 KB (json) and 43 KB (spectrum, 8.2 MB); with
+# the JSON list, or each array, in one chunk, 9.0 and 21.7 MB.
 # A spectrum is bounded only by X_MIN and the eps_tail floor, as every
 # state is: x = 8.6e-5 holds 211,042 levels.
 @pytest.mark.parametrize(("argv", "work", "whole"), STREAMED.values(), ids=STREAMED)
@@ -377,6 +333,44 @@ def test_streamed_output_is_not_held_as_text(tmp_path, traced_memory, argv, work
     text = target.read_bytes()
     assert text == whole(result).encode()
     assert peak - library_peak < len(text) / 4
+
+
+# Every streamed JSON list is written cli._CHUNK entries at a time.  Each
+# list of n entries is written at a chunk of one entry, of two, of n - 1 (a
+# last chunk of one entry), n (one full chunk) and n + 1 (one short chunk),
+# and the command must print the bytes of the library's whole rendering.
+# A boson state streams two lists, basis and diag; a fermion state its diag.
+# At boson x = 40 the state holds one level and the fit prints null.
+EDGE = {
+    "1": lambda n: 1,
+    "2": lambda n: 2,
+    "n-1": lambda n: max(1, n - 1),
+    "n": lambda n: n,
+    "n+1": lambda n: n + 1,
+}
+CHUNKED = [
+    [*SWEEP, "--points", "3", "--format", "json"],
+    ["state", "--mass", "1", "--x", "0.5", "--stats", "boson"],
+    ["state", "--mass", "1", "--x", "2", "--stats", "fermion"],
+    ["spectrum", "--mass", "1", "--x", "0.5", "--stats", "boson"],
+    ["spectrum", "--mass", "1", "--x", "2", "--stats", "fermion"],
+    ["spectrum", "--mass", "1", "--x", "40", "--stats", "boson"],
+]
+CHUNK_EDGES = [(argv, edge) for argv in CHUNKED for edge in EDGE]
+
+
+@pytest.mark.parametrize(
+    ("argv", "edge"), CHUNK_EDGES, ids=[f"{' '.join(argv)} chunk={e}" for argv, e in CHUNK_EDGES]
+)
+def test_chunks_make_the_whole_document(capsys, monkeypatch, argv, edge):
+    if argv[0] == "sweep":
+        reports = sweep_reports(argv)
+        n, text = len(reports), json_text(reports)
+    else:
+        parts = library_parts(argv)
+        n, text = parts[1].dim, document_text(parts)
+    monkeypatch.setattr(cli, "_CHUNK", EDGE[edge](n))
+    assert run(capsys, argv) == (0, text, "")
 
 
 CORPUS = json.loads((Path(__file__).parent / "data" / "cli_corpus.json").read_text())

@@ -260,6 +260,13 @@ def test_fraction_rule(capsys, entry, value):
     )
 
 
+def test_fraction_rule_help_names_the_range(capsys):
+    # The --eps-tail help names the range the refusal names; argparse wraps it.
+    with pytest.raises(SystemExit):
+        main(["entropy", "--help"])
+    assert f"from {EPS_TAIL_MIN!r} to {EPS_TAIL_MAX!r}" in " ".join(capsys.readouterr().out.split())
+
+
 def test_sweep_below_the_floor_makes_only_error_rows():
     # So the sweep rows of test_fraction_rule refuse eps_tail before any point.
     for statistics in (B, F):
